@@ -106,6 +106,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, DegradedModeWarning, RetryExhaustedError
+from repro.experiments.runner import cost_key
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 
@@ -138,17 +139,6 @@ COST_SCHEMA = 1
 #: Per-process serial for sidecar temp-file names (same uniqueness
 #: argument as the store's entry temp files).
 _COST_TMP_SERIAL = itertools.count()
-
-
-def cost_key(fn: Callable[..., Any]) -> str:
-    """Stable per-cell-function identity for cost and memo bookkeeping.
-
-    The pool's cost model and :func:`repro.experiments.runner.sweep_map`'s
-    ``config_hash`` memo key functions the same way, so a function's
-    observed timings and its cached results always agree on what "the
-    same function" means.
-    """
-    return getattr(fn, "__qualname__", None) or repr(fn)
 
 
 @dataclass

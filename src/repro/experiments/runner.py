@@ -19,13 +19,11 @@ import json
 import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import AllocationError, ConfigError, StoreMissError
-from repro.experiments.pool import cost_key
 from repro.algorithms.costs import SortCostModel
 from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.algorithms.parallel_sort import gnu_sort_plan
@@ -132,6 +130,18 @@ def config_hash(payload: Any) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def cost_key(fn: Callable[..., Any]) -> str:
+    """Stable per-cell-function identity for memo and cost bookkeeping.
+
+    :func:`sweep_map`'s ``config_hash`` memo and the persistent pool's
+    cost model (:mod:`repro.experiments.pool`) key functions the same
+    way, so a function's cached results and its observed timings always
+    agree on what "the same function" means. It lives here rather than
+    in the pool so a serial sweep never imports the pool.
+    """
+    return getattr(fn, "__qualname__", None) or repr(fn)
 
 
 #: Process-wide memo for :func:`sweep_map` (config hash -> result).
@@ -463,6 +473,8 @@ def sweep_map(
                     if tier2 is not None:
                         pool_obj.persist_costs(tier2.root)
                 else:
+                    from concurrent.futures import ProcessPoolExecutor
+
                     workers = min(jobs, len(indices), os.cpu_count() or 1)
                     with ProcessPoolExecutor(max_workers=workers) as ex:
                         futures = [

@@ -5,7 +5,8 @@ L2) connected by a 2D mesh network-on-chip; MCDRAM EDC controllers sit
 on the mesh edges and DDR controllers on two mesh columns. We model a
 rows x cols grid (default 6 x 7 = 42 slots, 34 tiles active → 68
 cores), expose core/thread enumeration and affinity helpers, and
-compute mesh-hop distances via networkx shortest paths. The mesh's
+compute mesh-hop distances as XY-routing (Manhattan) path lengths —
+on a full grid that is exactly the shortest-path hop count. The mesh's
 bisection bandwidth can be contributed as an additional flow resource;
 with the defaults it is generous enough that it rarely binds —
 matching the paper, which treats NoC contention as a secondary effect
@@ -20,24 +21,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import ConfigError
 from repro.simknl.flows import Resource
 from repro.units import GB, MiB
-
-
-#: Shared mesh graphs per (rows, cols). Construction dominates
-#: KNLNode setup in sweeps that build a node per cell; the graph is
-#: only ever read (shortest paths), so instances can share it.
-_GRID_CACHE: dict[tuple[int, int], "nx.Graph"] = {}
-
-
-def _grid_graph(rows: int, cols: int) -> "nx.Graph":
-    graph = _GRID_CACHE.get((rows, cols))
-    if graph is None:
-        graph = _GRID_CACHE[(rows, cols)] = nx.grid_2d_graph(rows, cols)
-    return graph
 
 
 class ClusterMode(enum.Enum):
@@ -125,15 +111,14 @@ class KNLTopology:
         self.threads_per_core = threads_per_core
         self.mesh_bandwidth = mesh_bandwidth
         self.cluster_mode = cluster_mode
-        self.graph = _grid_graph(rows, cols)
-        positions = sorted(self.graph.nodes)
         self.tiles: list[Tile] = []
         core = 0
         for tid in range(active_tiles):
             cores = tuple(range(core, core + cores_per_tile))
             core += cores_per_tile
+            # Active tiles fill the grid in row-major order.
             self.tiles.append(
-                Tile(tile_id=tid, position=positions[tid], cores=cores)
+                Tile(tile_id=tid, position=divmod(tid, cols), cores=cores)
             )
 
     @property
@@ -164,9 +149,9 @@ class KNLTopology:
 
     def mesh_distance(self, tile_a: int, tile_b: int) -> int:
         """Mesh hop count between two tiles (XY-routing path length)."""
-        a = self.tiles[tile_a].position
-        b = self.tiles[tile_b].position
-        return nx.shortest_path_length(self.graph, a, b)
+        ra, ca = self.tiles[tile_a].position
+        rb, cb = self.tiles[tile_b].position
+        return abs(ra - rb) + abs(ca - cb)
 
     def mean_mesh_distance(self) -> float:
         """Average hop count over all active tile pairs."""

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.errors import ConfigError
-from repro.simknl.topology import KNLTopology, Tile
+from repro.simknl.topology import ClusterMode, KNLTopology, Tile
+
+
+def _bfs_hops(rows, cols, src, dst):
+    """Reference oracle: shortest hop count on a rows x cols grid."""
+    seen = {src: 0}
+    queue = deque([src])
+    while queue:
+        r, c = node = queue.popleft()
+        if node == dst:
+            return seen[node]
+        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= nxt[0] < rows and 0 <= nxt[1] < cols and nxt not in seen:
+                seen[nxt] = seen[node] + 1
+                queue.append(nxt)
+    raise AssertionError(f"{dst} unreachable from {src}")
 
 
 class TestDefaults:
@@ -121,8 +138,6 @@ class TestTile:
 
 class TestClusterModes:
     def test_default_is_quadrant(self):
-        from repro.simknl.topology import ClusterMode
-
         assert KNLTopology().cluster_mode is ClusterMode.QUADRANT
 
     def test_quadrants_partition_tiles(self):
@@ -139,23 +154,17 @@ class TestClusterModes:
             t.quadrant_of_tile(99)
 
     def test_all_to_all_costs_more_hops(self):
-        from repro.simknl.topology import ClusterMode
-
         a2a = KNLTopology(cluster_mode=ClusterMode.ALL_TO_ALL)
         quad = KNLTopology(cluster_mode=ClusterMode.QUADRANT)
         for tile in (0, 10, 33):
             assert a2a.memory_access_hops(tile) > quad.memory_access_hops(tile)
 
     def test_snc4_matches_quadrant_hops(self):
-        from repro.simknl.topology import ClusterMode
-
         snc = KNLTopology(cluster_mode=ClusterMode.SNC4)
         quad = KNLTopology(cluster_mode=ClusterMode.QUADRANT)
         assert snc.memory_access_hops(0) == quad.memory_access_hops(0)
 
     def test_snc4_local_bandwidth_share(self):
-        from repro.simknl.topology import ClusterMode
-
         assert KNLTopology(
             cluster_mode=ClusterMode.SNC4
         ).snc_local_bandwidth_share() == 0.25
@@ -166,3 +175,48 @@ class TestClusterModes:
     def test_hops_positive(self):
         t = KNLTopology()
         assert t.memory_access_hops(5) > 0
+
+
+#: Default 6x7 / 34-tile values, captured from the networkx
+#: shortest-path implementation this closed form replaced.
+_MEAN_DISTANCE = 3.93048128342246
+_A2A_HOPS = 7.86096256684492
+_QUADRANT_HOPS = (
+    [14 / 3] * 4 + [4.0] * 3 + [14 / 3] * 4 + [4.0] * 3 + [14 / 3] * 4
+    + [4.0] * 7 + [3.2] * 3 + [4.0] * 4 + [3.2] * 2
+)
+
+
+class TestMeshOracle:
+    @pytest.mark.parametrize(
+        "rows, cols, active",
+        [(1, 9, 9), (9, 1, 9), (6, 7, 34), (6, 7, 42), (4, 4, 16), (3, 5, 11)],
+    )
+    def test_distance_matches_bfs(self, rows, cols, active):
+        t = KNLTopology(rows=rows, cols=cols, active_tiles=active)
+        for a in range(active):
+            for b in range(active):
+                assert t.mesh_distance(a, b) == _bfs_hops(
+                    rows, cols, t.tiles[a].position, t.tiles[b].position
+                )
+
+    def test_positions_are_row_major(self):
+        t = KNLTopology()
+        assert [tile.position for tile in t.tiles] == [
+            (r, c) for r in range(6) for c in range(7)
+        ][:34]
+
+    @pytest.mark.parametrize("mode", list(ClusterMode))
+    def test_mean_distance_pinned(self, mode):
+        assert KNLTopology(cluster_mode=mode).mean_mesh_distance() == (
+            _MEAN_DISTANCE
+        )
+
+    @pytest.mark.parametrize("mode", list(ClusterMode))
+    def test_memory_access_hops_pinned(self, mode):
+        t = KNLTopology(cluster_mode=mode)
+        expected = (
+            [_A2A_HOPS] * 34 if mode is ClusterMode.ALL_TO_ALL
+            else _QUADRANT_HOPS
+        )
+        assert [t.memory_access_hops(i) for i in range(34)] == expected
