@@ -1,0 +1,42 @@
+"""Byte-for-byte golden outputs for every shipped artifact.
+
+``tests/golden/<artifact>.out`` is the stdout of
+``python -m repro <artifact> --csv -``. Each test re-renders the
+artifact through the CLI and compares bytes, so a refactor that changes
+any digit of any table or figure fails here. A second check ties each
+golden file to the digest the repo benchmark verifies
+(``bench/expected.json``), so the goldens and the benchmark agree on
+what the correct bytes are. See ``tests/golden/README.md`` for how to
+regenerate them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = json.loads((ROOT / "bench" / "expected.json").read_text())["sha256"]
+
+
+def test_golden_set_matches_benchmark():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(EXPECTED)
+
+
+@pytest.mark.parametrize("artifact", sorted(EXPECTED))
+def test_cli_output_matches_golden(artifact, capsys):
+    golden = (GOLDEN / f"{artifact}.out").read_bytes()
+    assert main([artifact, "--csv", "-"]) == 0
+    assert capsys.readouterr().out.encode() == golden
+
+
+@pytest.mark.parametrize("artifact", sorted(EXPECTED))
+def test_golden_is_benchmark_digest(artifact):
+    golden = (GOLDEN / f"{artifact}.out").read_bytes()
+    assert hashlib.sha256(golden).hexdigest() == EXPECTED[artifact]
