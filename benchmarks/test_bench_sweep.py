@@ -1,14 +1,14 @@
 """Benchmarks of the cross-cell tensor sweep path.
 
 Times the core lowering — :func:`run_lowered` over a pre-built
-``(cells x live-flow-slots)`` tensor — against the warm persistent
-pool fanning the same figure7-class cells across workers that rebuild
-node + plan per cell. The acceptance bar: the tensor evaluation is at
-least 10x faster than the pool, bit-identically.
+``(cells x live-flow-slots)`` tensor — against the serial per-cell
+loop that rebuilds node + plan and runs the engine for each of the
+same figure7-class cells. The acceptance bar: the tensor evaluation
+is at least 10x faster than the serial loop, bit-identically.
 
 Per-cell plan *construction* is deliberately outside the tensor-side
 timed region: ``sweep_map`` builds plans once per pending cell on
-either path, so the backends differ exactly in how built plans are
+either path, so the two differ exactly in how built plans are
 evaluated — that difference is what these benchmarks pin.
 """
 
@@ -16,20 +16,16 @@ from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro.core.buffering import BufferedPipeline
 from repro.core.chunking import Chunker
 from repro.core.kernel import StreamKernel
 from repro.core.modes import UsageMode
-from repro.experiments.pool import get_pool, shutdown_pool
 from repro.simknl.batch import lower_plans, run_lowered
 from repro.simknl.engine import Engine
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.threads.pool import PoolSet
 from repro.units import GiB, MiB
 
-JOBS = 8
 #: Shrinking by whole elements keeps every cell's chunk count — and
 #: hence plan structure — identical; only the ragged final chunk varies.
 CELLS = [(int(16 * GiB) - 8 * i,) for i in range(64)]
@@ -50,7 +46,7 @@ def _pipeline(nbytes: int) -> BufferedPipeline:
 
 
 def _cell(nbytes: int) -> float:
-    """One pool-side cell: rebuild node + plan, run, return elapsed."""
+    """One serial cell: rebuild node + plan, run, return elapsed."""
     return _pipeline(nbytes).run().elapsed
 
 
@@ -68,13 +64,6 @@ def _build_lowered():
     return engine, lowered, tensor
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _pool_lifetime():
-    shutdown_pool()
-    yield
-    shutdown_pool()
-
-
 def test_bench_sweep_tensor(benchmark):
     engine, lowered, tensor = _build_lowered()
     warm = run_lowered(engine, lowered, tensor)  # warm the allocate memo
@@ -83,26 +72,17 @@ def test_bench_sweep_tensor(benchmark):
     assert [r.elapsed for r in results] == [r.elapsed for r in warm]
 
 
-def test_bench_sweep_pool(benchmark):
-    pool = get_pool(JOBS)
-    pool.map(_cell, CELLS)  # warm: spawn workers outside the timed region
-    out = benchmark.pedantic(
-        lambda: pool.map(_cell, CELLS), rounds=3, iterations=1
-    )
-    assert len(out) == len(CELLS)
-
-
-def test_tensor_at_least_10x_faster_than_pool():
+def test_tensor_at_least_10x_faster_than_serial():
     """The acceptance bar: evaluating the lowered sweep is >=10x faster
-    than fanning the same cells across the warm persistent pool — and
-    bit-identical to it."""
+    than running the same cells one by one — and bit-identical to it."""
     engine, lowered, tensor = _build_lowered()
     batched = run_lowered(engine, lowered, tensor)
     assert batched is not None
 
-    pool = get_pool(JOBS)
-    pooled = pool.map(_cell, CELLS)  # warm
-    assert [r.elapsed for r in batched] == pooled
+    def serial():
+        return [_cell(*c) for c in CELLS]
+
+    assert [r.elapsed for r in batched] == serial()
 
     def best_of(fn, rounds=3):
         times = []
@@ -113,8 +93,8 @@ def test_tensor_at_least_10x_faster_than_pool():
         return min(times)
 
     tensor_s = best_of(lambda: run_lowered(engine, lowered, tensor))
-    pool_s = best_of(lambda: pool.map(_cell, CELLS))
-    assert pool_s >= 10.0 * tensor_s, (
-        f"pool {pool_s * 1e3:.1f}ms vs tensor {tensor_s * 1e3:.1f}ms "
-        f"({pool_s / tensor_s:.1f}x)"
+    serial_s = best_of(serial)
+    assert serial_s >= 10.0 * tensor_s, (
+        f"serial {serial_s * 1e3:.1f}ms vs tensor {tensor_s * 1e3:.1f}ms "
+        f"({serial_s / tensor_s:.1f}x)"
     )

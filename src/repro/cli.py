@@ -21,9 +21,9 @@ re-renders a figure/table purely from such a store — zero engine
 invocations, byte-identical output (see ``docs/EXPERIMENTS_STORE.md``).
 
 ``serve`` runs the long-lived sweep service (asyncio job queue over
-the persistent pool and result store) and ``submit`` sends one job to
-a running instance, rendering the returned result byte-identical to a
-local run (see ``docs/SERVICE.md``).
+the result store) and ``submit`` sends one job to a running instance,
+rendering the returned result byte-identical to a local run (see
+``docs/SERVICE.md``).
 
 Each subcommand regenerates one paper artifact (Tables 1-3, Figures
 6-8) or one extension driver.
@@ -90,30 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render figures as ASCII series charts instead of tables",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "fan sweep cells out across N worker processes (drivers "
-            "that support it; results are identical to a serial run). "
-            "Ignored while --metrics/--events collect telemetry, "
-            "which requires in-process execution"
-        ),
-    )
-    parser.add_argument(
-        "--pool",
-        choices=["persistent", "fork"],
-        default=None,
-        help=(
-            "parallel backend for --jobs: 'persistent' reuses a "
-            "process-lifetime shared-memory worker pool (chunked "
-            "dispatch, low per-cell overhead), 'fork' forks a fresh "
-            "process pool per sweep. Default: persistent (or "
-            "$REPRO_SWEEP_POOL)"
-        ),
-    )
-    parser.add_argument(
         "--store",
         metavar="DIR",
         default=None,
@@ -130,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "seed for drivers with stochastic injection schedules "
-            "(faults, chaos); replaying a seed replays the identical "
+            "(faults); replaying a seed replays the identical "
             "schedule. Ignored by deterministic drivers"
         ),
     )
@@ -236,11 +212,7 @@ def _run_serve(args) -> None:
         raise ServiceError(
             f"'serve' takes no target artifact (got {args.target!r})"
         )
-    config = ServiceConfig(
-        max_queue=args.queue,
-        jobs=max(args.jobs, 1),
-        store=args.store,
-    )
+    config = ServiceConfig(max_queue=args.queue, store=args.store)
     run_server(host=args.host, port=args.port, config=config)
 
 
@@ -303,10 +275,6 @@ def _run_all(args) -> None:
     for name in names:
         driver = ALL_EXPERIMENTS[name]
         kwargs = {}
-        if args.jobs > 1 and getattr(driver, "supports_jobs", False):
-            kwargs["jobs"] = args.jobs
-            if args.pool is not None:
-                kwargs["pool"] = args.pool
         if args.store is not None and getattr(
             driver, "supports_store", False
         ):

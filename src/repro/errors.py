@@ -59,29 +59,6 @@ class RetryExhaustedError(FaultError):
         self.attempts = attempts
 
 
-class RingIntegrityError(FaultError):
-    """A shared-memory ring payload failed its framing checks.
-
-    Raised by the sweep pool's ring reader when a payload's sequence
-    number or checksum does not match what the worker announced —
-    either real shared-memory corruption or an injected
-    ``RING_CORRUPT`` harness fault. The pool catches it, discards the
-    payload, and refetches the chunk over the type-exact pickle path,
-    so it never escapes :meth:`PersistentPool.map`.
-
-    Parameters
-    ----------
-    message:
-        Human-readable description of the violated frame.
-    chunk_id:
-        The chunk whose payload failed validation.
-    """
-
-    def __init__(self, message: str, chunk_id: int = -1) -> None:
-        super().__init__(message)
-        self.chunk_id = chunk_id
-
-
 class StoreError(ReproError):
     """The on-disk result store cannot satisfy a request
     (see :mod:`repro.experiments.store`)."""

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     sort_variant_seconds,
 )
 from repro.experiments.store import ResultStore, get_store
-from repro.experiments.chaos import run_chaos
 from repro.experiments.table1 import run_table1
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure7 import run_figure7
@@ -68,7 +67,6 @@ EXTENSION_EXPERIMENTS = {
     "pollution": run_pollution,
     "adaptive": run_adaptive,
     "faults": run_faults,
-    "chaos": run_chaos,
     "pareto": run_pareto,
 }
 
@@ -97,7 +95,6 @@ __all__ = [
     "run_faults",
     "run_pollution",
     "run_adaptive",
-    "run_chaos",
     "run_pareto",
     "PAPER_EXPERIMENTS",
     "EXTENSION_EXPERIMENTS",

@@ -565,8 +565,6 @@ def run_faults(
     megachunk: int = 250_000_000,
     seed: int = 42,
     intensities: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.9),
-    jobs: int = 1,
-    pool: str | None = None,
 ) -> ExperimentResult:
     """Degradation report: resilient chunked MLM-sort vs monolithic GNU.
 
@@ -585,7 +583,7 @@ def run_faults(
     cells = [
         (n, megachunk, seed, intensity) for intensity in intensities
     ]
-    results = sweep_map(_fault_cell, cells, jobs=jobs, pool=pool)
+    results = sweep_map(_fault_cell, cells)
     # Normalize slowdowns against the lowest intensity actually run —
     # not a hard-coded 0.0, which silently degenerated every slowdown
     # column to 1.0 whenever the caller's sweep did not include it.
@@ -654,21 +652,14 @@ def _energy_cell(variant: str, n: int) -> tuple[float, dict]:
     return res.elapsed, dict(res.traffic)
 
 
-def run_energy(
-    n: int = 2_000_000_000, jobs: int = 1, pool: str | None = None
-) -> ExperimentResult:
+def run_energy(n: int = 2_000_000_000) -> ExperimentResult:
     """Energy and energy-delay product across the Table 1 variants.
 
     Idle power is charged only for devices present in each run (no NVM
     device is attached here, so no NVM idle power is paid — see
     :class:`~repro.simknl.energy.EnergyModel`).
     """
-    raw = sweep_map(
-        _energy_cell,
-        [(variant, n) for variant in VARIANTS],
-        jobs=jobs,
-        pool=pool,
-    )
+    raw = sweep_map(_energy_cell, [(variant, n) for variant in VARIANTS])
     results = [
         RunResult(elapsed=elapsed, traffic=traffic, phase_times=[])
         for elapsed, traffic in raw
@@ -710,6 +701,4 @@ run_energy.series_spec = SeriesSpec("algorithm", ("energy_j",))
 run_faults.series_spec = SeriesSpec(
     "intensity", ("resilient_s", "monolithic_s")
 )
-run_energy.supports_jobs = True
-run_faults.supports_jobs = True
 run_faults.supports_seed = True

@@ -22,8 +22,6 @@ def run_figure6(
     cost: SortCostModel | None = None,
     sizes: tuple[int, ...] = (2_000_000_000, 4_000_000_000, 6_000_000_000),
     orders: tuple[str, ...] = ("random", "reverse"),
-    jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Speedup of each variant over GNU-flat, per size and order."""
@@ -34,13 +32,7 @@ def run_figure6(
         for variant in VARIANTS
     ]
     times = dict(
-        zip(
-            cells,
-            sweep_map(
-                sort_variant_seconds, cells,
-                jobs=jobs, pool=pool, store=store,
-            ),
-        )
+        zip(cells, sweep_map(sort_variant_seconds, cells, store=store))
     )
     rows = []
     for order in orders:
@@ -81,6 +73,5 @@ def run_figure6(
 
 
 run_figure6.series_spec = SeriesSpec("algorithm", ("speedup",))
-run_figure6.supports_jobs = True
 run_figure6.supports_store = True
 run_figure6.supports_replay = True

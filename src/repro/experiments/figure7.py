@@ -71,8 +71,6 @@ def run_figure7(
     cost: SortCostModel | None = None,
     n: int = 6_000_000_000,
     chunks: tuple[int, ...] = DEFAULT_CHUNKS,
-    jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Time vs chunk size for MLM-sort in flat, hybrid, and implicit."""
@@ -87,7 +85,7 @@ def run_figure7(
             labels.append((mega, "hybrid_s"))
         cells.append((UsageMode.IMPLICIT, n, mega, cost))
         labels.append((mega, "implicit_s"))
-    times = sweep_map(_variant_time, cells, jobs=jobs, pool=pool, store=store)
+    times = sweep_map(_variant_time, cells, store=store)
     by_chunk: dict[int, dict] = {
         mega: {"chunk_elements": mega} for mega in chunks
     }
@@ -111,6 +109,5 @@ def run_figure7(
 run_figure7.series_spec = SeriesSpec(
     "chunk_elements", ("flat_s", "implicit_s")
 )
-run_figure7.supports_jobs = True
 run_figure7.supports_store = True
 run_figure7.supports_replay = True

@@ -74,8 +74,6 @@ def run_figure8(
     repeats: tuple[int, ...] = DEFAULT_REPEATS,
     copy_threads: tuple[int, ...] = DEFAULT_COPY_THREADS,
     total_threads: int = 256,
-    jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Model (8a) and empirical (8b) time curves."""
@@ -91,9 +89,7 @@ def run_figure8(
         }
         for (r, p, _), (model_t, emp_t) in zip(
             cells,
-            sweep_map(
-                _figure8_cell, cells, jobs=jobs, pool=pool, store=store
-            ),
+            sweep_map(_figure8_cell, cells, store=store),
         )
     ]
     return ExperimentResult(
@@ -112,6 +108,5 @@ def run_figure8(
 run_figure8.series_spec = SeriesSpec(
     "copy_threads", ("model_s", "empirical_s")
 )
-run_figure8.supports_jobs = True
 run_figure8.supports_store = True
 run_figure8.supports_replay = True

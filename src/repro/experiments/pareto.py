@@ -129,8 +129,6 @@ def run_pareto(
     chunks_mib: tuple[int, ...] = (256, 512, 1024, 2048),
     copy_threads: tuple[int, ...] = (4, 8, 16),
     mcdram_scales: tuple[float, ...] = (0.5, 1.0, 2.0),
-    jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Pareto front over (time, energy, EDP) for the joint design space.
@@ -149,7 +147,7 @@ def run_pareto(
             cells.append(("implicit", data_gib, mib, 0, scale))
         # DDR never chunks: one whole-data "chunk".
         cells.append(("ddr", data_gib, int(data_gib * GiB) // MiB, 0, scale))
-    raw = sweep_map(_pareto_cell, cells, jobs=jobs, pool=pool, store=store)
+    raw = sweep_map(_pareto_cell, cells, store=store)
     # Energy pricing: one vectorized report per MCDRAM scaling (idle
     # power differs per scale).
     reports: dict[int, Any] = {}
@@ -206,6 +204,5 @@ def run_pareto(
     )
 
 
-run_pareto.supports_jobs = True
 run_pareto.supports_store = True
 run_pareto.supports_replay = True

@@ -3,10 +3,11 @@
 :func:`sort_variant_seconds` maps the paper's algorithm labels
 (GNU-flat, GNU-cache, MLM-ddr, MLM-sort, MLM-implicit) to the right
 node configuration and timed plan; :class:`ExperimentResult` is the
-uniform record every driver returns; :func:`sweep_map` fans a sweep's
-independent cells out across worker processes with deterministic
-ordering and two-tier config-hash memoization (in-memory dict first,
-then the on-disk :mod:`~repro.experiments.store` result store);
+uniform record every driver returns; :func:`sweep_map` evaluates a
+sweep's independent cells in order, in-process, with two-tier
+config-hash memoization (in-memory dict first, then the on-disk
+:mod:`~repro.experiments.store` result store) and the cross-cell tensor
+fast path;
 :func:`replay_session` switches :func:`sweep_map` into pure-lookup
 replay, the engine-free re-render mode behind ``repro-knl replay``.
 """
@@ -95,9 +96,10 @@ def _canonical_repr(obj: Any) -> str:
 
     An object that falls back to ``object.__repr__`` embeds its memory
     address, so the "same" configuration would hash differently in
-    every process — memo entries shipped back from workers would
-    silently never hit. Raising here turns that silent cache miss into
-    a loud configuration error naming the offending payload field.
+    every process — result-store entries written by one run would
+    silently never hit in the next. Raising here turns that silent
+    cache miss into a loud configuration error naming the offending
+    payload field.
     """
     text = repr(obj)
     if _ADDRESS_REPR.search(text):
@@ -123,7 +125,7 @@ def config_hash(payload: Any) -> str:
     Payload objects whose repr embeds a memory address (the default
     ``object.__repr__``) are rejected with
     :class:`~repro.errors.ConfigError`: such a hash would be unique per
-    process and the memo would silently never hit across workers.
+    process and the result store would silently never hit across runs.
     """
     canonical = json.dumps(
         payload, sort_keys=True, default=_canonical_repr,
@@ -133,13 +135,11 @@ def config_hash(payload: Any) -> str:
 
 
 def cost_key(fn: Callable[..., Any]) -> str:
-    """Stable per-cell-function identity for memo and cost bookkeeping.
+    """Stable per-cell-function identity for memo and store keys.
 
-    :func:`sweep_map`'s ``config_hash`` memo and the persistent pool's
-    cost model (:mod:`repro.experiments.pool`) key functions the same
-    way, so a function's cached results and its observed timings always
-    agree on what "the same function" means. It lives here rather than
-    in the pool so a serial sweep never imports the pool.
+    :func:`sweep_map` hashes ``(cost_key(fn), cell)`` into each cell's
+    ``config_hash``, and tags store entries with it, so a function's
+    cached results survive across processes under the same name.
     """
     return getattr(fn, "__qualname__", None) or repr(fn)
 
@@ -260,66 +260,25 @@ def _replay_lookup(
     return results
 
 
-#: Parallel backends :func:`sweep_map` can fan cells out through.
-SWEEP_POOLS = ("persistent", "fork")
-
-
-def default_pool() -> str:
-    """The parallel backend used when ``pool`` is not given.
-
-    ``persistent`` (the shared-memory worker pool in
-    :mod:`repro.experiments.pool`) unless the ``REPRO_SWEEP_POOL``
-    environment variable selects ``fork``.
-    """
-    backend = os.environ.get("REPRO_SWEEP_POOL", "persistent")
-    if backend not in SWEEP_POOLS:
-        raise ConfigError(
-            f"REPRO_SWEEP_POOL must be one of {SWEEP_POOLS}, "
-            f"got {backend!r}"
-        )
-    return backend
-
-
 def sweep_map(
     fn: Callable[..., Any],
     cells: Sequence[tuple],
-    jobs: int = 1,
     memo: dict[str, Any] | None = None,
-    pool: str | None = None,
-    chaos: Any | None = None,
     store: ResultStore | str | os.PathLike | None = None,
 ) -> list[Any]:
-    """Map ``fn`` over independent sweep cells, optionally in parallel.
+    """Map ``fn`` over independent sweep cells, in cell order.
 
     Parameters
     ----------
     fn:
-        A module-level (picklable) cell function; called as
-        ``fn(*cell)``.
+        A module-level cell function; called as ``fn(*cell)``.
     cells:
         The argument tuples, one per cell. Results come back in cell
-        order regardless of completion order, so a parallel sweep is
-        bit-identical to the serial one.
-    jobs:
-        Worker processes. ``1`` (the default) runs serially in this
-        process.
+        order.
     memo:
         Optional explicit memo dict (config hash -> result). Defaults
         to a process-wide cache, so re-running a sweep with overlapping
         cells (e.g. ``repro-knl all``) skips finished work.
-    pool:
-        Parallel backend for ``jobs > 1``: ``"persistent"`` reuses the
-        process-lifetime shared-memory worker pool
-        (:mod:`repro.experiments.pool`, chunked dispatch, cheap per-cell
-        overhead), ``"fork"`` forks a fresh
-        :class:`~concurrent.futures.ProcessPoolExecutor` per call (one
-        pickle round-trip per cell). ``None`` uses :func:`default_pool`.
-    chaos:
-        Optional :class:`repro.experiments.chaos.HarnessFaultInjector`
-        injecting harness faults into the sweep's workers. Requires
-        ``jobs > 1`` and the persistent backend, and bypasses both
-        memo tiers entirely — a chaos run must exercise real
-        dispatches, not cache hits.
     store:
         On-disk second memo tier: a
         :class:`~repro.experiments.store.ResultStore` or a directory
@@ -329,14 +288,18 @@ def sweep_map(
     Cells are memoized on ``config_hash((qualname, cell))`` through a
     **two-tier lookup**: the in-memory memo first, then the on-disk
     result store; a cell missing from both is computed, returned, and
-    written through to both tiers (workers report results over IPC;
-    the parent persists them), and a memo hit the store lacks is
+    written through to both tiers, and a memo hit the store lacks is
     backfilled to disk — so any sweep run with a store leaves that
     store replay-complete, even for cells an earlier store-less call
     already memoized. Equal configurations are therefore
     computed once — across drivers in the same process via the memo,
     and across processes and CI runs via the store. Cells that repeat
-    *within* one call are deduplicated before dispatch. The memo is
+    *within* one call are deduplicated before evaluation. Pending
+    cells of a function carrying a ``plan_batch`` spec are evaluated
+    together on the cross-cell tensor path
+    (:func:`~repro.simknl.batch.evaluate_plan_batch`), bit-identical to
+    per-cell calls; the cells it declines run as serial ``fn(*cell)``
+    calls. The memo is
     bounded by ``_SWEEP_MEMO_MAX`` entries; once full, new results are
     still returned but no longer cached in memory (a one-time warning
     plus ``sweep.memo_evicted_total`` make the drops visible), while
@@ -348,41 +311,17 @@ def sweep_map(
     is never invoked.
 
     While a telemetry session is active (and no replay is) the sweep
-    runs every cell serially in-process and bypasses both *read*
-    tiers: child processes cannot feed the parent's metric registry,
-    and a cache hit would skip the cell's instrumentation side effects
-    — either way the collected metrics would silently diverge from a
-    plain serial run. Computed results are still written through to
-    both tiers (writes have no instrumentation to skip).
+    calls ``fn`` on every cell and bypasses both *read* tiers and the
+    tensor path: a cache hit or a batched evaluation would skip the
+    cell's instrumentation side effects, so the collected metrics
+    would silently diverge from a plain per-cell run. Computed results
+    are still written through to both tiers (writes have no
+    instrumentation to skip).
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if pool is not None and pool not in SWEEP_POOLS:
-        raise ConfigError(
-            f"pool must be one of {SWEEP_POOLS}, got {pool!r}"
-        )
-    # The memo and the pool's cost model key functions identically
-    # (cost_key), so "same function" means the same thing to cached
-    # results and to observed timings.
     name = cost_key(fn)
     replay = _REPLAY.get()
     if replay is not None:
         return _replay_lookup(replay, name, cells)
-    if chaos is not None:
-        if jobs < 2:
-            raise ConfigError(
-                "chaos injection needs jobs > 1: harness faults hit "
-                "worker processes, and a serial sweep has none"
-            )
-        backend = pool or default_pool()
-        if backend != "persistent":
-            raise ConfigError(
-                "chaos injection targets the persistent pool; "
-                f"pool={backend!r} is not supported"
-            )
-        from repro.experiments.pool import get_pool
-
-        return get_pool(jobs).map(fn, list(cells), chaos=chaos)
     tier2 = get_store(store) if store is not None else default_store()
     if memo is None:
         memo = _SWEEP_MEMO
@@ -439,9 +378,9 @@ def sweep_map(
             # and evaluate the pending set in-process with a handful of
             # NumPy ops, bit-identical to per-cell ``fn`` calls
             # (:mod:`repro.simknl.batch`). Cells whose ``build``
-            # declines fall through to the pool/serial dispatch below.
-            # Chaos, replay, and telemetry sweeps never reach this
-            # branch — they are handled (and fall back) above.
+            # declines fall through to the serial loop below. Replay
+            # and telemetry sweeps never reach this branch — they are
+            # handled above.
             from repro.simknl.batch import evaluate_plan_batch
 
             batched, leftover = evaluate_plan_batch(
@@ -454,35 +393,7 @@ def sweep_map(
             pending_keys = [pending_keys[j] for j in leftover]
             indices = [indices[j] for j in leftover]
         if indices:
-            if jobs > 1:
-                backend = pool or default_pool()
-                if backend == "persistent":
-                    from repro.experiments.pool import get_pool
-
-                    pool_obj = get_pool(jobs)
-                    if tier2 is not None:
-                        # Warm-start the EWMA cost model from the
-                        # store's sidecar so the first sweep of a new
-                        # process gets skew-aware chunking instead of
-                        # blind cold deadlines; persist afterwards for
-                        # the next process.
-                        pool_obj.warm_costs(tier2.root)
-                    computed = pool_obj.map(
-                        fn, [cells[i] for i in indices]
-                    )
-                    if tier2 is not None:
-                        pool_obj.persist_costs(tier2.root)
-                else:
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    workers = min(jobs, len(indices), os.cpu_count() or 1)
-                    with ProcessPoolExecutor(max_workers=workers) as ex:
-                        futures = [
-                            ex.submit(fn, *cells[i]) for i in indices
-                        ]
-                        computed = [fut.result() for fut in futures]
-            else:
-                computed = [fn(*cells[i]) for i in indices]
+            computed = [fn(*cells[i]) for i in indices]
             computed_by_key.update(zip(pending_keys, computed))
         for i, k in enumerate(keys):
             if k in computed_by_key:

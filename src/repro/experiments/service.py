@@ -1,4 +1,4 @@
-"""Sweep-as-a-service: an asyncio job queue over the pool and store.
+"""Sweep-as-a-service: an asyncio job queue over the result store.
 
 The ROADMAP's delivery vehicle for "explore any scenario": a
 long-running front end that lets many clients drive mode x chunk x
@@ -13,9 +13,8 @@ without forking a CLI process per request. Three layers:
   cancellation and deterministic job IDs, and a signal-safe drain.
   Jobs execute on a small thread pool; each thread calls the ordinary
   experiment driver, so everything already proven bit-identical in
-  :func:`~repro.experiments.runner.sweep_map` — tensor batching, chaos
-  hardening, adaptive dispatch, the two-tier memo — is reused, not
-  reimplemented.
+  :func:`~repro.experiments.runner.sweep_map` — tensor batching and
+  the two-tier memo — is reused, not reimplemented.
 * :func:`start_server` / :func:`run_server` — a line-delimited-JSON
   over TCP protocol on stdlib :func:`asyncio.start_server` (no new
   dependencies). Verbs: ``submit``, ``status``, ``wait``, ``cancel``,
@@ -37,7 +36,7 @@ own private :class:`~repro.telemetry.Telemetry` registry, touched only
 from the event-loop thread. Job threads deliberately run *outside* any
 telemetry session (``run_in_executor`` does not propagate context
 variables), so sweeps keep their fast path: a telemetry session would
-force :func:`sweep_map` into serial in-process execution.
+force :func:`sweep_map` off the memo and the tensor path.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from repro.errors import (
     StoreMissError,
 )
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.pool import current_pool, shutdown_pool
 from repro.experiments.runner import config_hash, replay_session
 from repro.experiments.store import get_store
 from repro.telemetry import Telemetry, metrics_to_prometheus
@@ -90,7 +88,7 @@ CELL_WEIGHTS = {
 DEFAULT_CELL_WEIGHT = 16
 
 #: Infra kwargs the service owns; client params may not override them.
-_RESERVED_PARAMS = frozenset({"jobs", "pool", "store"})
+_RESERVED_PARAMS = frozenset({"store"})
 
 
 @dataclass(frozen=True)
@@ -108,12 +106,7 @@ class ServiceConfig:
         Per-tenant bound on queued sweep-cell weight
         (:data:`CELL_WEIGHTS`).
     job_workers:
-        Threads executing jobs concurrently. Sweep dispatch inside the
-        persistent pool serializes on the pool's own lock, so this
-        bounds driver-level concurrency, not worker processes.
-    jobs:
-        Worker processes requested from the persistent pool for
-        drivers that support ``jobs=``.
+        Threads executing jobs concurrently; each calls one driver.
     store:
         Result-store root backing every job's sweep memo (and the
         warm-store replay path). ``None`` disables tier 2.
@@ -122,20 +115,15 @@ class ServiceConfig:
         before abandoning their threads.
     retry_after_s:
         Backoff hint attached to admission rejections.
-    idle_reap_s:
-        Retire the persistent pool's workers after this much pool
-        idleness (``None`` disables the reaper).
     """
 
     max_queue: int = 16
     max_tenant_jobs: int = 4
     max_tenant_cells: int = 256
     job_workers: int = 2
-    jobs: int = 2
     store: str | None = None
     drain_timeout_s: float = 30.0
     retry_after_s: float = 1.0
-    idle_reap_s: float | None = 300.0
 
 
 @dataclass
@@ -243,7 +231,6 @@ class SweepService:
         self._tenant_cells: dict[str, int] = {}
         self._running: set[str] = set()
         self._runners: list[asyncio.Task] = []
-        self._reaper: asyncio.Task | None = None
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.job_workers,
             thread_name_prefix="repro-svc",
@@ -254,13 +241,11 @@ class SweepService:
     # ---- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the runner tasks (and the pool idle reaper)."""
+        """Spawn the runner tasks."""
         if self._runners:
             raise ServiceError("service already started")
         for _ in range(self.config.job_workers):
             self._runners.append(asyncio.create_task(self._run_jobs()))
-        if self.config.idle_reap_s is not None:
-            self._reaper = asyncio.create_task(self._reap_idle())
 
     async def drain(self) -> None:
         """Signal-safe shutdown: reject, cancel queued, finish running.
@@ -268,9 +253,7 @@ class SweepService:
         Ordering matters: stop admitting first (new submissions get a
         structured ``draining`` rejection), cancel everything still
         queued, wait up to ``drain_timeout_s`` for running jobs, then
-        tear down the executor and the persistent pool — the pool
-        teardown is what unlinks the ``/dev/shm`` rings that a plain
-        SIGTERM (which skips ``atexit``) used to leak.
+        tear down the executor.
         """
         if self._draining:
             return
@@ -289,10 +272,7 @@ class SweepService:
             except asyncio.TimeoutError:
                 for task in self._runners:
                     task.cancel()
-        if self._reaper is not None:
-            self._reaper.cancel()
         self._executor.shutdown(wait=False, cancel_futures=True)
-        shutdown_pool()
         self._drained = True
 
     @property
@@ -466,9 +446,6 @@ class SweepService:
             except StoreMissError:
                 pass
         kwargs = dict(params)
-        if self.config.jobs > 1 and getattr(driver, "supports_jobs", False):
-            kwargs["jobs"] = self.config.jobs
-            kwargs["pool"] = "persistent"
         if self.config.store is not None and getattr(
             driver, "supports_store", False
         ):
@@ -514,23 +491,6 @@ class SweepService:
             job.finished_at - job.submitted_at
         )
         job.done.set()
-
-    # ---- pool idle reaper --------------------------------------------------
-
-    async def _reap_idle(self) -> None:
-        """Periodically retire pool workers after sustained idleness.
-
-        A quiet service should not pin ``jobs`` worker processes (and
-        their shared-memory rings) forever; the pool respawns them on
-        the next sweep.
-        """
-        limit = self.config.idle_reap_s
-        assert limit is not None
-        while True:
-            await asyncio.sleep(max(limit / 2.0, 0.05))
-            pool = current_pool()
-            if pool is not None:
-                pool.reap_idle(limit)
 
 
 # ---- NDJSON-over-TCP front end ---------------------------------------------
@@ -688,9 +648,8 @@ async def _serve_async(
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
-        # atexit does not run on SIGTERM, so without this a killed
-        # service leaks every worker's /dev/shm ring; the drain below
-        # is the signal-safe teardown path.
+        # SIGTERM skips atexit; the drain below lets running jobs
+        # finish and rejects new ones before the process exits.
         loop.add_signal_handler(sig, stop.set)
     await stop.wait()
     print("repro-knl serve: draining", file=sys.stderr, flush=True)

@@ -18,8 +18,6 @@ def run_table1(
     cost: SortCostModel | None = None,
     sizes: tuple[int, ...] = (2_000_000_000, 4_000_000_000, 6_000_000_000),
     orders: tuple[str, ...] = ("random", "reverse"),
-    jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Reproduce Table 1 on the simulated node."""
@@ -29,9 +27,7 @@ def run_table1(
         for n in sizes
         for variant in VARIANTS
     ]
-    times = sweep_map(
-        sort_variant_seconds, cells, jobs=jobs, pool=pool, store=store
-    )
+    times = sweep_map(sort_variant_seconds, cells, store=store)
     rows = []
     for (variant, n, order, _), sim in zip(cells, times):
         paper = TABLE1_SECONDS.get((n, order, variant))
@@ -66,6 +62,5 @@ def run_table1(
     )
 
 
-run_table1.supports_jobs = True
 run_table1.supports_store = True
 run_table1.supports_replay = True

@@ -63,15 +63,11 @@ _table3_cell.plan_batch = PlanBatchSpec(build=_table3_batch)
 def run_table3(
     repeats: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
     total_threads: int = 256,
-    jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Model-predicted and simulator-empirical optimal copy threads."""
     cells = [(r, total_threads) for r in repeats]
-    optima = sweep_map(
-        _table3_cell, cells, jobs=jobs, pool=pool, store=store
-    )
+    optima = sweep_map(_table3_cell, cells, store=store)
     rows = []
     for r, (model_p, emp_p) in zip(repeats, optima):
         paper_model, paper_emp = TABLE3_OPTIMAL.get(r, (None, None))
@@ -103,6 +99,5 @@ def run_table3(
     )
 
 
-run_table3.supports_jobs = True
 run_table3.supports_store = True
 run_table3.supports_replay = True

@@ -93,24 +93,8 @@ SORT_IO_RETRIES_TOTAL = "sort.io_retries_total"
 SORT_MERGE_FAN_IN = "sort.merge_fan_in"
 SORT_MEGACHUNKS_TOTAL = "sort.megachunks_total"
 
-# --- sweep runner pool (experiments.pool) ----------------------------------
+# --- sweep runner (experiments.runner) -----------------------------------
 
-SWEEP_DISPATCH_SECONDS_TOTAL = "sweep.dispatch_seconds_total"
-SWEEP_IPC_WAIT_SECONDS_TOTAL = "sweep.ipc_wait_seconds_total"
-SWEEP_CELLS_TOTAL = "sweep.cells_total"
-SWEEP_CHUNKS_TOTAL = "sweep.chunks_total"
-SWEEP_CHUNK_CELLS = "sweep.chunk_cells"
-SWEEP_RESULTS_TOTAL = "sweep.results_total"
-SWEEP_RESPAWNS_TOTAL = "sweep.respawns_total"
-SWEEP_WORKERS = "sweep.workers"
-SWEEP_DEADLINE_TOTAL = "sweep.deadline_total"
-SWEEP_SPECULATIVE_TOTAL = "sweep.speculative_total"
-SWEEP_RING_CORRUPT_TOTAL = "sweep.ring_corrupt_total"
-SWEEP_BACKOFF_SECONDS_TOTAL = "sweep.backoff_seconds_total"
-SWEEP_DEGRADED = "sweep.degraded"
-SWEEP_STEALS_TOTAL = "sweep.steals_total"
-SWEEP_WORKERS_SCALED_TOTAL = "sweep.workers_scaled_total"
-SWEEP_EWMA_CELL_SECONDS = "sweep.ewma_cell_seconds"
 SWEEP_MEMO_EVICTED_TOTAL = "sweep.memo_evicted_total"
 
 # --- experiment result store (experiments.store) ---------------------------
@@ -262,85 +246,6 @@ _METRIC_SPECS = [
     MetricSpec(
         SORT_MEGACHUNKS_TOTAL, "counter", "chunks",
         "Megachunks processed by MLM-sort variants.",
-    ),
-    MetricSpec(
-        SWEEP_DISPATCH_SECONDS_TOTAL, "counter", "seconds",
-        "Wall-clock seconds spent inside persistent-pool sweep "
-        "dispatch (chunking, IPC, reassembly).",
-    ),
-    MetricSpec(
-        SWEEP_IPC_WAIT_SECONDS_TOTAL, "counter", "seconds",
-        "Wall-clock seconds the sweep parent spent blocked waiting "
-        "for worker replies.",
-    ),
-    MetricSpec(
-        SWEEP_CELLS_TOTAL, "counter", "cells",
-        "Sweep cells dispatched to the persistent worker pool.",
-    ),
-    MetricSpec(
-        SWEEP_CHUNKS_TOTAL, "counter", "chunks",
-        "Cell batches dispatched to the persistent worker pool.",
-    ),
-    MetricSpec(
-        SWEEP_CHUNK_CELLS, "histogram", "cells",
-        "Distribution of cells per dispatched chunk.",
-    ),
-    MetricSpec(
-        SWEEP_RESULTS_TOTAL, "counter", "chunks",
-        "Chunk results returned, by transport (shared-memory ring "
-        "vs pickle fallback).",
-        labels=("transport",),
-    ),
-    MetricSpec(
-        SWEEP_RESPAWNS_TOTAL, "counter", "events",
-        "Sweep workers respawned after dying mid-run (their chunks "
-        "are resubmitted).",
-    ),
-    MetricSpec(
-        SWEEP_WORKERS, "gauge", "processes",
-        "Live worker processes in the persistent sweep pool.",
-    ),
-    MetricSpec(
-        SWEEP_DEADLINE_TOTAL, "counter", "events",
-        "Chunk dispatches that blew their per-chunk deadline (derived "
-        "from the pool's EWMA per-cell time estimate).",
-    ),
-    MetricSpec(
-        SWEEP_SPECULATIVE_TOTAL, "counter", "chunks",
-        "Deadline-blown chunks speculatively resubmitted to another "
-        "worker (first result wins; duplicates are discarded).",
-    ),
-    MetricSpec(
-        SWEEP_RING_CORRUPT_TOTAL, "counter", "payloads",
-        "Shared-memory ring payloads rejected by sequence/checksum "
-        "framing and refetched over the pickle path.",
-    ),
-    MetricSpec(
-        SWEEP_BACKOFF_SECONDS_TOTAL, "counter", "seconds",
-        "Seconds of exponential backoff scheduled between respawns of "
-        "the same worker slot.",
-    ),
-    MetricSpec(
-        SWEEP_DEGRADED, "gauge", "calls",
-        "Whether the most recent pool map call fell back to in-process "
-        "serial execution after its circuit breaker opened (0/1).",
-    ),
-    MetricSpec(
-        SWEEP_STEALS_TOTAL, "counter", "chunks",
-        "Prefetched chunks reassigned from a busy worker's backlog to "
-        "an idle worker (parent-mediated work stealing).",
-    ),
-    MetricSpec(
-        SWEEP_WORKERS_SCALED_TOTAL, "counter", "events",
-        "Worker-count autoscaling decisions, by direction (mid-call "
-        "growth vs idle retirement).",
-        labels=("direction",),
-    ),
-    MetricSpec(
-        SWEEP_EWMA_CELL_SECONDS, "gauge", "seconds",
-        "EWMA per-cell compute-time estimate for the most recently "
-        "swept cell function (the cost model driving chunk sizing, "
-        "deadlines, and autoscaling).",
     ),
     MetricSpec(
         SWEEP_MEMO_EVICTED_TOTAL, "counter", "entries",

@@ -1,8 +1,8 @@
 """Tests for the sweep-level cross-cell fast path.
 
 ``sweep_map`` sends pending cells of a driver that attached a
-:class:`PlanBatchSpec` through one tensor evaluation instead of the
-pool; cells the spec declines fall back to the normal dispatch. These
+:class:`PlanBatchSpec` through one tensor evaluation instead of
+per-cell calls; cells the spec declines fall back to serial calls. These
 tests pin that wiring: spec used, fallback exercised, memo and store
 warmed, telemetry bypass, and the hash-once-per-unique-cell dedup.
 """
@@ -49,7 +49,7 @@ def _cell(threads: int, nbytes: float) -> float:
 def _build(threads: int, nbytes: float) -> PlanBatch | None:
     BUILD_CALLS.append((threads, nbytes))
     if threads == 99:
-        return None  # unbatchable: pool/serial fallback
+        return None  # unbatchable: serial fallback
     return PlanBatch(
         resources=RESOURCES,
         plans=(_plan(threads, nbytes),),

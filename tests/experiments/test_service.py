@@ -1,10 +1,9 @@
-"""Tests for the sweep service and the process-lifetime bug fixes.
+"""Tests for the sweep service and the store's validating probe.
 
 Covers the service's admission control, job lifecycle, NDJSON wire
-protocol, and warm-store replay guarantee, plus regression tests for
-the three pool/store fixes that made long-lived processes safe:
-signal-tolerant pool teardown, cost-model warm start from the store
-sidecar, and the validating backfill probe.
+protocol, warm-store replay guarantee and SIGTERM drain, plus a
+regression test for the validating backfill probe that keeps a
+long-lived process's store replay-complete.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import subprocess
 import sys
 import threading
 import time
-from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
 import pytest
@@ -25,16 +23,6 @@ import pytest
 from repro.errors import AdmissionError, ServiceError
 from repro.experiments import ALL_EXPERIMENTS, run_table2, run_table3
 from repro.experiments.client import ServiceClient
-from repro.experiments.pool import (
-    COST_SIDECAR,
-    PersistentPool,
-    _CellCost,
-    cost_key,
-    current_pool,
-    load_costs,
-    save_costs,
-    shutdown_pool,
-)
 from repro.experiments.runner import (
     ExperimentResult,
     replay_session,
@@ -52,18 +40,6 @@ from repro.experiments.service import (
 from repro.experiments.store import ResultStore, get_store
 from repro.simknl.node import KNLNode
 from repro.telemetry import names as _tn
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pool():
-    """Each test starts and ends without the process-wide singleton."""
-    shutdown_pool()
-    yield
-    shutdown_pool()
-
-
-def _cost_cell(a: int, b: int) -> float:
-    return a * 1.25 + b / 7.0
 
 
 def _probe_cell(a: int, b: int) -> tuple:
@@ -153,7 +129,7 @@ class TestAdmissionControl:
     def test_reserved_params_rejected(self):
         svc = SweepService(ServiceConfig())
         with pytest.raises(ServiceError, match="service-owned"):
-            svc.submit("a", "table2", {"jobs": 8})
+            svc.submit("a", "table2", {"store": "elsewhere"})
 
     def test_job_ids_deterministic_and_param_order_free(self):
         a = job_id_for("t", "figure7", {"x": 1, "y": 2})
@@ -280,7 +256,7 @@ class TestWireProtocol:
         }
 
         async def scenario():
-            config = ServiceConfig(store=str(tmp_path), jobs=2)
+            config = ServiceConfig(store=str(tmp_path))
             async with _Server(config) as srv:
                 loop = asyncio.get_running_loop()
                 submissions = [
@@ -400,7 +376,7 @@ class TestWireProtocol:
         """A re-submitted job replays from the store: no engine work."""
 
         async def scenario():
-            config = ServiceConfig(store=str(tmp_path), jobs=1)
+            config = ServiceConfig(store=str(tmp_path))
             async with _Server(config) as srv:
                 loop = asyncio.get_running_loop()
                 first = await loop.run_in_executor(
@@ -438,40 +414,6 @@ class TestWireProtocol:
 
 
 class TestSignalSafeTeardown:
-    def test_shutdown_unlinks_rings_after_worker_death(self):
-        pool = PersistentPool(2)
-        pool.map(_cost_cell, [(i, 1) for i in range(8)])
-        workers = list(pool._workers)
-        assert workers
-        names = [w.shm.name for w in workers]
-        for worker in workers:
-            worker.process.kill()
-            worker.process.join()
-        pool.shutdown()
-        pool.shutdown()  # idempotent
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
-
-    def test_idle_reap_retires_quiet_workers(self):
-        pool = PersistentPool(2, idle_reap_s=0.05)
-        serial = [_cost_cell(i, 1) for i in range(8)]
-        assert pool.map(_cost_cell, [(i, 1) for i in range(8)]) == serial
-        assert pool._workers
-        time.sleep(0.12)
-        assert pool.reap_idle() >= 1
-        assert not pool._workers
-        # The pool respawns on demand and stays bit-identical.
-        assert pool.map(_cost_cell, [(i, 1) for i in range(8)]) == serial
-        pool.shutdown()
-
-    def test_reap_idle_spares_recently_used_pool(self):
-        pool = PersistentPool(2, idle_reap_s=3600.0)
-        pool.map(_cost_cell, [(1, 1)])
-        assert pool.reap_idle() == 0
-        assert pool._workers
-        pool.shutdown()
-
     def test_serve_sigterm_drains_without_shm_leak(self, tmp_path):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
@@ -483,7 +425,7 @@ class TestSignalSafeTeardown:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
-                "--port", "0", "--store", str(tmp_path), "--jobs", "2",
+                "--port", "0", "--store", str(tmp_path),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -494,8 +436,6 @@ class TestSignalSafeTeardown:
             line = proc.stderr.readline()
             assert "listening on" in line, line
             port = int(line.rsplit(":", 1)[1])
-            # figure7 supports jobs, so this forks pool workers and
-            # creates their /dev/shm rings inside the server.
             response = _submit_blocking(port, "figure7", "a")
             assert response["state"] == "done"
             proc.send_signal(signal.SIGTERM)
@@ -511,89 +451,6 @@ class TestSignalSafeTeardown:
             if n.startswith("psm_")
         }
         assert leaked == set()
-
-
-class TestCostModelSidecar:
-    def test_sidecar_roundtrip(self, tmp_path):
-        costs = {"f": _CellCost(mean_s=0.01, max_s=0.04, chunks=3)}
-        assert save_costs(tmp_path, costs)
-        back = load_costs(tmp_path)
-        assert back["f"].mean_s == 0.01
-        assert back["f"].max_s == 0.04
-        assert back["f"].chunks == 3
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{not json",
-            '{"schema": 999, "costs": {"f": {}}}',
-            '{"schema": 1, "costs": {"f": {"mean_s": -1, '
-            '"max_s": 1, "chunks": 1}}}',
-            '{"schema": 1, "costs": {"f": {"mean_s": true, '
-            '"max_s": 1, "chunks": 1}}}',
-            '{"schema": 1, "costs": "nope"}',
-            "[]",
-        ],
-    )
-    def test_corrupt_sidecar_reads_empty(self, tmp_path, text):
-        (tmp_path / COST_SIDECAR).write_text(text)
-        assert load_costs(tmp_path) == {}
-
-    def test_missing_sidecar_reads_empty(self, tmp_path):
-        assert load_costs(tmp_path) == {}
-
-    def test_warm_seeds_only_cold_entries_once(self, tmp_path):
-        save_costs(tmp_path, {
-            "warm": _CellCost(mean_s=0.5, max_s=0.5, chunks=5),
-            "cold": _CellCost(mean_s=0.25, max_s=0.25, chunks=7),
-        })
-        pool = PersistentPool(2)
-        pool._cell_cost["warm"] = _CellCost(
-            mean_s=9.0, max_s=9.0, chunks=99
-        )
-        assert pool.warm_costs(tmp_path) == 1  # only "cold" seeded
-        # A live in-process measurement outranks the sidecar.
-        assert pool._cell_cost["warm"].mean_s == 9.0
-        assert pool._cell_cost["cold"].chunks == 7
-        # Each sidecar is consulted once per pool.
-        assert pool.warm_costs(tmp_path) == 0
-        pool.shutdown()
-
-    def test_persist_empty_model_is_noop(self, tmp_path):
-        pool = PersistentPool(2)
-        assert pool.persist_costs(tmp_path) is False
-        assert not (tmp_path / COST_SIDECAR).exists()
-        pool.shutdown()
-
-    def test_sweep_persists_and_next_process_warm_starts(self, tmp_path):
-        """Regression: the EWMA model survives across 'processes'."""
-        cells_a = [(i, 1) for i in range(8)]
-        sweep_map(
-            _cost_cell, cells_a, jobs=2, memo={}, store=str(tmp_path),
-            pool="persistent",
-        )
-        sidecar = load_costs(tmp_path)
-        key = cost_key(_cost_cell)
-        assert key in sidecar  # runner persisted after the sweep
-        assert sidecar[key].chunks >= 1
-
-        # Simulate a new process: fresh pool, sentinel chunk count in
-        # the sidecar proves the runner seeded the cold model from it.
-        shutdown_pool()
-        planted = sidecar[key]
-        planted.chunks = 7777
-        save_costs(tmp_path, {key: planted})
-        cells_b = [(i, 2) for i in range(8)]
-        out = sweep_map(
-            _cost_cell, cells_b, jobs=2, memo={}, store=str(tmp_path),
-            pool="persistent",
-        )
-        assert out == [_cost_cell(*c) for c in cells_b]
-        pool = current_pool()
-        assert pool is not None
-        assert pool._cell_cost[key].chunks > 7777
-        # ... and this process's observations were persisted in turn.
-        assert load_costs(tmp_path)[key].chunks > 7777
 
 
 class TestValidatingProbe:

@@ -522,9 +522,9 @@ class TestCli:
         from repro.cli import main
 
         assert (
-            main(["replay", "chaos", "--store", str(tmp_path)]) == 1
+            main(["replay", "faults", "--store", str(tmp_path)]) == 1
         )
-        assert "chaos" in capsys.readouterr().err
+        assert "faults" in capsys.readouterr().err
 
     def test_target_invalid_outside_replay(self, capsys):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep runner (sweep_map / config_hash)."""
+"""Tests for the sweep runner (sweep_map / config_hash)."""
 
 from __future__ import annotations
 
@@ -65,20 +65,6 @@ class TestSweepMap:
         assert out == [22, 11, 33]
         assert len(CALLS) == first + 1  # only (3, 3) computed
 
-    def test_parallel_matches_serial(self):
-        cells = [(i, i + 1) for i in range(6)]
-        serial = sweep_map(_cell, cells, memo={})
-        parallel = sweep_map(_cell, cells, jobs=2, memo={})
-        assert serial == parallel
-
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(ConfigError):
-            sweep_map(_cell, [(1, 1)], jobs=0)
-
-    def test_bad_pool_rejected(self):
-        with pytest.raises(ConfigError, match="pool"):
-            sweep_map(_cell, [(1, 1)], pool="threads")
-
     def test_duplicate_cells_computed_once(self):
         CALLS.clear()
         out = sweep_map(_cell, [(7, 7), (7, 7), (8, 8), (7, 7)], memo={})
@@ -112,6 +98,6 @@ class TestSweepMap:
         assert memo  # populated when no session is active
         CALLS.clear()
         with _tm.telemetry_session():
-            out = sweep_map(_cell, [(4, 4)], jobs=8, memo=memo)
+            out = sweep_map(_cell, [(4, 4)], memo=memo)
         assert out == [44]
         assert CALLS == [(4, 4)]  # recomputed despite the memo hit
