@@ -241,3 +241,68 @@ def test_distinct_first_touches_are_cold(nlines):
         c.access(i * 64)
     assert c.stats.cold_misses == nlines
     assert c.stats.conflict_misses == 0
+
+
+# ---- vectorized access_range == scalar access loop -----------------------
+
+LINE = 64
+
+ops_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1 << 14),  # start
+        st.integers(min_value=0, max_value=1 << 12),  # nbytes
+        st.booleans(),  # write
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _scalar_range(cache: DirectMappedCache, start: int, nbytes: int, write: bool):
+    """The per-line reference loop access_range replaces."""
+    if nbytes <= 0:
+        return
+    first = start // LINE
+    last = (start + nbytes - 1) // LINE
+    for line in range(first, last + 1):
+        cache.access(line * LINE, write=write)
+
+
+def _state(cache: DirectMappedCache):
+    s = cache.stats
+    return (
+        s.hits,
+        s.misses,
+        s.cold_misses,
+        s.conflict_misses,
+        s.capacity_misses,
+        s.writebacks,
+        cache.traffic(),
+        tuple(cache._tags.tolist()),
+        tuple(cache._dirty.tolist()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=ops_strategy, capacity_lines=st.integers(min_value=1, max_value=32))
+def test_access_range_matches_scalar_loop(ops, capacity_lines):
+    fast = DirectMappedCache(capacity=capacity_lines * LINE, line_size=LINE)
+    ref = DirectMappedCache(capacity=capacity_lines * LINE, line_size=LINE)
+    for start, nbytes, write in ops:
+        fast.access_range(start, nbytes, write=write)
+        _scalar_range(ref, start, nbytes, write)
+    assert _state(fast) == _state(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=ops_strategy)
+def test_access_range_with_flush_matches(ops):
+    fast = DirectMappedCache(capacity=8 * LINE, line_size=LINE)
+    ref = DirectMappedCache(capacity=8 * LINE, line_size=LINE)
+    for i, (start, nbytes, write) in enumerate(ops):
+        fast.access_range(start, nbytes, write=write)
+        _scalar_range(ref, start, nbytes, write)
+        if i % 3 == 2:
+            fast.flush()
+            ref.flush()
+    assert _state(fast) == _state(ref)
