@@ -26,9 +26,9 @@ from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.threads.pool import PoolSet
 from repro.units import GiB, MiB
 
-#: Shrinking by whole elements keeps every cell's chunk count — and
-#: hence plan structure — identical; only the ragged final chunk varies.
-CELLS = [(int(16 * GiB) - 8 * i,) for i in range(64)]
+#: Shrinking by whole elements keeps every cell's final chunk ragged —
+#: and hence the plan structure identical; only its size varies.
+CELLS = [(int(16 * GiB) - 8 * (i + 1),) for i in range(64)]
 
 
 def _pipeline(nbytes: int) -> BufferedPipeline:

@@ -330,7 +330,6 @@ def mlm_sort_plan(
         min(cfg.megachunk_elements, cfg.n),
         element_size=cfg.element_size,
     )
-    megachunks = chunker.chunks()
     explicit = cfg.mode in (UsageMode.FLAT, UsageMode.HYBRID)
     if explicit and not cfg.buffered_megachunks:
         budget = node.addressable_mcdram
@@ -340,30 +339,31 @@ def mlm_sort_plan(
                 f"addressable MCDRAM ({budget:.0f})"
             )
 
+    buffered = explicit and cfg.buffered_megachunks
     compute_threads = cfg.threads
     copy_threads = 0
-    if cfg.buffered_megachunks and explicit:
+    if buffered:
         copy_threads = cfg.copy_in_threads
         compute_threads = cfg.threads - copy_threads
 
-    plan = Plan(name=f"mlm-{cfg.mode.value}/{cfg.order}/n={cfg.n}")
-    tel = _tm.current()
-    if tel.enabled:
-        tel.metrics.counter(_tn.SORT_MEGACHUNKS_TOTAL).inc(len(megachunks))
-    for mc in megachunks:
-        mb = float(mc.nbytes)
-        if cost.chunk_overhead_s > 0:
-            plan.add(
-                _overhead_phase(f"mega{mc.index}/setup", cost.chunk_overhead_s)
-            )
-        m_elems = max(1.0, mc.nbytes / cfg.element_size / compute_threads)
-        levels = sort_levels(m_elems, cost, order=cfg.order, gnu=False)
+    n_mega = chunker.num_chunks
 
-        if explicit and not cfg.buffered_megachunks:
-            # Unbuffered: all threads participate in the copy-in.
-            plan.add(
+    def megachunk(i: int) -> list[Phase]:
+        """Megachunk ``i``'s phases: setup, copy-in, sort, merge."""
+        mb = float(chunker.nbytes(i))
+        phases = []
+        if cost.chunk_overhead_s > 0:
+            phases.append(
+                _overhead_phase(f"mega{i}/setup", cost.chunk_overhead_s)
+            )
+        m_elems = max(1.0, mb / cfg.element_size / compute_threads)
+        levels = sort_levels(m_elems, cost, order=cfg.order, gnu=False)
+        if explicit and (not buffered or i == 0):
+            # All threads copy in: every megachunk when unbuffered, only
+            # the first (a blocking copy-in) when buffered.
+            phases.append(
                 Phase(
-                    f"mega{mc.index}/copy-in",
+                    f"mega{i}/copy-in",
                     [
                         Flow(
                             "copy-in",
@@ -384,44 +384,21 @@ def mlm_sort_plan(
             cost.s_sort_random,
             cost,
             working_set=mb,
-            label=f"mega{mc.index}/serial-sort",
+            label=f"mega{i}/serial-sort",
         )
-        if explicit and cfg.buffered_megachunks and mc.index == 0:
-            # First megachunk still needs a blocking copy-in.
-            plan.add(
-                Phase(
-                    "mega0/copy-in",
-                    [
-                        Flow(
-                            "copy-in",
-                            cfg.threads,
-                            cost.s_copy,
-                            {"ddr": 1.0, "mcdram": 1.0},
-                            mb,
-                        )
-                    ],
-                )
-            )
-        if (
-            explicit
-            and cfg.buffered_megachunks
-            and mc.index + 1 < len(megachunks)
-        ):
+        if buffered and i + 1 < n_mega:
             # Future-work variant: hide the next megachunk's copy-in
             # behind the (long) serial-sort stage of the current one.
-            nxt = megachunks[mc.index + 1]
             sort_phases[0].flows.append(
                 Flow(
-                    f"mega{nxt.index}/copy-in",
+                    f"mega{i + 1}/copy-in",
                     copy_threads,
                     cost.s_copy,
                     {"ddr": 1.0, "mcdram": 1.0},
-                    float(nxt.nbytes),
+                    float(chunker.nbytes(i + 1)),
                 )
             )
-        for phase in sort_phases:
-            plan.add(phase)
-
+        phases.extend(sort_phases)
         merge_flows = _merge_flows_to_ddr(
             node,
             cfg.mode,
@@ -429,11 +406,26 @@ def mlm_sort_plan(
             compute_threads,
             cost,
             resident=True,
-            label=f"mega{mc.index}/merge",
+            label=f"mega{i}/merge",
         )
-        plan.add(Phase(f"mega{mc.index}/merge", merge_flows))
+        phases.append(Phase(f"mega{i}/merge", merge_flows))
+        return phases
 
-    if len(megachunks) > 1:
+    plan = Plan(name=f"mlm-{cfg.mode.value}/{cfg.order}/n={cfg.n}")
+    tel = _tm.current()
+    if tel.enabled:
+        tel.metrics.counter(_tn.SORT_MEGACHUNKS_TOTAL).inc(n_mega)
+    # Equal full megachunks are one repeated block. Buffered, the first
+    # megachunk (blocking copy-in) and the ones whose successor is
+    # partial or absent differ, so they stand alone.
+    full = chunker.full_chunks
+    steady = (1, max(1, full - 1)) if buffered else (0, full)
+    plan.add_block(megachunk, 0, steady[0])
+    plan.add_block(megachunk, *steady)
+    for i in range(steady[1], n_mega):
+        plan.add_block(megachunk, i, i + 1)
+
+    if n_mega > 1:
         # Final multiway merge across megachunks; the paper runs it
         # without chunking, straight out of DDR.
         if cfg.mode is UsageMode.IMPLICIT:

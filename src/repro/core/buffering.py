@@ -17,6 +17,7 @@ surface as allocation failures rather than silent fictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import CapacityError, AllocationError
 from repro.core.chunking import Chunker
@@ -29,6 +30,25 @@ from repro.simknl.engine import Phase, Plan, RunResult
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
 from repro.threads.pool import PoolSet
+
+
+def add_pipeline_steps(
+    plan: Plan, chunker: Chunker, step: Callable[[int], list[Phase]]
+) -> Plan:
+    """Append the ``n + 2`` steps of Fig. 2's triple-buffered pipeline.
+
+    ``step(s)`` builds step ``s``, which copies chunk ``s`` in, computes
+    chunk ``s - 1`` and copies chunk ``s - 2`` out. The fill steps 0 and
+    1 come first, then the steady state — every step whose three chunks
+    are full, identical but for names — as one repeated block, then the
+    steps that touch the partial final chunk or drain the pipeline.
+    """
+    steady = max(2, chunker.full_chunks)
+    plan.add_block(step, 0, 1).add_block(step, 1, 2)
+    plan.add_block(step, 2, steady)
+    for s in range(steady, chunker.num_chunks + 2):
+        plan.add_block(step, s, s + 1)
+    return plan
 
 
 @dataclass
@@ -181,68 +201,68 @@ class BufferedPipeline:
     # ---- plan construction -------------------------------------------------
 
     def build_plan(self) -> Plan:
-        """Emit the step-by-step flow plan."""
-        chunks = self.chunker.chunks()
-        name = f"{self.kernel.name}/{self.mode.value}"
-        plan = Plan(name=name)
+        """Emit the step-by-step flow plan.
+
+        Every full chunk moves the same bytes, so the steps that touch
+        only full chunks are identical but for their names: they form
+        one repeated block (the steady state), with the pipeline fill,
+        drain and partial final chunk as their own entries.
+        """
+        chunker = self.chunker
+        n = chunker.num_chunks
+        size = chunker.nbytes
+        plan = Plan(name=f"{self.kernel.name}/{self.mode.value}")
         explicit = self.mode in (UsageMode.FLAT, UsageMode.HYBRID)
         if explicit and self.buffered:
             # Fig. 2: step s copies chunk s in, computes chunk s-1,
             # copies chunk s-2 out.
-            n = len(chunks)
-            for s in range(n + 2):
+            def step(s: int) -> list[Phase]:
                 flows = []
                 if s < n:
-                    flows.append(
-                        self._copy_in_flow(chunks[s].nbytes, f"copy-in[{s}]")
-                    )
+                    flows.append(self._copy_in_flow(size(s), f"copy-in[{s}]"))
                 if 0 <= s - 1 < n:
-                    c = chunks[s - 1]
                     flows.append(
-                        self._compute_flow(c.nbytes, f"compute[{s - 1}]", True)
+                        self._compute_flow(size(s - 1), f"compute[{s - 1}]", True)
                     )
                 if 0 <= s - 2 < n:
                     flows.append(
-                        self._copy_out_flow(
-                            chunks[s - 2].nbytes, f"copy-out[{s - 2}]"
-                        )
+                        self._copy_out_flow(size(s - 2), f"copy-out[{s - 2}]")
                     )
                 # Pools hold their threads for the whole step and spin
                 # at the barrier: no mid-step bandwidth resharing.
-                plan.add(Phase(name=f"step{s}", flows=flows, static_rates=True))
-            return plan
+                return [Phase(name=f"step{s}", flows=flows, static_rates=True)]
+
+            return add_pipeline_steps(plan, chunker, step)
         if explicit:
             # Unbuffered: sequential copy-in, compute, copy-out.
-            for c in chunks:
-                plan.add(
+            def chunk(i: int) -> list[Phase]:
+                return [
                     Phase(
-                        name=f"chunk{c.index}/in",
-                        flows=[self._copy_in_flow(c.nbytes, "copy-in")],
-                    )
-                )
-                plan.add(
+                        name=f"chunk{i}/in",
+                        flows=[self._copy_in_flow(size(i), "copy-in")],
+                    ),
                     Phase(
-                        name=f"chunk{c.index}/compute",
-                        flows=[self._compute_flow(c.nbytes, "compute", True)],
-                    )
-                )
-                plan.add(
+                        name=f"chunk{i}/compute",
+                        flows=[self._compute_flow(size(i), "compute", True)],
+                    ),
                     Phase(
-                        name=f"chunk{c.index}/out",
-                        flows=[self._copy_out_flow(c.nbytes, "copy-out")],
+                        name=f"chunk{i}/out",
+                        flows=[self._copy_out_flow(size(i), "copy-out")],
+                    ),
+                ]
+        else:
+            # Implicit / cache / DDR: compute-only phases; the cache (if
+            # any) pulls data in on first touch, cold per chunk.
+            def chunk(i: int) -> list[Phase]:
+                return [
+                    Phase(
+                        name=f"chunk{i}",
+                        flows=[self._compute_flow(size(i), "compute", True)],
                     )
-                )
-            return plan
-        # Implicit / cache / DDR: compute-only phases; the cache (if
-        # any) pulls data in on first touch, cold per chunk.
-        for c in chunks:
-            plan.add(
-                Phase(
-                    name=f"chunk{c.index}",
-                    flows=[self._compute_flow(c.nbytes, "compute", True)],
-                )
-            )
-        return plan
+                ]
+
+        full = chunker.full_chunks
+        return plan.add_block(chunk, 0, full).add_block(chunk, full, n)
 
     def prepare(self, heap: Heap | None = None) -> Plan:
         """Build the plan without executing it, with :meth:`run`'s exact

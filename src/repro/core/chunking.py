@@ -103,6 +103,16 @@ class Chunker:
         """Number of chunks including a final partial one."""
         return -(-self.total_bytes // self.chunk_bytes)
 
+    @property
+    def full_chunks(self) -> int:
+        """Number of chunks of the full nominal size."""
+        return self.total_bytes // self.chunk_bytes
+
+    def nbytes(self, index: int) -> int:
+        """Size of chunk ``index``: nominal, or the remainder for the
+        final partial chunk."""
+        return min(self.chunk_bytes, self.total_bytes - index * self.chunk_bytes)
+
     def chunks(self) -> list[Chunk]:
         """All chunks in order."""
         return list(self.iter_chunks())

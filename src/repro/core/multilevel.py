@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CapacityError, ConfigError
+from repro.core.buffering import add_pipeline_steps
 from repro.core.chunking import Chunker
 from repro.core.kernel import Kernel
 from repro.model.params import ModelParams
@@ -115,9 +116,8 @@ class ThreeLevelPipeline:
         if 2 * config.outer_chunk_bytes > node.ddr.capacity:
             raise CapacityError("2 outer staging buffers exceed DDR")
         # One engine serves every strategy of this pipeline: the
-        # memoized water-filling solves (and the batched plan groups
-        # they feed) are shared across run()/compare() calls instead of
-        # being rebuilt per strategy.
+        # memoized water-filling solves are shared across run()/compare()
+        # calls instead of being rebuilt per strategy.
         self._engine = Engine(
             [*node.resources(), self.nvm.resource()], record_events=False
         )
@@ -181,10 +181,11 @@ class ThreeLevelPipeline:
     def _plan_single(self) -> Plan:
         """One-level chunking NVM -> MCDRAM, triple buffered."""
         cfg = self.config
-        chunks = Chunker(cfg.data_bytes, cfg.inner_chunk_bytes).chunks()
-        plan = Plan("three-level/single")
-        n = len(chunks)
-        for s in range(n + 2):
+        chunker = Chunker(cfg.data_bytes, cfg.inner_chunk_bytes)
+        n = chunker.num_chunks
+        size = chunker.nbytes
+
+        def step(s: int) -> list[Phase]:
             flows = []
             if s < n:
                 flows.append(
@@ -193,13 +194,13 @@ class ThreeLevelPipeline:
                         cfg.outer_copy_threads,
                         cfg.s_nvm_copy,
                         {"nvm": 1.0, "mcdram": 1.0},
-                        chunks[s].nbytes,
+                        size(s),
                     )
                 )
             if 0 <= s - 1 < n:
                 flows.append(
                     self._compute(
-                        chunks[s - 1].nbytes, {"mcdram": 1.0}, f"compute[{s - 1}]"
+                        size(s - 1), {"mcdram": 1.0}, f"compute[{s - 1}]"
                     )
                 )
             if 0 <= s - 2 < n:
@@ -209,11 +210,12 @@ class ThreeLevelPipeline:
                         cfg.outer_copy_threads,
                         cfg.s_nvm_copy,
                         {"nvm": 1.0, "mcdram": 1.0},
-                        chunks[s - 2].nbytes,
+                        size(s - 2),
                     )
                 )
-            plan.add(Phase(f"step{s}", flows, static_rates=True))
-        return plan
+            return [Phase(f"step{s}", flows, static_rates=True)]
+
+        return add_pipeline_steps(Plan("three-level/single"), chunker, step)
 
     def _plan_double(self) -> Plan:
         """Two-level pipeline: outer staging overlaps inner compute."""
@@ -228,8 +230,6 @@ class ThreeLevelPipeline:
             )
         )
         for oc in outer:
-            inner = Chunker(oc.nbytes, cfg.inner_chunk_bytes).chunks()
-            n = len(inner)
             # Inner triple-buffered pipeline over this outer chunk;
             # the *next* outer chunk streams in concurrently, and the
             # *previous* one streams back out.
@@ -244,38 +244,34 @@ class ThreeLevelPipeline:
                 background.append(
                     self._outer_copy(prev.nbytes, f"outer-out[{prev.index}]")
                 )
-            remaining = {id(f): f.bytes_total for f in background}
-            for s in range(n + 2):
+
+            inner = Chunker(oc.nbytes, cfg.inner_chunk_bytes)
+
+            def step(
+                s: int, oc=oc, inner=inner, background=background
+            ) -> list[Phase]:
+                n = inner.num_chunks
+                size = inner.nbytes
                 flows = []
                 if s < n:
-                    flows.append(
-                        self._inner_copy(inner[s].nbytes, f"inner-in[{s}]")
-                    )
+                    flows.append(self._inner_copy(size(s), f"inner-in[{s}]"))
                 if 0 <= s - 1 < n:
                     flows.append(
                         self._compute(
-                            inner[s - 1].nbytes,
-                            {"mcdram": 1.0},
-                            f"compute[{s - 1}]",
+                            size(s - 1), {"mcdram": 1.0}, f"compute[{s - 1}]"
                         )
                     )
                 if 0 <= s - 2 < n:
                     flows.append(
-                        self._inner_copy(
-                            inner[s - 2].nbytes, f"inner-out[{s - 2}]"
-                        )
+                        self._inner_copy(size(s - 2), f"inner-out[{s - 2}]")
                     )
                 # Spread each background outer transfer evenly over the
                 # inner steps; the final step takes whatever remains so
                 # the per-step shares sum exactly to bytes_total.
                 for bg in background:
                     share = bg.bytes_total // (n + 2)
-                    if s == n + 1:
-                        take = remaining[id(bg)]
-                    else:
-                        take = min(share, remaining[id(bg)])
+                    take = share if s <= n else bg.bytes_total - (n + 1) * share
                     if take > 0:
-                        remaining[id(bg)] -= take
                         flows.append(
                             Flow(
                                 bg.name,
@@ -285,9 +281,11 @@ class ThreeLevelPipeline:
                                 take,
                             )
                         )
-                plan.add(
+                return [
                     Phase(f"outer{oc.index}/step{s}", flows, static_rates=False)
-                )
+                ]
+
+            add_pipeline_steps(plan, inner, step)
         # Drain: stage the last outer chunk back to NVM.
         plan.add(
             Phase(
@@ -305,8 +303,8 @@ class ThreeLevelPipeline:
         The engine is built once per pipeline (not per call), so the
         memoized water-filling solves are reused across strategies —
         ``single`` and ``double`` emit structurally identical inner
-        steps — and the ``single`` plan's triple-buffered steady state
-        takes the engine's batched group path.
+        steps — and the repeated steady-state blocks of ``single`` and
+        ``double`` take the engine's one-row tensor path.
         """
         plan = self.build_plan(strategy)
         return self._engine.run(plan)

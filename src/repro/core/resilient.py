@@ -358,7 +358,7 @@ class ResilientPipeline:
                 attempts = self._check_chunk_with_retries(chunk.index)
                 subplan = self._chunk_plan(chunk, chunk_mode)
                 res = engine.run(subplan)
-                engine.phase_offset += len(subplan.phases)
+                engine.phase_offset += subplan.num_phases
                 elapsed = res.elapsed
                 straggler = False
                 if len(times) >= 2:
@@ -380,7 +380,7 @@ class ResilientPipeline:
                                 median_seconds=typical,
                             )
                         retry = engine.run(subplan)
-                        engine.phase_offset += len(subplan.phases)
+                        engine.phase_offset += subplan.num_phases
                         attempts += 1
                         if retry.elapsed < elapsed:
                             res, elapsed = retry, retry.elapsed

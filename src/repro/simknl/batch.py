@@ -1,30 +1,36 @@
-"""Cross-cell tensor batching: one NumPy evaluation for a whole sweep.
+"""Tensor evaluation of plans: one NumPy evaluation for a whole sweep.
 
 The paper's sweeps (Table 1, Figures 6-8) evaluate thousands of cells
 that differ only in sizes and rates over a structurally identical plan.
-``Plan.compile`` exploits that structure *within* one plan; this module
-exploits it *across* cells: N plans with the same phase structure and
-live-flow signatures (only ``bytes_total`` varying) are stacked into
-one ``(cells x live-flow-slots)`` bytes tensor and evaluated with a
-handful of vectorized ops — one water-filling solve per shared flow
-structure, broadcast per-cell phase times, cumsum traffic accumulation.
+A plan holds its pipeline steady state as one repeated block
+(:class:`~repro.simknl.engine.Block`); this module stacks N plans with
+the same block structure and live-flow signatures (only
+``bytes_total`` and repeat counts varying) into one ``(cells x
+columns)`` tensor — live-flow byte demands plus one repeat-count
+column per block — and evaluates it with a handful of vectorized ops:
+one water-filling solve per template phase, broadcast per-cell phase
+times, cumsum time and traffic accumulation. :meth:`Engine.run` uses
+the same evaluation as a one-row tensor for a plan with a repeated
+block.
 
-Bit-identity with per-cell :meth:`Engine.run` is preserved by the same
-arguments PR 3/5 used (the per-cell loop remains the reference oracle):
+Bit-identity with the per-phase reference loop of :meth:`Engine.run`
+(the oracle) rests on three facts:
 
 * a memoized water-filling solve is positionally bit-identical to a
   re-solve for equal structural signatures;
 * ``max``/``min`` folds over floats are exact, and ``np.cumsum``'s
   strict left-to-right association reproduces the reference ``+=``
-  chains bit for bit;
+  chains bit for bit — a block repeated ``k`` times contributes ``k``
+  additions, never one ``k * t``;
 * zero-padding is bitwise neutral — ``x + 0.0 == x`` for the finite
   non-negative totals the engine accumulates — which is what lets
-  rectangular arrays cover cells/phases whose flows finish early.
+  rectangular arrays cover cells with fewer repetitions and phases
+  whose flows finish early.
 
 Anything the tensor cannot express — fault injectors, phase hooks, an
 active telemetry session, event recording, starved allocations, rounds
-where some phase completes no flow — falls back to the reference path,
-per segment for within-plan groups and per plan for cross-cell batches.
+where some phase completes no flow — falls back to the reference loop,
+per plan.
 
 :func:`evaluate_plan_batch` is the sweep-level entry point used by
 ``experiments.runner.sweep_map``: drivers declare structural
@@ -43,7 +49,6 @@ import numpy as np
 from repro.errors import PlanError
 from repro.simknl.engine import _EPS, Engine, Plan, RunResult
 from repro.simknl.flows import Flow, Resource
-from repro.telemetry import runtime as _tm
 
 __all__ = [
     "PlanBatch",
@@ -172,66 +177,87 @@ class _LoweredPhase:
 
 @dataclass
 class LoweredSweep:
-    """A sweep's shared shape: phase structure plus tensor layout.
+    """A sweep's shared shape: block structure plus tensor layout.
 
-    Pair with a ``(cells, width)`` bytes tensor — one row per cell, one
-    column per live flow slot in plan order — and feed both to
-    :func:`run_lowered`.
+    Pair with a ``(cells, width)`` tensor — per cell one row: first
+    ``slots`` columns of live-flow byte demands over the block
+    templates in plan order, then one repeat-count column per block —
+    and feed both to :func:`run_lowered`. ``blocks`` holds each
+    block's ``[lo, hi)`` range into ``phases``.
     """
 
     structure: tuple
     phases: list[_LoweredPhase]
+    blocks: list[tuple[int, int]]
+    slots: int
     width: int
 
 
 def lower_template(plan: Plan) -> LoweredSweep:
     """Build the shared :class:`LoweredSweep` shape from one plan."""
     phases: list[_LoweredPhase] = []
+    blocks: list[tuple[int, int]] = []
     lo = 0
-    for ph in plan.phases:
-        live = [f for f in ph.flows if f.bytes_total > 0]
-        hi = lo + len(live)
-        phases.append(
-            _LoweredPhase(
-                ph.static_rates, live, lo, hi, _resource_columns(live)
+    for block in plan.blocks:
+        first = len(phases)
+        for ph in block.phases:
+            live = [f for f in ph.flows if f.bytes_total > 0]
+            hi = lo + len(live)
+            phases.append(
+                _LoweredPhase(
+                    ph.static_rates, live, lo, hi, _resource_columns(live)
+                )
             )
-        )
-        lo = hi
-    return LoweredSweep(structure=plan.structure(), phases=phases, width=lo)
+            lo = hi
+        blocks.append((first, len(phases)))
+    return LoweredSweep(
+        structure=plan.structure(),
+        phases=phases,
+        blocks=blocks,
+        slots=lo,
+        width=lo + len(blocks),
+    )
 
 
 def lower_plans(plans: Sequence[Plan]) -> tuple[LoweredSweep, np.ndarray]:
-    """Stack N structurally identical plans into one bytes tensor.
+    """Stack N structurally identical plans into one tensor.
 
-    The first plan is the structural template; each plan contributes
-    one tensor row of its live-flow byte demands in plan order. The
-    tensor is the sweep's entire variable state — ``cells x width``
-    float64, 8 bytes per live flow slot per cell.
+    The first plan is the structural template. Each plan contributes
+    one row: its block templates' live-flow byte demands in plan order,
+    then its blocks' repeat counts, so plans that differ only in chunk
+    count share one shape. The tensor is the sweep's entire variable
+    state — 8 bytes per live flow slot and per block, per cell.
     """
     lowered = lower_template(plans[0])
     tensor = np.empty((len(plans), lowered.width), dtype=np.float64)
     for c, plan in enumerate(plans):
-        pos = 0
-        row = tensor[c]
-        for ph in plan.phases:
-            for f in ph.flows:
-                if f.bytes_total > 0:
-                    row[pos] = f.bytes_total
-                    pos += 1
+        row = [
+            f.bytes_total
+            for block in plan.blocks
+            for ph in block.phases
+            for f in ph.flows
+            if f.bytes_total > 0
+        ]
+        row.extend(block.repeat for block in plan.blocks)
+        tensor[c] = row
     return lowered, tensor
 
 
-def _engine_eligible(engine: Engine) -> bool:
-    """Mirror of ``Engine.run``'s batched-path gate: anything needing
-    per-phase callbacks or event recording must take the reference
-    loop per cell."""
-    return (
-        engine.batch_phases
-        and engine.injector is None
-        and not engine._phase_hooks
-        and not _tm.current().enabled
-        and not engine.record_events
-    )
+def _repeat_columns(
+    x: np.ndarray, keep: np.ndarray
+) -> np.ndarray:
+    """``x``'s columns (one repetition) laid out once per column of the
+    ``(cells, most)`` mask ``keep``, zeroed where ``keep`` is False (a
+    row repeated fewer times than ``most``). The zeros are bitwise
+    neutral in the running sums: ``t + 0.0 == t`` for the engine's
+    finite non-negative totals."""
+    most = keep.shape[1]
+    if most == 1:
+        return x
+    out = np.tile(x, (1, most))
+    if not keep.all():
+        out[np.repeat(~keep, x.shape[1], axis=1)] = 0.0
+    return out
 
 
 def run_lowered(
@@ -239,10 +265,13 @@ def run_lowered(
 ) -> list[RunResult] | None:
     """Evaluate a lowered sweep: one :class:`RunResult` per tensor row.
 
-    This is the tensor evaluation proper — per phase one (memoized)
-    water-filling solve, per-cell phase times as a broadcast row-max
-    (static) or the segmented event batch (dynamic), elapsed clocks and
-    per-resource traffic as carry-in cumsums. Returns ``None`` when any
+    This is the tensor evaluation proper — per template phase one
+    (memoized) water-filling solve, per-cell phase times as a broadcast
+    row-max (static) or the segmented event batch (dynamic). A block
+    repeated ``k`` times lays its columns out ``k`` times, so the
+    elapsed clock and per-resource traffic still advance by ``k``
+    sequential float additions in the carry-in cumsums — never by
+    ``k * t``, which rounds differently. Returns ``None`` when any
     phase needs the reference path (starved rates, a no-completion
     round, or a non-positive tensor entry, which would change liveness);
     callers with the original plans fall back to per-cell ``run``.
@@ -252,53 +281,77 @@ def run_lowered(
     recording) — with only the tensor there is nothing to fall back to,
     so the caller must check first (:func:`run_batch` does).
     """
-    if not _engine_eligible(engine):
+    if not engine._tensor_eligible():
         raise PlanError(
             "run_lowered requires a batch-eligible engine (no injector, "
             "phase hooks, telemetry, or event recording)"
         )
     if tensor.ndim != 2 or tensor.shape[1] != lowered.width:
         raise PlanError(
-            f"bytes tensor has shape {tensor.shape}, expected "
+            f"tensor has shape {tensor.shape}, expected "
             f"(cells, {lowered.width})"
         )
     if not (tensor > 0.0).all():
         return None  # a zero-byte slot changes liveness: reference path
     cells = tensor.shape[0]
     times = np.zeros((cells, len(lowered.phases)), dtype=np.float64)
-    chains: dict[str, list[np.ndarray]] = {
-        name: [] for name in engine.resources
-    }
+    contribs: list[list[tuple[str, np.ndarray]]] = []
     for pi, ph in enumerate(lowered.phases):
         if ph.hi == ph.lo:
-            continue  # no live flows: zero-time phase, no traffic
+            contribs.append([])  # no live flows: zero time, no traffic
+            continue
         sub = tensor[:, ph.lo:ph.hi]
         if ph.static:
             rates = np.asarray(engine._allocate(ph.flows), dtype=np.float64)
             if np.any(rates <= 0.0):
                 return None  # starved static flow: reference raises
             times[:, pi] = (sub / rates).max(axis=1)
-            for name, cols, mults in ph.resource_cols:
-                chains[name].append(sub[:, cols] * mults)
+            contribs.append(
+                [
+                    (name, sub[:, cols] * mults)
+                    for name, cols, mults in ph.resource_cols
+                ]
+            )
         else:
             out = batched_dynamic(ph.flows, sub, engine._allocate)
             if out is None:
                 return None
             times[:, pi] = out[0]
-            for name, chain in out[1]:
-                chains[name].append(chain)
+            contribs.append(out[1])
 
-    ticks = np.zeros((cells, len(lowered.phases) + 1), dtype=np.float64)
-    ticks[:, 1:] = times
-    elapsed = np.cumsum(ticks, axis=1)[:, -1]
-    totals: dict[str, np.ndarray] = {}
-    for name, parts in chains.items():
-        if not parts:
-            continue
-        chain = np.concatenate(
-            [np.zeros((cells, 1), dtype=np.float64), *parts], axis=1
-        )
-        totals[name] = np.cumsum(chain, axis=1)[:, -1]
+    # Lay the blocks out in plan order: repetitions become columns, so
+    # the cumsums below add every phase's time and traffic in turn.
+    repeats = tensor[:, lowered.slots:].astype(np.int64)
+    zero = np.zeros((cells, 1), dtype=np.float64)
+    ticks: list[np.ndarray] = [zero]
+    chains: dict[str, list[np.ndarray]] = {
+        name: [zero] for name in engine.resources
+    }
+    valid: list[np.ndarray] = []
+    for b, (lo, hi) in enumerate(lowered.blocks):
+        reps = repeats[:, b]
+        keep = np.arange(int(reps.max()))[None, :] < reps[:, None]
+        ticks.append(_repeat_columns(times[:, lo:hi], keep))
+        valid.append(np.repeat(keep, hi - lo, axis=1))
+        per_resource: dict[str, list[np.ndarray]] = {}
+        for parts in contribs[lo:hi]:
+            for name, part in parts:
+                per_resource.setdefault(name, []).append(part)
+        for name, parts in per_resource.items():
+            chains[name].append(
+                _repeat_columns(np.concatenate(parts, axis=1), keep)
+            )
+
+    timeline = np.concatenate(ticks, axis=1)
+    elapsed = np.cumsum(timeline, axis=1)[:, -1]
+    totals = {
+        name: np.cumsum(np.concatenate(parts, axis=1), axis=1)[:, -1]
+        for name, parts in chains.items()
+        if len(parts) > 1
+    }
+    steps = timeline[:, 1:]
+    mask = np.concatenate(valid, axis=1) if valid else None
+    padded = mask is not None and not mask.all()
 
     results = []
     for c in range(cells):
@@ -306,11 +359,12 @@ def run_lowered(
             name: float(totals[name][c]) if name in totals else 0.0
             for name in engine.resources
         }
+        row = steps[c][mask[c]] if padded else steps[c]
         results.append(
             RunResult(
                 elapsed=float(elapsed[c]),
                 traffic=traffic,
-                phase_times=times[c].tolist(),
+                phase_times=row.tolist(),
                 events=[],
                 faults=[],
             )
@@ -331,27 +385,25 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
     would have seen.
 
     Raises :class:`~repro.errors.PlanError` if the plans do not share
-    one phase structure (use :meth:`Plan.structure` to pre-group).
+    one block structure (use :meth:`Plan.structure` to pre-group).
     """
     plans = list(plans)
     if not plans:
         return []
     for p in plans:
         p.validate()
-    if len(plans) == 1 or not _engine_eligible(engine):
+    if len(plans) == 1 or not engine._tensor_eligible():
         return [engine.run(p) for p in plans]
     structure = plans[0].structure()
     for p in plans[1:]:
         if p.structure() != structure:
             raise PlanError(
                 f"run_batch: plan {p.name!r} does not share the batch's "
-                "phase structure"
+                "block structure"
             )
-    lowered, tensor = lower_plans(plans)
-    results = run_lowered(engine, lowered, tensor)
+    results = run_lowered(engine, *lower_plans(plans))
     if results is None:
         return [engine.run(p) for p in plans]
-    engine.batched_plans += len(plans)
     return results
 
 
@@ -388,7 +440,7 @@ class PlanBatchSpec:
     ``build(*cell)`` must replicate the cell function's configuration
     work — including raising the same validation errors — and return a
     :class:`PlanBatch`, or ``None`` to send that cell down the normal
-    pool/serial path (the escape hatch for cells whose work a plan run
+    serial path (the escape hatch for cells whose work a plan run
     cannot express).
     """
 
@@ -407,7 +459,7 @@ def evaluate_plan_batch(
     leftover_indices)`` where ``results`` is aligned with ``cells``
     (entries for leftover cells are ``None``) and ``leftover_indices``
     names the cells whose ``build`` declined — the caller dispatches
-    those through the pool/serial path.
+    those through the serial path.
     """
     results: list[Any] = [None] * len(cells)
     leftovers: list[int] = []

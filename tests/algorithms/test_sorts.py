@@ -222,6 +222,26 @@ class TestMlmPlan:
         assert not any("final-merge" in p.name for p in one.phases)
         assert any("final-merge" in p.name for p in many.phases)
 
+    @pytest.mark.parametrize("megachunks", [3, 6, 12])
+    def test_equal_megachunks_are_one_repeated_block(self, megachunks):
+        mega = 250_000_000
+        node = flat_node()
+        plan = mlm_sort_plan(
+            node, MLMSortConfig(megachunks * mega, mega, UsageMode.FLAT)
+        )
+        # the megachunk block, then the final merge
+        assert [b.repeat for b in plan.blocks] == [megachunks, 1]
+        names = [p.name for p in plan.phases]
+        assert names[:4] == [
+            "mega0/setup",
+            "mega0/copy-in",
+            "mega0/serial-sort",
+            "mega0/merge",
+        ]
+        assert names[-2:] == [f"mega{megachunks - 1}/merge", "final-merge"]
+        assert plan.num_phases == 4 * megachunks + 1
+        assert len(node.run(plan).phase_times) == plan.num_phases
+
     def test_hybrid_mode_runs(self):
         node = KNLNode(
             KNLNodeConfig(mode=MemoryMode.HYBRID, hybrid_cache_fraction=0.5)

@@ -14,7 +14,7 @@ from repro.model.analytic import predict
 from repro.model.params import ModelParams
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.threads.pool import PoolSet
-from repro.units import GB, GiB
+from repro.units import GB, GiB, MiB
 
 
 def flat_node():
@@ -65,6 +65,26 @@ class TestPlanStructure:
         plan = pipe.build_plan()
         assert len(plan.phases) == 4
         assert all(len(p.flows) == 1 for p in plan.phases)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_steady_state_is_one_repeated_block(self, n):
+        """The plan holds the steady state once with its repeat count:
+        its entry count does not grow with n, while the expanded view
+        keeps one named step per chunk plus fill/drain."""
+        node = flat_node()
+        pipe = make_pipeline(node, UsageMode.FLAT, total=n * 64 * MiB, chunk=64 * MiB)
+        plan = pipe.build_plan()
+        assert len(plan.blocks) == 5
+        assert [b.repeat for b in plan.blocks] == [1, 1, n - 2, 1, 1]
+        assert plan.num_phases == n + 2
+        assert [p.name for p in plan.phases] == [f"step{s}" for s in range(n + 2)]
+        assert [f.name for f in plan.phases[5].flows] == [
+            "copy-in[5]",
+            "compute[4]",
+            "copy-out[3]",
+        ]
+        result = node.run(plan)
+        assert len(result.phase_times) == n + 2
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ConfigError):
