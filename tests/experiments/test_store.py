@@ -36,6 +36,18 @@ def _never(*cell):  # a cell function that must not run
     raise AssertionError(f"cell function invoked for {cell!r}")
 
 
+def _probe_cell(a: int, b: int) -> tuple:
+    _probe_cell.calls.append((a, b))
+    return (a / 3.0, a * b)
+
+
+_probe_cell.calls = []
+
+
+def _entry_files(root: Path) -> list[Path]:
+    return sorted((root / "v1").rglob("*.json"))
+
+
 class TestValueRoundTrip:
     @pytest.mark.parametrize(
         "value",
@@ -471,6 +483,44 @@ class TestReplay:
         with replay_session(tmp_path) as store:
             assert isinstance(store, ResultStore)
             assert store is get_store(tmp_path)
+
+
+class TestValidatingProbe:
+    def test_probe_validates_without_stats_or_lru_touch(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("k" * 16, (1.5, "x"), fn="f")
+        path = _entry_files(tmp_path)[0]
+        os.utime(path, (1000, 1000))
+        assert store.probe("k" * 16, fn="f") is True
+        assert store.stats.hits == 0  # not counted as a hit
+        assert path.stat().st_mtime == 1000  # LRU clock untouched
+        assert store.probe("m" * 16) is False  # absent, not corrupt
+        assert store.stats.corrupt == 0
+        assert store.probe("k" * 16, fn="other") is False
+        assert store.stats.corrupt == 1
+        path.write_text("{garbage")
+        assert store.probe("k" * 16, fn="f") is False
+        assert store.stats.corrupt == 2
+
+    def test_memo_hit_rewrites_corrupt_entry_for_replay(self, tmp_path):
+        """Regression: corrupt entries behind memo hits get rewritten."""
+        cells = [(2, 3), (4, 5)]
+        memo: dict = {}
+        store_path = str(tmp_path)
+        expect = sweep_map(
+            _probe_cell, cells, memo=memo, store=store_path
+        )
+        for path in _entry_files(tmp_path):
+            path.write_text("{corrupt")
+        # Every cell is a memo hit; the old existence-only probe
+        # skipped the backfill here and left replay broken.
+        again = sweep_map(_probe_cell, cells, memo=memo, store=store_path)
+        assert again == expect
+        _probe_cell.calls.clear()
+        with replay_session(get_store(store_path)):
+            replayed = sweep_map(_probe_cell, cells, memo={})
+        assert replayed == expect
+        assert _probe_cell.calls == []  # replay never computes
 
 
 class TestCli:
