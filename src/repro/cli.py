@@ -7,8 +7,6 @@ Usage::
     repro-knl table1 --metrics m.json --events e.perfetto.json
     repro-knl figure7 --store results/   # warm the on-disk result store
     repro-knl replay figure7 --store results/   # re-render, zero compute
-    repro-knl serve --store results/ --port 7077   # sweep service
-    repro-knl submit figure7 --port 7077           # job to a service
     repro-knl all
 
 ``--metrics`` / ``--events`` run the experiment inside a telemetry
@@ -20,11 +18,6 @@ results survive across processes, and ``repro-knl replay <artifact>``
 re-renders a figure/table purely from such a store — zero engine
 invocations, byte-identical output (see ``docs/EXPERIMENTS_STORE.md``).
 
-``serve`` runs the long-lived sweep service (asyncio job queue over
-the result store) and ``submit`` sends one job to a running instance,
-rendering the returned result byte-identical to a local run (see
-``docs/SERVICE.md``).
-
 Each subcommand regenerates one paper artifact (Tables 1-3, Figures
 6-8) or one extension driver.
 """
@@ -32,9 +25,10 @@ Each subcommand regenerates one paper artifact (Tables 1-3, Figures
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from repro.errors import ServiceError, StoreError
+from repro.errors import StoreError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.report import render_series, render_table, to_csv
 from repro.experiments.runner import replay_session
@@ -46,7 +40,7 @@ from repro.telemetry import telemetry_session, write_events, write_metrics
 REPLAYABLE = tuple(
     name
     for name, driver in ALL_EXPERIMENTS.items()
-    if getattr(driver, "supports_replay", False)
+    if getattr(driver, "supports_store", False)
 )
 
 
@@ -61,12 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=[*ALL_EXPERIMENTS, "all", "replay", "serve", "submit"],
+        choices=[*ALL_EXPERIMENTS, "all", "replay"],
         help=(
             "which table/figure to regenerate, 'all' for every driver, "
-            "'replay' to re-render an artifact purely from a warm "
-            "result store, 'serve' to run the sweep service, or "
-            "'submit' to send a job to a running service"
+            "or 'replay' to re-render an artifact purely from a warm "
+            "result store"
         ),
     )
     parser.add_argument(
@@ -75,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "with 'replay': the artifact to re-render (one of "
-            f"{', '.join(REPLAYABLE)}); with 'submit': the experiment "
-            "to run on the service (any driver name)"
+            f"{', '.join(REPLAYABLE)})"
         ),
     )
     parser.add_argument(
@@ -109,44 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(faults); replaying a seed replays the identical "
             "schedule. Ignored by deterministic drivers"
         ),
-    )
-    service = parser.add_argument_group(
-        "sweep service ('serve' / 'submit', see docs/SERVICE.md)"
-    )
-    service.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="address to bind ('serve') or connect to ('submit')",
-    )
-    service.add_argument(
-        "--port",
-        type=int,
-        default=7077,
-        metavar="N",
-        help=(
-            "TCP port for 'serve' / 'submit'; 'serve' with 0 binds an "
-            "ephemeral port and prints it on stderr"
-        ),
-    )
-    service.add_argument(
-        "--tenant",
-        default="default",
-        metavar="NAME",
-        help="tenant identity for 'submit' (admission control quota)",
-    )
-    service.add_argument(
-        "--queue",
-        type=int,
-        default=16,
-        metavar="N",
-        help="'serve' only: max queued jobs before submissions reject",
-    )
-    service.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="'submit' only: seconds to wait for the job's result",
     )
     parser.add_argument(
         "--metrics",
@@ -183,7 +137,8 @@ def _emit(result, args) -> None:
         else:
             path = args.csv
             if args.experiment == "all":
-                path = f"{result.experiment}-{path}"
+                head, tail = os.path.split(path)
+                path = os.path.join(head, f"{result.experiment}-{tail}")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
 
@@ -204,68 +159,13 @@ def _run_replay(args) -> None:
         _emit(ALL_EXPERIMENTS[args.target](), args)
 
 
-def _run_serve(args) -> None:
-    """Run the sweep service until SIGTERM/SIGINT."""
-    from repro.experiments.service import ServiceConfig, run_server
-
-    if args.target is not None:
-        raise ServiceError(
-            f"'serve' takes no target artifact (got {args.target!r})"
-        )
-    config = ServiceConfig(max_queue=args.queue, store=args.store)
-    run_server(host=args.host, port=args.port, config=config)
-
-
-def _run_submit(args) -> None:
-    """Submit one job to a running service and render its result."""
-    from repro.experiments.client import ServiceClient
-    from repro.experiments.service import result_from_wire
-
-    if args.target is None:
-        raise ServiceError(
-            "submit needs a target experiment: one of "
-            f"{', '.join(ALL_EXPERIMENTS)}"
-        )
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    with ServiceClient(args.host, args.port) as client:
-        response = client.submit(
-            args.target,
-            tenant=args.tenant,
-            params=kwargs,
-            timeout=args.timeout,
-        )
-    state = response.get("state")
-    if state != "done":
-        raise ServiceError(
-            f"job {response.get('job_id')} finished as {state!r}: "
-            f"{response.get('error', 'no detail')}"
-        )
-    print(
-        f"repro-knl submit: job {response['job_id']} done "
-        f"(served: {response.get('served', 'unknown')})",
-        file=sys.stderr,
-    )
-    result = result_from_wire(response["result"])
-    # Render exactly like a local run: byte-identical tables and CSV.
-    args.experiment = result.experiment
-    _emit(result, args)
-
-
 def _run_all(args) -> None:
     if args.experiment == "replay":
         _run_replay(args)
         return
-    if args.experiment == "serve":
-        _run_serve(args)
-        return
-    if args.experiment == "submit":
-        _run_submit(args)
-        return
     if args.target is not None:
         raise StoreError(
-            "a target artifact is only valid with 'replay' or 'submit' "
+            "a target artifact is only valid with 'replay' "
             f"(got {args.experiment} {args.target})"
         )
     names = (
@@ -299,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_events(args.events, tel)
         else:
             _run_all(args)
-    except (ServiceError, StoreError) as exc:
+    except StoreError as exc:
         print(f"repro-knl: {exc}", file=sys.stderr)
         return 1
     return 0

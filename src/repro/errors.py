@@ -86,40 +86,6 @@ class StoreMissError(StoreError):
         self.missing = tuple(missing)
 
 
-class ServiceError(ReproError):
-    """The sweep service cannot satisfy a request
-    (see :mod:`repro.experiments.service`)."""
-
-
-class AdmissionError(ServiceError):
-    """A job submission was rejected at admission control.
-
-    The service rejects — it never stalls — when the global queue is
-    full or the tenant is over its in-flight/queued-cell budget. The
-    structured fields let clients back off instead of retrying blind.
-
-    Parameters
-    ----------
-    message:
-        Human-readable description of the rejected submission.
-    reason:
-        Machine-readable cause (``queue_full``, ``tenant_jobs``,
-        ``tenant_cells``, ``draining``).
-    retry_after_s:
-        Suggested client backoff before resubmitting, in seconds.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        reason: str = "queue_full",
-        retry_after_s: float = 1.0,
-    ) -> None:
-        super().__init__(message)
-        self.reason = reason
-        self.retry_after_s = retry_after_s
-
-
 class DegradedModeWarning(UserWarning):
     """A graceful-degradation path was taken: the operation succeeded,
     but on a slower device, with fewer threads, or after retries."""

@@ -74,4 +74,3 @@ def run_figure6(
 
 run_figure6.series_spec = SeriesSpec("algorithm", ("speedup",))
 run_figure6.supports_store = True
-run_figure6.supports_replay = True

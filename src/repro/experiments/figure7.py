@@ -110,4 +110,3 @@ run_figure7.series_spec = SeriesSpec(
     "chunk_elements", ("flat_s", "implicit_s")
 )
 run_figure7.supports_store = True
-run_figure7.supports_replay = True

@@ -109,4 +109,3 @@ run_figure8.series_spec = SeriesSpec(
     "copy_threads", ("model_s", "empirical_s")
 )
 run_figure8.supports_store = True
-run_figure8.supports_replay = True

@@ -205,4 +205,3 @@ def run_pareto(
 
 
 run_pareto.supports_store = True
-run_pareto.supports_replay = True

@@ -292,17 +292,6 @@ class ResultStore:
             tel.metrics.counter(_tn.STORE_HITS_TOTAL).inc()
         return True, value
 
-    def contains(self, key: str) -> bool:
-        """Whether an entry *file* exists for ``key``.
-
-        A bare existence check — no validation, no stats, no LRU
-        touch. A present-but-corrupt entry still reads ``True`` here,
-        so decisions about whether an entry needs (re)writing must go
-        through :meth:`probe` instead; this remains only for cheap
-        "has anything ever been written" introspection.
-        """
-        return self._path(key).exists()
-
     def probe(self, key: str, fn: str | None = None) -> bool:
         """Whether ``key`` holds a *loadable* entry (validating probe).
 

@@ -63,4 +63,3 @@ def run_table1(
 
 
 run_table1.supports_store = True
-run_table1.supports_replay = True

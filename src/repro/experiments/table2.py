@@ -103,4 +103,3 @@ def run_table2(store: Any | None = None) -> ExperimentResult:
 
 
 run_table2.supports_store = True
-run_table2.supports_replay = True

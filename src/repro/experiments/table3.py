@@ -100,4 +100,3 @@ def run_table3(
 
 
 run_table3.supports_store = True
-run_table3.supports_replay = True

@@ -49,11 +49,6 @@ class ModelParams:
         return int(-(-self.ddr_max // self.s_copy))
 
 
-def paper_params() -> ModelParams:
-    """The exact Table 2 values."""
-    return ModelParams()
-
-
 def measure_params(node, b_copy: float = 14.9 * GB) -> ModelParams:
     """Measure model parameters from a simulated node.
 

@@ -106,14 +106,6 @@ STORE_EVICTIONS_TOTAL = "store.evictions_total"
 STORE_CORRUPT_TOTAL = "store.corrupt_total"
 STORE_BYTES = "store.bytes"
 
-# --- sweep service (experiments.service) -----------------------------------
-
-SERVICE_QUEUE_DEPTH = "service.queue_depth"
-SERVICE_ADMITTED_TOTAL = "service.admitted_total"
-SERVICE_REJECTED_TOTAL = "service.rejected_total"
-SERVICE_COMPLETED_TOTAL = "service.completed_total"
-SERVICE_JOB_SECONDS = "service.job_seconds"
-
 # --- faults and resilience (repro.faults, core.resilient) ------------------
 
 FAULTS_INJECTED_TOTAL = "faults.injected_total"
@@ -280,33 +272,6 @@ _METRIC_SPECS = [
         STORE_BYTES, "gauge", "bytes",
         "Approximate total size of the result store's entries on "
         "disk.",
-    ),
-    MetricSpec(
-        SERVICE_QUEUE_DEPTH, "gauge", "jobs",
-        "Jobs waiting in the sweep service's bounded queue (admitted "
-        "but not yet running).",
-    ),
-    MetricSpec(
-        SERVICE_ADMITTED_TOTAL, "counter", "jobs",
-        "Job submissions accepted past admission control into the "
-        "queue.",
-    ),
-    MetricSpec(
-        SERVICE_REJECTED_TOTAL, "counter", "jobs",
-        "Job submissions rejected at admission control, by reason "
-        "(queue_full / tenant_jobs / tenant_cells / draining).",
-        labels=("reason",),
-    ),
-    MetricSpec(
-        SERVICE_COMPLETED_TOTAL, "counter", "jobs",
-        "Jobs that left the running set, by terminal state (done / "
-        "failed / cancelled).",
-        labels=("state",),
-    ),
-    MetricSpec(
-        SERVICE_JOB_SECONDS, "histogram", "seconds",
-        "Distribution of job wall-clock latency from admission to "
-        "terminal state.",
     ),
     MetricSpec(
         FAULTS_INJECTED_TOTAL, "counter", "events",

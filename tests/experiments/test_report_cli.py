@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
-from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, run_table2
 from repro.experiments.report import render_series, render_table, to_csv
 from repro.experiments.runner import ExperimentResult, SeriesSpec
 
@@ -148,8 +148,9 @@ class TestCli:
         assert args.experiment == "table2"
 
     def test_parser_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["table9"])
+        for name in ("table9", "serve", "submit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([name])
 
     def test_main_runs_table2(self, capsys):
         assert main(["table2"]) == 0
@@ -161,6 +162,16 @@ class TestCli:
         csv_path = tmp_path / "t3.csv"
         assert main(["table3", "--csv", str(csv_path)]) == 0
         assert csv_path.read_text().startswith("repeats,")
+
+    def test_main_all_csv_keeps_directory(self, tmp_path, capsys):
+        # 'all' prefixes the file name with the artifact, not the path.
+        assert main(["all", "--csv", str(tmp_path / "r.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{name}-r.csv" for name in ALL_EXPERIMENTS
+        )
+        assert (tmp_path / "table2-r.csv").read_bytes() == to_csv(
+            run_table2()
+        ).encode()
 
     def test_main_csv_to_stdout(self, capsys):
         assert main(["table2", "--csv", "-"]) == 0
