@@ -245,3 +245,14 @@ class TestFaults:
 
         with pytest.raises(ConfigError):
             run_faults(intensities=())
+
+    def test_ddr_downgrade_threshold(self):
+        """Degraded MCDRAM equals DDR bandwidth at i = 0.775 (90 of 400
+        GB/s): the sort downgrades to DDR there, but not at 0.75."""
+        from repro.experiments.extensions import run_faults
+
+        rows = run_faults(intensities=(0.75, 0.775)).rows
+        assert [(r["degraded_to_ddr"], r["recovery_events"]) for r in rows] == [
+            (False, 7),
+            (True, 2),
+        ]
