@@ -14,12 +14,9 @@ Top-level convenience exports; see the subpackages for the full API:
 from repro.core import (
     BufferedPipeline,
     Chunker,
-    ResilienceReport,
-    ResilientPipeline,
     StreamKernel,
     UsageMode,
 )
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.model import ModelParams, optimal_copy_threads, predict
 from repro.simknl import KNLNode, KNLNodeConfig, MemoryMode
 
@@ -28,14 +25,8 @@ __version__ = "1.0.0"
 __all__ = [
     "BufferedPipeline",
     "Chunker",
-    "ResilienceReport",
-    "ResilientPipeline",
     "StreamKernel",
     "UsageMode",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
     "ModelParams",
     "optimal_copy_threads",
     "predict",

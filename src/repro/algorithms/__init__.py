@@ -33,8 +33,6 @@ from repro.algorithms.mlm_sort import (
     basic_chunked_sort,
     mlm_sort,
     mlm_sort_plan,
-    resilient_mlm_sort,
-    resilient_mlm_sort_plan_run,
 )
 from repro.algorithms.merge_bench import (
     MergeBenchConfig,
@@ -67,8 +65,6 @@ __all__ = [
     "basic_chunked_sort",
     "mlm_sort",
     "mlm_sort_plan",
-    "resilient_mlm_sort",
-    "resilient_mlm_sort_plan_run",
     "MergeBenchConfig",
     "merge_bench_kernel",
     "run_merge_bench",

@@ -22,18 +22,11 @@ import heapq
 import math
 import shutil
 import tempfile
-import time
 from pathlib import Path
-from typing import Callable, TypeVar
 
 import numpy as np
 
-from repro.errors import (
-    ConfigError,
-    RetryExhaustedError,
-    TransientFaultError,
-)
-from repro.faults import FaultInjector
+from repro.errors import ConfigError
 from repro.simknl.devices import MemoryDevice
 from repro.simknl.engine import Engine, Phase, Plan, RunResult
 from repro.simknl.flows import Flow
@@ -41,56 +34,6 @@ from repro.simknl.node import KNLNode
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.units import GB, GiB, INT64
-
-_T = TypeVar("_T")
-
-#: Default bound on per-operation spill I/O retries.
-MAX_IO_RETRIES = 4
-
-
-def _retry_io(
-    op: str,
-    fn: Callable[[], _T],
-    injector: FaultInjector | None,
-    max_retries: int = MAX_IO_RETRIES,
-    backoff_s: float = 0.0,
-) -> _T:
-    """Run a spill-file operation with bounded retry + exponential backoff.
-
-    Transient failures — injected :class:`TransientFaultError` or a
-    real :class:`OSError` — are retried up to ``max_retries`` times,
-    doubling the (optional) backoff each attempt. Permanent injected
-    faults propagate immediately: the caller's cleanup then removes
-    any partial spill files.
-
-    Raises
-    ------
-    RetryExhaustedError
-        After ``max_retries`` failed retries.
-    PermanentFaultError
-        Propagated untouched from the injector.
-    """
-    attempts = 0
-    while True:
-        try:
-            if injector is not None:
-                injector.check_spill_io(op)
-            return fn()
-        except (TransientFaultError, OSError) as exc:
-            attempts += 1
-            if attempts > max_retries:
-                raise RetryExhaustedError(
-                    f"spill {op} failed after {attempts} attempts: {exc}",
-                    attempts=attempts,
-                ) from exc
-            if injector is not None:
-                injector.counters.io_retries += 1
-            tel = _tm.current()
-            if tel.enabled:
-                tel.metrics.counter(_tn.SORT_IO_RETRIES_TOTAL).inc()
-            delay = backoff_s * (2 ** (attempts - 1))
-            if delay > 0:
-                time.sleep(delay)
 
 
 def disk_device(
@@ -113,27 +56,14 @@ def disk_device(
 # ---------------------------------------------------------------------------
 
 
-def _write_runs(
-    arr: np.ndarray,
-    budget: int,
-    tmpdir: Path,
-    injector: FaultInjector | None = None,
-    max_retries: int = MAX_IO_RETRIES,
-    backoff_s: float = 0.0,
-) -> list[Path]:
+def _write_runs(arr: np.ndarray, budget: int, tmpdir: Path) -> list[Path]:
     """Phase 1: sort budget-sized runs and spill them to disk."""
     paths = []
     tel = _tm.current()
     for i, start in enumerate(range(0, len(arr), budget)):
         run = np.sort(arr[start : start + budget], kind="stable")
         path = tmpdir / f"run{i:05d}.npy"
-        _retry_io(
-            f"write run {i}",
-            lambda: np.save(path, run),
-            injector,
-            max_retries,
-            backoff_s,
-        )
+        np.save(path, run)
         paths.append(path)
         if tel.enabled:
             m = tel.metrics
@@ -146,12 +76,7 @@ def _write_runs(
 
 
 def _merge_runs(
-    paths: list[Path],
-    budget: int,
-    dtype: np.dtype,
-    injector: FaultInjector | None = None,
-    max_retries: int = MAX_IO_RETRIES,
-    backoff_s: float = 0.0,
+    paths: list[Path], budget: int, dtype: np.dtype
 ) -> np.ndarray:
     """Phase 2: k-way merge the runs reading bounded blocks."""
     k = len(paths)
@@ -160,16 +85,7 @@ def _merge_runs(
         tel.metrics.histogram(_tn.SORT_MERGE_FAN_IN).observe(k)
         tel.events.emit(_tn.EVENT_SORT_MERGE, fan_in=k)
     block = max(1, budget // (k + 1))
-    readers = [
-        _retry_io(
-            f"open run {i}",
-            lambda p=p: np.load(p, mmap_mode="r"),
-            injector,
-            max_retries,
-            backoff_s,
-        )
-        for i, p in enumerate(paths)
-    ]
+    readers = [np.load(p, mmap_mode="r") for p in paths]
     positions = [0] * k
     buffers: list[np.ndarray] = [r[:block].copy() for r in readers]
     offsets = [0] * k
@@ -185,15 +101,9 @@ def _merge_runs(
         offsets[i] += 1
         if offsets[i] >= len(buffers[i]):
             positions[i] += len(buffers[i])
-            buffers[i] = _retry_io(
-                f"read run {i}",
-                lambda i=i: np.asarray(
-                    readers[i][positions[i] : positions[i] + block]
-                ).copy(),
-                injector,
-                max_retries,
-                backoff_s,
-            )
+            buffers[i] = np.asarray(
+                readers[i][positions[i] : positions[i] + block]
+            ).copy()
             offsets[i] = 0
         if offsets[i] < len(buffers[i]):
             heapq.heappush(heap, (buffers[i][offsets[i]].item(), i))
@@ -204,9 +114,6 @@ def external_sort(
     arr: np.ndarray,
     memory_budget_elements: int,
     workdir: str | None = None,
-    injector: FaultInjector | None = None,
-    max_io_retries: int = MAX_IO_RETRIES,
-    io_backoff_s: float = 0.0,
 ) -> np.ndarray:
     """Out-of-core mergesort with a hard in-memory element budget.
 
@@ -219,18 +126,8 @@ def external_sort(
         Elements allowed resident during each phase.
     workdir:
         Directory for spill files; a temporary directory by default.
-    injector:
-        Optional fault injector. Transient spill-I/O faults are
-        retried up to ``max_io_retries`` times with exponential
-        backoff; a permanent fault (or retry exhaustion) aborts the
-        sort cleanly — the spill directory is removed either way, so
-        no orphaned run files survive an exception.
-    max_io_retries:
-        Retry bound per spill operation.
-    io_backoff_s:
-        Initial backoff delay in (real) seconds; doubles per retry.
-        Zero (default) retries immediately — simulated-time callers
-        should not sleep.
+        The spill directory is removed on every exit path, so no
+        orphaned run files survive an exception.
     """
     if arr.ndim != 1:
         raise ConfigError("expects a one-dimensional array")
@@ -243,17 +140,11 @@ def external_sort(
     with contextlib.ExitStack() as stack:
         tmp = tempfile.mkdtemp(prefix="extsort-", dir=workdir)
         # Registered before any run file exists: every exit path —
-        # including mid-merge faults — removes the whole spill tree.
+        # including a mid-merge failure — removes the whole spill tree.
         stack.callback(shutil.rmtree, tmp, ignore_errors=True)
         tmpdir = Path(tmp)
-        paths = _write_runs(
-            arr, memory_budget_elements, tmpdir,
-            injector, max_io_retries, io_backoff_s,
-        )
-        return _merge_runs(
-            paths, memory_budget_elements, arr.dtype,
-            injector, max_io_retries, io_backoff_s,
-        )
+        paths = _write_runs(arr, memory_budget_elements, tmpdir)
+        return _merge_runs(paths, memory_budget_elements, arr.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +218,9 @@ def run_external_sort_plan(
     n: int,
     memory_budget_bytes: float,
     disk_bandwidth: float = 2 * GB,
-    injector: FaultInjector | None = None,
     **kwargs,
 ) -> RunResult:
-    """Execute the timed plan with a disk attached to the node.
-
-    An injector's bandwidth-degradation faults may target ``"disk"``
-    as well as the node devices — a degraded spill device slows the
-    merge passes exactly as a contended NVMe would.
-    """
+    """Execute the timed plan with a disk attached to the node."""
     plan = external_sort_plan(node, n, memory_budget_bytes, **kwargs)
     resources = [*node.resources(), disk_device(bandwidth=disk_bandwidth).resource()]
-    return Engine(resources, record_events=False, injector=injector).run(plan)
+    return Engine(resources, record_events=False).run(plan)

@@ -36,11 +36,9 @@ from repro.algorithms.serial_sort import serial_sort
 from repro.core.chunking import Chunker
 from repro.core.kernel import Kernel
 from repro.core.modes import UsageMode, validate_node_mode
-from repro.core.resilient import ResilienceReport, ResilientPipeline
-from repro.faults import FaultInjector
 from repro.simknl.engine import Phase, Plan
 from repro.simknl.flows import Flow
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.node import KNLNode
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.threads.pool import PoolSet
@@ -131,92 +129,6 @@ class MegachunkSortKernel(Kernel):
 
     def apply(self, chunk: np.ndarray) -> np.ndarray:
         return _sort_megachunk(chunk, self.threads)
-
-
-def resilient_mlm_sort(
-    arr: np.ndarray,
-    megachunk_elements: int,
-    threads: int = 4,
-    node: KNLNode | None = None,
-    injector: FaultInjector | None = None,
-    max_chunk_retries: int = 2,
-) -> np.ndarray:
-    """Fault-tolerant functional MLM-sort.
-
-    Each megachunk's buffer is allocated through the fault-aware
-    memkind heap (an injected MCDRAM allocation failure lands it in
-    DDR and is counted, not raised) and transient chunk faults are
-    retried up to ``max_chunk_retries`` times — so under any fault
-    plan that is not permanently fatal the output is still the exact
-    sorted permutation of the input.
-
-    Raises
-    ------
-    RetryExhaustedError
-        When a chunk keeps faulting past the retry budget.
-    """
-    if arr.ndim != 1:
-        raise ConfigError("expects a one-dimensional array")
-    if megachunk_elements < 1:
-        raise ConfigError("megachunk_elements must be >= 1")
-    if len(arr) == 0:
-        return arr.copy()
-    if node is None:
-        node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    chunker = Chunker.from_elements(
-        len(arr), min(megachunk_elements, len(arr)), element_size=arr.itemsize
-    )
-    mode = UsageMode.FLAT if node.mode is MemoryMode.FLAT else UsageMode.DDR
-    pipe = ResilientPipeline(
-        node,
-        mode,
-        chunker,
-        MegachunkSortKernel(threads, element_size=arr.itemsize),
-        injector=injector,
-        max_chunk_retries=max_chunk_retries,
-    )
-    return multiway_merge(pipe.run_functional(arr))
-
-
-def resilient_mlm_sort_plan_run(
-    node: KNLNode,
-    config: MLMSortConfig,
-    injector: FaultInjector | None = None,
-    cost: SortCostModel | None = None,
-    max_chunk_retries: int = 2,
-) -> ResilienceReport:
-    """Timed MLM-sort through the resilient pipeline.
-
-    The chunk-at-a-time counterpart of :func:`mlm_sort_plan`: each
-    megachunk runs as its own sub-plan with retry/straggler recovery,
-    DDR fallback for faulted buffer allocations, and a permanent
-    FLAT -> DDR downgrade when MCDRAM degrades below DDR bandwidth.
-    """
-    cfg = config
-    validate_node_mode(node, cfg.mode)
-    cost = cost or SortCostModel()
-    chunker = Chunker.from_elements(
-        cfg.n, min(cfg.megachunk_elements, cfg.n), element_size=cfg.element_size
-    )
-    if cfg.mode in (UsageMode.FLAT, UsageMode.HYBRID):
-        copy = max(1, min(8, cfg.threads // 8))
-        pools = PoolSet.split(
-            node, compute=cfg.threads - 2 * copy, copy_in=copy
-        )
-    else:
-        pools = PoolSet.compute_only(node, cfg.threads)
-    pipe = ResilientPipeline(
-        node,
-        cfg.mode,
-        chunker,
-        MegachunkSortKernel(
-            cfg.threads, cost, order=cfg.order, element_size=cfg.element_size
-        ),
-        pools=pools,
-        injector=injector,
-        max_chunk_retries=max_chunk_retries,
-    )
-    return pipe.run()
 
 
 def basic_chunked_sort(

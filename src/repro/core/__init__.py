@@ -21,11 +21,6 @@ from repro.core.kernel import FunctionKernel, Kernel, StreamKernel
 from repro.core.modes import UsageMode, required_memory_mode, mode_label
 from repro.core.buffering import BufferedPipeline, PipelineResult
 from repro.core.planner import plan_chunk_bytes, plan_pools
-from repro.core.resilient import (
-    ChunkOutcome,
-    ResilienceReport,
-    ResilientPipeline,
-)
 
 __all__ = [
     "Chunk",
@@ -40,7 +35,4 @@ __all__ = [
     "PipelineResult",
     "plan_chunk_bytes",
     "plan_pools",
-    "ChunkOutcome",
-    "ResilienceReport",
-    "ResilientPipeline",
 ]

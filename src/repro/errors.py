@@ -31,34 +31,6 @@ class SimulationError(ReproError):
     """The discrete-event engine reached an inconsistent state."""
 
 
-class FaultError(ReproError):
-    """Base class for injected-fault failures (see :mod:`repro.faults`)."""
-
-
-class TransientFaultError(FaultError):
-    """A fault expected to clear on retry (e.g. a spill-write hiccup)."""
-
-
-class PermanentFaultError(FaultError):
-    """A fault that no amount of retrying will clear (e.g. a dead disk)."""
-
-
-class RetryExhaustedError(FaultError):
-    """A bounded retry loop gave up; carries the attempt count.
-
-    Parameters
-    ----------
-    message:
-        Human-readable description of the failed operation.
-    attempts:
-        Number of attempts made before giving up.
-    """
-
-    def __init__(self, message: str, attempts: int = 0) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-
-
 class StoreError(ReproError):
     """The on-disk result store cannot satisfy a request
     (see :mod:`repro.experiments.store`)."""
@@ -85,7 +57,3 @@ class StoreMissError(StoreError):
         super().__init__(message)
         self.missing = tuple(missing)
 
-
-class DegradedModeWarning(UserWarning):
-    """A graceful-degradation path was taken: the operation succeeded,
-    but on a slower device, with fewer threads, or after retries."""

@@ -15,11 +15,9 @@ really allocate here).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from repro.errors import AllocationError, ConfigError, DegradedModeWarning
-from repro.faults import FaultInjector
+from repro.errors import AllocationError, ConfigError
 from repro.memkind.kinds import Kind, Policy
 from repro.simknl.node import KNLNode
 from repro.telemetry import names as _tn
@@ -80,8 +78,6 @@ class Region:
         # block whose extent was coalesced away).
         self._live: dict[int, int] = {}
         self.allocated = 0
-        # Bytes surrendered to capacity-loss faults (see shrink()).
-        self.surrendered = 0
 
     @property
     def free_bytes(self) -> int:
@@ -166,32 +162,6 @@ class Region:
         del self._live[block.addr]
         self.allocated -= block.size
 
-    def shrink(self, nbytes: int) -> int:
-        """Gracefully give up to ``nbytes`` of *free* space back.
-
-        Models a capacity-loss fault: free extents are surrendered from
-        the top of the address range downward; live blocks are never
-        revoked. Returns the bytes actually removed (possibly fewer
-        than requested when the region is mostly allocated).
-        """
-        if nbytes < 0:
-            raise AllocationError(f"{self.device}: negative shrink")
-        remaining = int(nbytes)
-        removed = 0
-        for i in range(len(self._free) - 1, -1, -1):
-            if remaining <= 0:
-                break
-            addr, extent = self._free[i]
-            take = min(extent, remaining)
-            if take == extent:
-                del self._free[i]
-            else:
-                self._free[i] = (addr, extent - take)
-            remaining -= take
-            removed += take
-        self.surrendered += removed
-        return removed
-
     def fragmentation(self) -> float:
         """1 - largest_free / free_bytes (0 when unfragmented or full)."""
         fb = self.free_bytes
@@ -210,31 +180,17 @@ class Heap:
         *addressable* MCDRAM (zero in pure cache mode).
     page:
         Interleave granularity in bytes.
-    injector:
-        Optional :class:`~repro.faults.FaultInjector`. Injected
-        allocation faults on a device do not raise: the heap falls
-        back to the kind's fallback device (DDR for the HBW kinds) and
-        bumps the injector's ``alloc_fallbacks`` counter — the
-        ``HBW_PREFERRED`` degradation discipline, applied even to BIND
-        kinds so chunked algorithms keep running when MCDRAM is
-        unavailable.
     """
 
     #: Synthetic base addresses keep the two device ranges disjoint.
     DDR_BASE = 0x0000_0000_0000
     MCDRAM_BASE = 0x1000_0000_0000
 
-    def __init__(
-        self,
-        node: KNLNode,
-        page: int = PAGE,
-        injector: FaultInjector | None = None,
-    ) -> None:
+    def __init__(self, node: KNLNode, page: int = PAGE) -> None:
         if page <= 0:
             raise ConfigError("page must be positive")
         self.node = node
         self.page = page
-        self.injector = injector
         self.regions: dict[str, Region] = {
             "ddr": Region("ddr", self.DDR_BASE, int(node.ddr.capacity)),
         }
@@ -255,46 +211,6 @@ class Heap:
                 f"device {device!r} has no addressable region in mode "
                 f"{self.node.mode.value!r}"
             ) from None
-
-    def _fault_on(self, device: str) -> bool:
-        """Whether an injected allocation fault hits ``device`` now."""
-        return self.injector is not None and self.injector.should_fail_alloc(
-            device
-        )
-
-    def _fault_fallback(self, size: int, kind: Kind) -> Allocation:
-        """Degrade an injected-faulted allocation to the fallback device.
-
-        Falls back to the kind's fallback (DDR for any non-DDR target
-        without one), records the event, and warns — instead of
-        raising, so callers keep running in a degraded placement.
-        """
-        fallback = kind.fallback
-        if fallback is None and kind.target != "ddr":
-            fallback = "ddr"
-        if fallback is None or fallback not in self.regions:
-            raise AllocationError(
-                f"injected allocation fault on {kind.target!r} and no "
-                "fallback device is available"
-            )
-        block = self._region(fallback).alloc(size)
-        self.injector.counters.alloc_fallbacks += 1
-        tel = _tm.current()
-        if tel.enabled:
-            tel.metrics.counter(_tn.ALLOC_FALLBACKS_TOTAL).inc()
-            tel.events.emit(
-                _tn.EVENT_ALLOC_FALLBACK,
-                target=kind.target,
-                fallback=fallback,
-                bytes=size,
-            )
-        warnings.warn(
-            f"allocation fault on {kind.target!r}: {size} bytes placed on "
-            f"{fallback!r} instead",
-            DegradedModeWarning,
-            stacklevel=3,
-        )
-        return Allocation(kind=kind, blocks=[block])
 
     def _note_alloc(self, allocation: Allocation) -> None:
         """Account a successful allocation in the active telemetry."""
@@ -332,13 +248,9 @@ class Heap:
 
     def _allocate(self, size: int, kind: Kind) -> Allocation:
         if kind.policy is Policy.BIND:
-            if self._fault_on(kind.target):
-                return self._fault_fallback(size, kind)
             block = self._region(kind.target).alloc(size)
             return Allocation(kind=kind, blocks=[block])
         if kind.policy is Policy.PREFERRED:
-            if self._fault_on(kind.target):
-                return self._fault_fallback(size, kind)
             try:
                 block = self._region(kind.target).alloc(size)
                 return Allocation(kind=kind, blocks=[block])
@@ -361,27 +273,8 @@ class Heap:
                     )
                 return Allocation(kind=kind, blocks=[block])
         if kind.policy is Policy.INTERLEAVE:
-            if self._fault_on(kind.target):
-                return self._fault_fallback(size, kind)
             return self._allocate_interleaved(size, kind)
         raise ConfigError(f"unknown policy {kind.policy!r}")
-
-    def shrink_device(self, device: str, nbytes: int) -> int:
-        """Apply a capacity-loss fault to ``device``'s region.
-
-        Returns the bytes actually surrendered (free space only; live
-        allocations survive). Unknown devices shrink nothing.
-        """
-        region = self.regions.get(device)
-        if region is None:
-            return 0
-        removed = region.shrink(nbytes)
-        tel = _tm.current()
-        if tel.enabled and removed > 0:
-            tel.events.emit(
-                _tn.EVENT_HEAP_SHRINK, device=device, bytes=removed
-            )
-        return removed
 
     def _allocate_interleaved(self, size: int, kind: Kind) -> Allocation:
         if kind.fallback is None:

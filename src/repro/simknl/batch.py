@@ -27,10 +27,9 @@ Bit-identity with the per-phase reference loop of :meth:`Engine.run`
   rectangular arrays cover cells with fewer repetitions and phases
   whose flows finish early.
 
-Anything the tensor cannot express — fault injectors, phase hooks, an
-active telemetry session, event recording, starved allocations, rounds
-where some phase completes no flow — falls back to the reference loop,
-per plan.
+Anything the tensor cannot express — an active telemetry session,
+event recording, starved allocations, rounds where some phase
+completes no flow — falls back to the reference loop, per plan.
 
 :func:`evaluate_plan_batch` is the sweep-level entry point used by
 ``experiments.runner.sweep_map``: drivers declare structural
@@ -277,14 +276,15 @@ def run_lowered(
     callers with the original plans fall back to per-cell ``run``.
 
     Raises :class:`~repro.errors.PlanError` if the engine itself is
-    ineligible (injector, phase hooks, active telemetry, event
-    recording) — with only the tensor there is nothing to fall back to,
-    so the caller must check first (:func:`run_batch` does).
+    ineligible (active telemetry, event recording,
+    ``batch_phases=False``) — with only the tensor there is nothing to
+    fall back to, so the caller must check first (:func:`run_batch`
+    does).
     """
     if not engine._tensor_eligible():
         raise PlanError(
-            "run_lowered requires a batch-eligible engine (no injector, "
-            "phase hooks, telemetry, or event recording)"
+            "run_lowered requires a batch-eligible engine (no "
+            "telemetry or event recording)"
         )
     if tensor.ndim != 2 or tensor.shape[1] != lowered.width:
         raise PlanError(
@@ -366,7 +366,6 @@ def run_lowered(
                 traffic=traffic,
                 phase_times=row.tolist(),
                 events=[],
-                faults=[],
             )
         )
     return results
@@ -376,13 +375,13 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
     """Run N structurally identical plans as one tensor evaluation.
 
     Bit-identical to ``[engine.run(p) for p in plans]``. Falls back to
-    exactly that sequential loop when the engine is ineligible (fault
-    injector, phase hooks, active telemetry session, event recording,
-    ``batch_phases=False``), when there is only one plan, or when the
-    tensor evaluation declines (starved allocation, no-completion
-    round) — in which case the reference path also raises the precise
-    per-phase :class:`~repro.errors.SimulationError` the serial caller
-    would have seen.
+    exactly that sequential loop when the engine is ineligible (active
+    telemetry session, event recording, ``batch_phases=False``), when
+    there is only one plan, or when the tensor evaluation declines
+    (starved allocation, no-completion round) — in which case the
+    reference path also raises the precise per-phase
+    :class:`~repro.errors.SimulationError` the serial caller would have
+    seen.
 
     Raises :class:`~repro.errors.PlanError` if the plans do not share
     one block structure (use :meth:`Plan.structure` to pre-group).

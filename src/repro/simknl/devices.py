@@ -50,9 +50,6 @@ class MemoryDevice:
     latency: float
     channels: int = 1
     allocated: float = field(default=0.0, init=False)
-    nominal_bandwidth: float = field(default=0.0, init=False)
-    nominal_capacity: float = field(default=0.0, init=False)
-    failed_channels: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
@@ -63,60 +60,10 @@ class MemoryDevice:
             raise ConfigError(f"{self.name}: latency must be positive")
         if self.channels <= 0:
             raise ConfigError(f"{self.name}: channels must be positive")
-        self.nominal_bandwidth = self.bandwidth
-        self.nominal_capacity = self.capacity
 
     def resource(self) -> Resource:
         """The bandwidth resource this device contributes."""
         return Resource(name=self.name, capacity=self.bandwidth)
-
-    # ---- fault / degradation hooks --------------------------------------
-
-    def degrade_bandwidth(self, fraction: float) -> None:
-        """Run at ``(1 - fraction)`` of nominal bandwidth.
-
-        The fraction is absolute against nominal (not cumulative), so
-        repeated fault events are idempotent for equal severity and a
-        recovery is a plain :meth:`restore_bandwidth`.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ConfigError(f"{self.name}: fraction must be in [0, 1]")
-        self.bandwidth = self.nominal_bandwidth * max(1.0 - fraction, 1e-9)
-
-    def restore_bandwidth(self) -> None:
-        """Return to nominal bandwidth (fault recovery)."""
-        self.bandwidth = self.nominal_bandwidth
-        self.failed_channels = 0
-
-    def fail_channel(self, count: int = 1) -> None:
-        """Lose ``count`` channels/stacks; bandwidth scales down by the
-        failed fraction (a degraded-channel fault, not a total loss)."""
-        if count < 0:
-            raise ConfigError(f"{self.name}: channel count must be >= 0")
-        self.failed_channels = min(self.channels, self.failed_channels + count)
-        self.degrade_bandwidth(self.failed_channels / self.channels)
-
-    def lose_capacity(self, nbytes: float) -> float:
-        """Gracefully shrink capacity by up to ``nbytes``.
-
-        Already-reserved bytes are never revoked: the loss is clamped
-        so ``capacity >= allocated``. Returns the bytes actually lost.
-        """
-        if nbytes < 0:
-            raise CapacityError(f"{self.name}: negative capacity loss")
-        new_capacity = max(self.allocated, self.capacity - nbytes)
-        lost = self.capacity - new_capacity
-        self.capacity = new_capacity
-        tel = _tm.current()
-        if tel.enabled and lost > 0:
-            tel.metrics.counter(
-                _tn.DEVICE_CAPACITY_LOST_BYTES_TOTAL
-            ).inc(lost, device=self.name)
-        return lost
-
-    def restore_capacity(self) -> None:
-        """Return to nominal capacity (fault recovery)."""
-        self.capacity = self.nominal_capacity
 
     @property
     def free(self) -> float:

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.errors import PlanError, SimulationError
-from repro.faults import FaultInjector, FaultKind
 from repro.simknl.flows import Flow, Resource, allocate_rates
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
@@ -230,16 +229,12 @@ class RunResult:
         Per-phase elapsed seconds, in plan order.
     events:
         ``(time, description)`` trace entries (flow completions).
-    faults:
-        Human-readable fault/degradation entries, in occurrence order
-        (empty when no injector is attached).
     """
 
     elapsed: float
     traffic: dict[str, float]
     phase_times: list[float]
     events: list[tuple[float, str]] = field(default_factory=list)
-    faults: list[str] = field(default_factory=list)
 
     def traffic_gb(self, resource: str) -> float:
         """Traffic on ``resource`` in decimal GB."""
@@ -256,21 +251,12 @@ class Engine:
     record_events:
         When True, flow-completion events are recorded in the result
         trace. Disable for large sweeps to save memory.
-    injector:
-        Optional :class:`~repro.faults.FaultInjector`. At each phase
-        boundary the engine asks it for fault events and applies the
-        ones it owns: bandwidth degradations scale the named resource
-        (the next water-filling solve then re-shares the remaining
-        bandwidth — the "re-solve on degradation" semantics) and flow
-        stalls extend the phase. Other kinds are logged for the layers
-        that own them (heap, pools, resilient pipeline).
     """
 
     def __init__(
         self,
         resources: Iterable[Resource],
         record_events: bool = True,
-        injector: FaultInjector | None = None,
         memoize_rates: bool = True,
         batch_phases: bool = True,
     ) -> None:
@@ -279,9 +265,7 @@ class Engine:
             if r.name in self.resources:
                 raise PlanError(f"duplicate resource {r.name!r}")
             self.resources[r.name] = r
-        self._nominal: dict[str, Resource] = dict(self.resources)
         self.record_events = record_events
-        self.injector = injector
         #: Plans with a repeated block may be evaluated as a one-row
         #: tensor (:func:`repro.simknl.batch.run_lowered`). False keeps
         #: every phase on the per-phase reference loop — the oracle
@@ -294,48 +278,10 @@ class Engine:
         #: (the property tests hold the two bit-identical).
         self.memoize_rates = memoize_rates
         self._rate_cache: dict[tuple, list[float]] = {}
-        self._res_sig: tuple | None = None
-        self._phase_hooks: list[
-            Callable[["Engine", int, Phase], float | None]
-        ] = []
-        #: Phase offset applied to injector schedules; lets a caller
-        #: running many sub-plans on one engine (the resilient
-        #: pipeline) keep a single global phase clock.
-        self.phase_offset = 0
-
-    def add_phase_hook(
-        self, hook: Callable[["Engine", int, Phase], float | None]
-    ) -> None:
-        """Register a callback invoked before each phase runs.
-
-        The hook receives ``(engine, phase_index, phase)`` and may
-        return extra stall seconds to add to the phase.
-        """
-        self._phase_hooks.append(hook)
-
-    # ---- fault application ----------------------------------------------
-
-    def degrade_resource(self, name: str, fraction: float) -> bool:
-        """Scale resource ``name`` to ``(1 - fraction)`` of nominal.
-
-        Returns False (no-op) when the engine has no such resource, so
-        fault plans may target devices absent from a given run.
-        """
-        if name not in self._nominal:
-            return False
-        if not 0.0 <= fraction <= 1.0:
-            raise PlanError("degrade fraction must be in [0, 1]")
-        nominal = self._nominal[name]
-        capacity = nominal.capacity * max(1.0 - fraction, 1e-9)
-        self.resources[name] = Resource(name, capacity)
-        self._res_sig = None
-        return True
-
-    def restore_resource(self, name: str) -> None:
-        """Return resource ``name`` to its nominal capacity."""
-        if name in self._nominal:
-            self.resources[name] = self._nominal[name]
-            self._res_sig = None
+        self._res_sig = tuple(
+            (name, self.resources[name].capacity)
+            for name in sorted(self.resources)
+        )
 
     # ---- rate allocation -------------------------------------------------
 
@@ -355,13 +301,7 @@ class Engine:
         if not self.memoize_rates:
             rates = allocate_rates(live, self.resources)
             return [rates[id(f)] for f in live]
-        res_sig = self._res_sig
-        if res_sig is None:
-            res_sig = self._res_sig = tuple(
-                (name, self.resources[name].capacity)
-                for name in sorted(self.resources)
-            )
-        key = (res_sig, tuple(f.signature for f in live))
+        key = (self._res_sig, tuple(f.signature for f in live))
         cached = self._rate_cache.get(key)
         if cached is None:
             rates = allocate_rates(live, self.resources)
@@ -370,56 +310,12 @@ class Engine:
             self._rate_cache[key] = cached = [rates[id(f)] for f in live]
         return cached
 
-    def _apply_phase_faults(
-        self,
-        index: int,
-        phase: Phase,
-        clock: float,
-        faults: list[str],
-        pending_restores: dict[int, list[str]],
-        events: list[tuple[float, str]],
-    ) -> float:
-        """Apply faults due at phase ``index``; returns stall seconds."""
-        stall = 0.0
-        for name in pending_restores.pop(index, []):
-            self.restore_resource(name)
-            if self.injector is not None:
-                self.injector.counters.restores += 1
-            faults.append(f"phase {index}: {name} bandwidth restored")
-        if self.injector is not None:
-            for ev in self.injector.phase_events(index + self.phase_offset):
-                if ev.kind is FaultKind.FLOW_STALL:
-                    stall += ev.severity
-                    self.injector.counters.stall_seconds += ev.severity
-                    faults.append(f"phase {index}: {ev.describe()}")
-                elif ev.kind is FaultKind.BANDWIDTH_DEGRADE:
-                    if self.degrade_resource(ev.target or "", ev.severity):
-                        self.injector.counters.degradations += 1
-                        faults.append(f"phase {index}: {ev.describe()}")
-                        if ev.duration_phases is not None:
-                            pending_restores.setdefault(
-                                index + ev.duration_phases, []
-                            ).append(ev.target or "")
-                else:
-                    # Capacity / worker losses are owned by the heap,
-                    # node, and pool layers; log them for visibility.
-                    faults.append(f"phase {index}: {ev.describe()}")
-        for hook in self._phase_hooks:
-            extra = hook(self, index, phase)
-            if extra:
-                stall += float(extra)
-        if stall > 0 and self.record_events:
-            events.append((clock, f"{phase.name}: stalled {stall:g}s"))
-        return stall
-
     def _tensor_eligible(self) -> bool:
         """Whether plans may skip the per-phase reference loop: the
-        tensor path can neither apply per-phase faults/hooks, emit
-        telemetry, nor record flow-completion events."""
+        tensor path can neither emit telemetry nor record
+        flow-completion events."""
         return (
             self.batch_phases
-            and self.injector is None
-            and not self._phase_hooks
             and not _tm.current().enabled
             and not self.record_events
         )
@@ -443,8 +339,6 @@ class Engine:
         traffic: dict[str, float] = {name: 0.0 for name in self.resources}
         phase_times: list[float] = []
         events: list[tuple[float, str]] = []
-        faults: list[str] = []
-        pending_restores: dict[int, list[str]] = {}
 
         tel = _tm.current()
         # Successive runs share one monotonic sim timeline: this run's
@@ -454,14 +348,10 @@ class Engine:
             tel.events.emit(_tn.EVENT_RUN_START, time=t0, plan=plan.name)
             m = tel.metrics
             c_phases = m.counter(_tn.ENGINE_PHASES_TOTAL)
-            c_stall = m.counter(_tn.ENGINE_STALL_SECONDS_TOTAL)
             c_traffic = m.counter(_tn.ENGINE_TRAFFIC_BYTES_TOTAL)
             h_phase = m.histogram(_tn.ENGINE_PHASE_SECONDS)
 
         for index, phase in enumerate(plan.phases):
-            stall = self._apply_phase_faults(
-                index, phase, clock, faults, pending_restores, events
-            )
             if tel.enabled:
                 tel.events.emit(
                     _tn.EVENT_PHASE_START,
@@ -471,16 +361,12 @@ class Engine:
                     index=index,
                 )
                 before = dict(traffic)
-            t = self._run_phase(
-                phase, clock + stall, traffic, events, tel, t0
-            ) + stall
+            t = self._run_phase(phase, clock, traffic, events, tel, t0)
             phase_times.append(t)
             clock += t
             if tel.enabled:
                 c_phases.inc()
                 h_phase.observe(t)
-                if stall > 0:
-                    c_stall.inc(stall)
                 for name, total in traffic.items():
                     moved = total - before.get(name, 0.0)
                     if moved > 0:
@@ -492,7 +378,6 @@ class Engine:
                     phase=phase.name,
                     index=index,
                     seconds=t,
-                    stall_seconds=stall,
                 )
 
         if tel.enabled:
@@ -508,7 +393,6 @@ class Engine:
             traffic=traffic,
             phase_times=phase_times,
             events=events,
-            faults=faults,
         )
 
     def _run_phase(

@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
-from repro.faults import FaultEvent, FaultInjector, FaultKind
 from repro.simknl.cache_analytic import StreamingCacheModel
 from repro.simknl.devices import MemoryDevice, ddr4_device, mcdram_device
 from repro.simknl.engine import Engine, Plan, RunResult
@@ -169,30 +168,6 @@ class KNLNode:
         """Hardware threads available on the node."""
         return self.config.total_threads
 
-    # ---- faults ---------------------------------------------------------
-
-    def device(self, name: str) -> MemoryDevice | None:
-        """The memory device called ``name``, or None."""
-        return {"ddr": self.ddr, "mcdram": self.mcdram}.get(name)
-
-    def apply_fault(self, event: FaultEvent) -> bool:
-        """Apply a device-level fault event to this node.
-
-        Handles bandwidth degradation and capacity loss against the
-        targeted device; returns False for kinds or targets this node
-        does not own (the event then belongs to another layer).
-        """
-        dev = self.device(event.target or "")
-        if dev is None:
-            return False
-        if event.kind is FaultKind.BANDWIDTH_DEGRADE:
-            dev.degrade_bandwidth(event.severity)
-            return True
-        if event.kind is FaultKind.CAPACITY_LOSS:
-            dev.lose_capacity(event.severity * dev.capacity)
-            return True
-        return False
-
     # ---- execution ------------------------------------------------------
 
     def resources(self) -> list[Resource]:
@@ -202,24 +177,13 @@ class KNLNode:
             out.append(self.topology.mesh_resource())
         return out
 
-    def engine(
-        self,
-        record_events: bool = False,
-        injector: FaultInjector | None = None,
-    ) -> Engine:
+    def engine(self, record_events: bool = False) -> Engine:
         """A fresh engine over this node's resources."""
-        return Engine(
-            self.resources(), record_events=record_events, injector=injector
-        )
+        return Engine(self.resources(), record_events=record_events)
 
-    def run(
-        self,
-        plan: Plan,
-        record_events: bool = False,
-        injector: FaultInjector | None = None,
-    ) -> RunResult:
+    def run(self, plan: Plan, record_events: bool = False) -> RunResult:
         """Execute ``plan`` on this node."""
-        return self.engine(record_events=record_events, injector=injector).run(plan)
+        return self.engine(record_events=record_events).run(plan)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cfg = self.config

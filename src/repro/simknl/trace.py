@@ -109,8 +109,8 @@ def to_chrome_trace(
     When a telemetry :class:`~repro.telemetry.events.EventLog` is
     supplied, its records are merged in as instant-event annotation
     tracks (one per event category) alongside the flow tracks, so a
-    single Perfetto view shows phases, flows, fault injections, and
-    allocator fallbacks on one timeline.
+    single Perfetto view shows phases, flows and allocator fallbacks
+    on one timeline.
     """
     trace_events = []
     clock = 0.0

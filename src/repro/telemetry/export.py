@@ -131,8 +131,8 @@ def events_to_perfetto(log: EventLog) -> str:
     Each event becomes an instant event (``"ph": "i"``) at its
     sim-time timestamp (microseconds), on a track named after the
     event's category (the part before the first dot) — so engine
-    phases, allocator fallbacks, and fault injections appear as
-    separate annotation tracks alongside the flow tracks that
+    phases, allocator fallbacks and sort merges appear as separate
+    annotation tracks alongside the flow tracks that
     :func:`repro.simknl.trace.to_chrome_trace` emits.
     """
     trace_events = []

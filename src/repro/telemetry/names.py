@@ -19,7 +19,7 @@ Naming conventions (see docs/OBSERVABILITY.md for the rationale):
 * histograms are named for the observed quantity, with the unit in
   :attr:`MetricSpec.unit`;
 * label keys are singular nouns (``device``, ``resource``, ``role``,
-  ``class``, ``kind``) with small, closed value sets.
+  ``class``) with small, closed value sets.
 
 Telemetry is reproduction infrastructure spanning all paper sections;
 names group by layer, from the Section 3 engine down to the memkind
@@ -57,13 +57,11 @@ ENGINE_RUNS_TOTAL = "engine.runs_total"
 ENGINE_PHASES_TOTAL = "engine.phases_total"
 ENGINE_PHASE_SECONDS = "engine.phase_seconds"
 ENGINE_FLOW_COMPLETIONS_TOTAL = "engine.flow_completions_total"
-ENGINE_STALL_SECONDS_TOTAL = "engine.stall_seconds_total"
 ENGINE_TRAFFIC_BYTES_TOTAL = "engine.traffic_bytes_total"
 
 # --- devices / hardware cache (simknl.devices, simknl.cache) ---------------
 
 DEVICE_RESERVED_BYTES = "device.reserved_bytes"
-DEVICE_CAPACITY_LOST_BYTES_TOTAL = "device.capacity_lost_bytes_total"
 CACHE_HITS_TOTAL = "cache.hits_total"
 CACHE_MISSES_TOTAL = "cache.misses_total"
 CACHE_EVICTIONS_TOTAL = "cache.evictions_total"
@@ -82,14 +80,11 @@ ALLOC_HIGH_WATER_BYTES = "alloc.high_water_bytes"
 # --- thread pools (threads.pool) -------------------------------------------
 
 POOL_THREADS = "pool.threads"
-POOL_RESPLITS_TOTAL = "pool.resplits_total"
-POOL_THREADS_LOST_TOTAL = "pool.threads_lost_total"
 
 # --- sorting algorithms (algorithms.external_sort, algorithms.mlm_sort) ----
 
 SORT_SPILL_BYTES_TOTAL = "sort.spill_bytes_total"
 SORT_SPILL_FILES_TOTAL = "sort.spill_files_total"
-SORT_IO_RETRIES_TOTAL = "sort.io_retries_total"
 SORT_MERGE_FAN_IN = "sort.merge_fan_in"
 SORT_MEGACHUNKS_TOTAL = "sort.megachunks_total"
 
@@ -106,14 +101,6 @@ STORE_EVICTIONS_TOTAL = "store.evictions_total"
 STORE_CORRUPT_TOTAL = "store.corrupt_total"
 STORE_BYTES = "store.bytes"
 
-# --- faults and resilience (repro.faults, core.resilient) ------------------
-
-FAULTS_INJECTED_TOTAL = "faults.injected_total"
-RESILIENCE_CHUNKS_TOTAL = "resilience.chunks_total"
-RESILIENCE_CHUNK_RETRIES_TOTAL = "resilience.chunk_retries_total"
-RESILIENCE_STRAGGLERS_TOTAL = "resilience.stragglers_total"
-RESILIENCE_MODE_DEGRADATIONS_TOTAL = "resilience.mode_degradations_total"
-
 _METRIC_SPECS = [
     MetricSpec(
         ENGINE_RUNS_TOTAL, "counter", "runs",
@@ -125,17 +112,11 @@ _METRIC_SPECS = [
     ),
     MetricSpec(
         ENGINE_PHASE_SECONDS, "histogram", "seconds",
-        "Distribution of per-phase simulated elapsed time "
-        "(stalls included).",
+        "Distribution of per-phase simulated elapsed time.",
     ),
     MetricSpec(
         ENGINE_FLOW_COMPLETIONS_TOTAL, "counter", "flows",
         "Flows drained to completion.",
-    ),
-    MetricSpec(
-        ENGINE_STALL_SECONDS_TOTAL, "counter", "seconds",
-        "Simulated seconds lost to injected flow stalls and phase "
-        "hooks.",
     ),
     MetricSpec(
         ENGINE_TRAFFIC_BYTES_TOTAL, "counter", "bytes",
@@ -146,11 +127,6 @@ _METRIC_SPECS = [
     MetricSpec(
         DEVICE_RESERVED_BYTES, "gauge", "bytes",
         "Capacity currently reserved on a memory device.",
-        labels=("device",),
-    ),
-    MetricSpec(
-        DEVICE_CAPACITY_LOST_BYTES_TOTAL, "counter", "bytes",
-        "Capacity surrendered to injected capacity-loss faults.",
         labels=("device",),
     ),
     MetricSpec(
@@ -212,24 +188,12 @@ _METRIC_SPECS = [
         labels=("role",),
     ),
     MetricSpec(
-        POOL_RESPLITS_TOTAL, "counter", "events",
-        "Pool re-partitions after worker-loss faults.",
-    ),
-    MetricSpec(
-        POOL_THREADS_LOST_TOTAL, "counter", "threads",
-        "Hardware threads dropped by worker-loss faults.",
-    ),
-    MetricSpec(
         SORT_SPILL_BYTES_TOTAL, "counter", "bytes",
         "Bytes spilled to run files by the external sort.",
     ),
     MetricSpec(
         SORT_SPILL_FILES_TOTAL, "counter", "files",
         "Run files written by the external sort.",
-    ),
-    MetricSpec(
-        SORT_IO_RETRIES_TOTAL, "counter", "retries",
-        "Spill-file operations retried after transient I/O faults.",
     ),
     MetricSpec(
         SORT_MERGE_FAN_IN, "histogram", "runs",
@@ -273,30 +237,6 @@ _METRIC_SPECS = [
         "Approximate total size of the result store's entries on "
         "disk.",
     ),
-    MetricSpec(
-        FAULTS_INJECTED_TOTAL, "counter", "events",
-        "Faults injected, by kind.",
-        labels=("kind",),
-    ),
-    MetricSpec(
-        RESILIENCE_CHUNKS_TOTAL, "counter", "chunks",
-        "Chunks completed by the resilient pipeline, by the device "
-        "their buffer landed on.",
-        labels=("device",),
-    ),
-    MetricSpec(
-        RESILIENCE_CHUNK_RETRIES_TOTAL, "counter", "retries",
-        "Chunk re-executions after transient faults.",
-    ),
-    MetricSpec(
-        RESILIENCE_STRAGGLERS_TOTAL, "counter", "chunks",
-        "Chunks speculatively re-run for exceeding the straggler "
-        "threshold.",
-    ),
-    MetricSpec(
-        RESILIENCE_MODE_DEGRADATIONS_TOTAL, "counter", "events",
-        "Permanent FLAT/HYBRID-to-DDR plan downgrades.",
-    ),
 ]
 
 #: Metric catalog: name -> spec.
@@ -309,15 +249,9 @@ EVENT_RUN_END = "run.end"
 EVENT_PHASE_START = "phase.start"
 EVENT_PHASE_END = "phase.end"
 EVENT_FLOW_COMPLETE = "flow.complete"
-EVENT_FAULT_INJECTED = "fault.injected"
 EVENT_ALLOC_FALLBACK = "alloc.fallback"
-EVENT_HEAP_SHRINK = "heap.shrink"
-EVENT_POOL_RESPLIT = "pool.resplit"
 EVENT_SORT_SPILL = "sort.spill"
 EVENT_SORT_MERGE = "sort.merge"
-EVENT_CHUNK_RETRY = "chunk.retry"
-EVENT_CHUNK_STRAGGLER = "chunk.straggler"
-EVENT_MODE_DEGRADE = "mode.degrade"
 
 _EVENT_SPECS = [
     EventSpec(
@@ -332,15 +266,11 @@ _EVENT_SPECS = [
     ),
     EventSpec(
         EVENT_PHASE_END, "A phase completed.",
-        ("plan", "phase", "index", "seconds", "stall_seconds"),
+        ("plan", "phase", "index", "seconds"),
     ),
     EventSpec(
         EVENT_FLOW_COMPLETE, "A flow drained all its bytes.",
         ("phase", "flow", "bytes"),
-    ),
-    EventSpec(
-        EVENT_FAULT_INJECTED, "The injector produced a fault.",
-        ("kind", "target", "severity", "phase"),
     ),
     EventSpec(
         EVENT_ALLOC_FALLBACK,
@@ -348,36 +278,11 @@ _EVENT_SPECS = [
         ("target", "fallback", "bytes"),
     ),
     EventSpec(
-        EVENT_HEAP_SHRINK,
-        "A heap region surrendered free space to a capacity fault.",
-        ("device", "bytes"),
-    ),
-    EventSpec(
-        EVENT_POOL_RESPLIT,
-        "Thread pools re-partitioned after worker loss.",
-        ("compute", "copy_in", "copy_out", "lost"),
-    ),
-    EventSpec(
         EVENT_SORT_SPILL, "The external sort wrote a run file.",
         ("file", "bytes"),
     ),
     EventSpec(
         EVENT_SORT_MERGE, "A multiway merge started.", ("fan_in",),
-    ),
-    EventSpec(
-        EVENT_CHUNK_RETRY,
-        "The resilient pipeline retried a faulted chunk.",
-        ("chunk", "attempt"),
-    ),
-    EventSpec(
-        EVENT_CHUNK_STRAGGLER,
-        "A straggler chunk was speculatively re-run.",
-        ("chunk", "seconds", "median_seconds"),
-    ),
-    EventSpec(
-        EVENT_MODE_DEGRADE,
-        "The pipeline permanently downgraded its usage mode.",
-        ("from_mode", "to_mode", "chunk", "reason"),
     ),
 ]
 

@@ -3,9 +3,8 @@
 KNL has no user-programmable DMA engine, so flat-mode chunking must
 dedicate OpenMP threads to data movement. This package models the
 three-pool arrangement the paper describes (compute / copy-in /
-copy-out), thread-to-core affinity in the style of
-``KMP_AFFINITY=compact|scatter``, and an OpenMP-like loop-scheduling
-model used to quantify load imbalance in compute phases.
+copy-out) and thread-to-core affinity in the style of
+``KMP_AFFINITY=compact|scatter``.
 
 Models the copy/compute pool split of Section 3, whose sizes Eqs. 1-5
 pick.
@@ -13,14 +12,10 @@ pick.
 
 from repro.threads.affinity import AffinityPolicy, assign_threads
 from repro.threads.pool import PoolSet, ThreadPool
-from repro.threads.omp import LoopSchedule, ScheduleKind, simulate_loop
 
 __all__ = [
     "AffinityPolicy",
     "assign_threads",
     "PoolSet",
     "ThreadPool",
-    "LoopSchedule",
-    "ScheduleKind",
-    "simulate_loop",
 ]

@@ -8,11 +8,10 @@ owns that partition, validates it against the node, and builds
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from repro.errors import ConfigError, DegradedModeWarning
+from repro.errors import ConfigError
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
 from repro.telemetry import names as _tn
@@ -138,94 +137,3 @@ class PoolSet:
         """All threads to compute — the implicit-cache-mode arrangement."""
         n = node.total_threads if threads is None else threads
         return cls.split(node, compute=n, copy_in=0, copy_out=0)
-
-    # ---- fault / degradation hooks --------------------------------------
-
-    def without_threads(self, lost: Iterable[int]) -> "PoolSet":
-        """Drop ``lost`` hardware threads from whichever pools own them.
-
-        Pools keep their remaining threads unchanged (no re-split);
-        use :meth:`resplit_after_loss` to also rebalance the roles.
-
-        Raises
-        ------
-        ConfigError
-            When the loss would leave no threads at all.
-        """
-        lost_set = set(lost)
-
-        def strip(pool: ThreadPool) -> ThreadPool:
-            return ThreadPool(
-                pool.name,
-                tuple(t for t in pool.threads if t not in lost_set),
-            )
-
-        out = PoolSet(
-            compute=strip(self.compute),
-            copy_in=strip(self.copy_in),
-            copy_out=strip(self.copy_out),
-        )
-        if out.total == 0:
-            raise ConfigError("worker loss left no threads in any pool")
-        return out
-
-    def resplit_after_loss(self, lost: Iterable[int]) -> "PoolSet":
-        """Re-split the surviving threads after a worker-loss fault.
-
-        The survivors are repartitioned between compute and the two
-        copy pools preserving the original role proportions (copy
-        pools shrink with the node instead of starving compute, and
-        vice versa). Compute keeps at least one thread whenever any
-        survive. Emits :class:`~repro.errors.DegradedModeWarning`.
-        """
-        owned = (
-            self.compute.threads + self.copy_in.threads + self.copy_out.threads
-        )
-        lost_set = set(lost).intersection(owned)
-        if not lost_set:
-            return self
-        survivors = [t for t in owned if t not in lost_set]
-        if not survivors:
-            raise ConfigError("worker loss left no threads in any pool")
-        n = len(survivors)
-        copy_in_n = round(self.copy_in.size * n / self.total)
-        copy_out_n = round(self.copy_out.size * n / self.total)
-        # Compute keeps >= 1 thread (it had at least one to begin with
-        # whenever it matters; an all-copy poolset stays all-copy).
-        min_compute = 1 if self.compute.size > 0 else 0
-        while copy_in_n + copy_out_n > n - min_compute:
-            if copy_in_n >= copy_out_n and copy_in_n > 0:
-                copy_in_n -= 1
-            elif copy_out_n > 0:
-                copy_out_n -= 1
-            else:
-                break
-        compute_n = n - copy_in_n - copy_out_n
-        tel = _tm.current()
-        if tel.enabled:
-            m = tel.metrics
-            m.counter(_tn.POOL_RESPLITS_TOTAL).inc()
-            m.counter(_tn.POOL_THREADS_LOST_TOTAL).inc(len(lost_set))
-            tel.events.emit(
-                _tn.EVENT_POOL_RESPLIT,
-                compute=compute_n,
-                copy_in=copy_in_n,
-                copy_out=copy_out_n,
-                lost=len(lost_set),
-            )
-        warnings.warn(
-            f"lost {len(lost_set)} worker thread(s); re-split survivors "
-            f"into compute={compute_n}, copy-in={copy_in_n}, "
-            f"copy-out={copy_out_n}",
-            DegradedModeWarning,
-            stacklevel=2,
-        )
-        return PoolSet(
-            compute=ThreadPool("compute", tuple(survivors[:compute_n])),
-            copy_in=ThreadPool(
-                "copy-in", tuple(survivors[compute_n : compute_n + copy_in_n])
-            ),
-            copy_out=ThreadPool(
-                "copy-out", tuple(survivors[compute_n + copy_in_n :])
-            ),
-        )

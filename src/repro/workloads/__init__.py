@@ -19,18 +19,10 @@ from repro.workloads.generators import (
     generate,
     paper_table1_specs,
 )
-from repro.workloads.presortedness import (
-    classify_order,
-    count_inversions,
-    estimate_order_factor,
-)
 
 __all__ = [
     "ORDERS",
     "WorkloadSpec",
     "generate",
     "paper_table1_specs",
-    "classify_order",
-    "count_inversions",
-    "estimate_order_factor",
 ]

@@ -245,6 +245,8 @@ class TestFaults:
 
         with pytest.raises(ConfigError):
             run_faults(intensities=())
+        with pytest.raises(ConfigError):
+            run_faults(intensities=(0.5, 1.5))
 
     def test_ddr_downgrade_threshold(self):
         """Degraded MCDRAM equals DDR bandwidth at i = 0.775 (90 of 400

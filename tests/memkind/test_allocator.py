@@ -339,45 +339,3 @@ class TestRegionFaultHardening:
 
         with pytest.raises(AllocationError, match="double free|foreign"):
             r.free(Block("ddr", 128, 64))
-
-    def test_shrink_surrenders_free_space_only(self):
-        r = Region("mcdram", 0, 1024)
-        live = r.alloc(512)
-        removed = r.shrink(1024)
-        assert removed == 512  # only the free half could be given up
-        assert r.surrendered == 512
-        assert r.free_bytes == 0
-        # The live block is untouched and still freeable.
-        r.free(live)
-        assert r.allocated == 0
-
-
-class TestHeapFaultFallback:
-    def test_injected_fault_falls_back_to_ddr(self):
-        from repro.errors import DegradedModeWarning
-        from repro.faults import FaultKind, FaultPlan, FaultSpec
-
-        inj = FaultPlan(
-            0, [FaultSpec(FaultKind.ALLOC_FAIL, "mcdram", probability=1.0)]
-        ).injector()
-        h = Heap(flat_node(), injector=inj)
-        with pytest.warns(DegradedModeWarning):
-            a = h.allocate(1 * MiB, MEMKIND_HBW)
-        assert a.devices == {"ddr"}
-        assert inj.counters.alloc_fallbacks == 1
-
-    def test_no_fault_no_fallback(self):
-        from repro.faults import FaultKind, FaultPlan, FaultSpec
-
-        inj = FaultPlan(
-            0, [FaultSpec(FaultKind.ALLOC_FAIL, "mcdram", probability=0.0,
-                          at_phase=5)]
-        ).injector()
-        h = Heap(flat_node(), injector=inj)
-        a = h.allocate(1 * MiB, MEMKIND_HBW)
-        assert a.devices == {"mcdram"}
-        assert inj.counters.alloc_fallbacks == 0
-
-    def test_shrink_device_unknown_is_noop(self):
-        h = Heap(flat_node())
-        assert h.shrink_device("nvm", 1024) == 0

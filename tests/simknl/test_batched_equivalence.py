@@ -8,8 +8,8 @@ keeps every phase on the per-phase reference loop, and these tests hold
 the two bit-identical — ``elapsed``, ``phase_times``, and ``traffic``
 — across strategies, odd-sized final chunks and random plans with
 repeated blocks (``test_fast_path_oracle.py`` adds random cells and the
-real plan builders), and assert the documented fallbacks (faults, telemetry, recorded events, phase hooks, starved
-allocations) really do run the reference loop.
+real plan builders), and assert the documented fallbacks (telemetry,
+recorded events, starved allocations) really do run the reference loop.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core.kernel import StreamKernel
 from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
 from repro.errors import SimulationError
-from repro.faults import FaultPlan
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
@@ -190,22 +189,6 @@ def steady_plan(n: int = 8) -> Plan:
     return Plan("steady").add_block(step, 0, n)
 
 
-def test_faulted_runs_fall_back_to_reference(no_tensor):
-    plan = steady_plan()
-    injector = FaultPlan.degraded_mcdram(seed=7, intensity=0.5).injector()
-    faulted = Engine(RESOURCES, record_events=False, injector=injector)
-    res = faulted.run(plan)
-    # ... and matches a reference engine driven by an identical plan.
-    ref_injector = FaultPlan.degraded_mcdram(seed=7, intensity=0.5).injector()
-    ref = Engine(
-        RESOURCES,
-        record_events=False,
-        injector=ref_injector,
-        batch_phases=False,
-    )
-    assert_identical(res, ref.run(plan))
-
-
 def test_telemetry_enabled_runs_fall_back(tensor_rows):
     plan = steady_plan()
     eng = Engine(RESOURCES, record_events=False)
@@ -222,13 +205,6 @@ def test_recorded_events_fall_back(no_tensor):
     eng = Engine(RESOURCES, record_events=True)
     res = eng.run(plan)
     assert res.events  # flow completions were recorded
-
-
-def test_phase_hooks_fall_back(no_tensor):
-    plan = steady_plan()
-    eng = Engine(RESOURCES, record_events=False)
-    eng.add_phase_hook(lambda engine, index, phase: 0.0)
-    eng.run(plan)
 
 
 def test_starved_group_raises_like_reference():

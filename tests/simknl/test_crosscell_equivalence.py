@@ -7,8 +7,9 @@ These tests hold it bit-identical — ``elapsed``, ``phase_times``,
 engine, across the three-level pipeline strategies (static ``single``
 and dynamic ``double``), odd cell counts and random mixed
 static/dynamic structures (``test_fast_path_oracle.py`` adds repeated
-blocks and the real plan builders), and assert the documented fallbacks (faults, telemetry,
-starved allocations, zero-byte cells) really do bypass the tensor path.
+blocks and the real plan builders), and assert the documented fallbacks
+(telemetry, starved allocations, zero-byte cells) really do bypass the
+tensor path.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 from repro.core.kernel import StreamKernel
 from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
 from repro.errors import PlanError, SimulationError
-from repro.faults import FaultPlan
 from repro.simknl import batch
 from repro.simknl.batch import (
     PlanBatch,
@@ -242,22 +242,6 @@ def simple_plans(cells: int = 3, nbytes=None) -> list[Plan]:
             )
         plans.append(plan)
     return plans
-
-
-def test_fault_injector_falls_back_to_sequential(no_tensor):
-    plans = simple_plans()
-    injector = FaultPlan.degraded_mcdram(seed=3, intensity=0.4).injector()
-    engine = fresh_engine(injector=injector)
-    results = run_batch(engine, plans)
-    ref_injector = FaultPlan.degraded_mcdram(seed=3, intensity=0.4).injector()
-    ref = Engine(
-        RESOURCES,
-        record_events=False,
-        injector=ref_injector,
-        batch_phases=False,
-    )
-    for got, want in zip(results, [ref.run(p) for p in plans]):
-        assert_identical(got, want)
 
 
 def test_telemetry_session_falls_back(tensor_rows):

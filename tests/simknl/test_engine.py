@@ -239,116 +239,3 @@ class TestStaticRates:
         r = eng.run(Plan("p", [p]))
         assert len(r.events) == 1
 
-
-class TestFaultedEngine:
-    def _plan(self, phases=4):
-        plan = Plan("faulted")
-        for i in range(phases):
-            plan.add(Phase(f"p{i}", [_comp_flow()]))
-        return plan
-
-    def test_degrade_and_restore_resource(self):
-        e = Engine(_resources())
-        assert e.degrade_resource("mcdram", 0.5)
-        assert e.resources["mcdram"].capacity == pytest.approx(200 * GB)
-        e.restore_resource("mcdram")
-        assert e.resources["mcdram"].capacity == pytest.approx(400 * GB)
-
-    def test_degrade_unknown_resource_is_noop(self):
-        e = Engine(_resources())
-        assert not e.degrade_resource("disk", 0.5)
-
-    def test_full_degradation_keeps_capacity_positive(self):
-        e = Engine(_resources())
-        e.degrade_resource("mcdram", 1.0)
-        assert e.resources["mcdram"].capacity > 0
-
-    def test_bandwidth_fault_slows_following_phases(self):
-        from repro.faults import FaultKind, FaultPlan, FaultSpec
-
-        clean = Engine(_resources()).run(self._plan()).elapsed
-        inj = FaultPlan(
-            0,
-            [
-                FaultSpec(
-                    FaultKind.BANDWIDTH_DEGRADE,
-                    "mcdram",
-                    0.5,
-                    at_phase=2,
-                )
-            ],
-        ).injector()
-        res = Engine(_resources(), injector=inj).run(self._plan())
-        assert res.elapsed > clean
-        assert any("bandwidth-degrade" in f for f in res.faults)
-        # Phases before the fault are unaffected.
-        assert res.phase_times[0] == pytest.approx(res.phase_times[1])
-        assert res.phase_times[2] > res.phase_times[0]
-
-    def test_degradation_restored_after_duration(self):
-        from repro.faults import FaultKind, FaultPlan, FaultSpec
-
-        inj = FaultPlan(
-            0,
-            [
-                FaultSpec(
-                    FaultKind.BANDWIDTH_DEGRADE,
-                    "mcdram",
-                    0.5,
-                    at_phase=1,
-                    duration_phases=1,
-                )
-            ],
-        ).injector()
-        res = Engine(_resources(), injector=inj).run(self._plan())
-        assert inj.counters.degradations == 1
-        assert inj.counters.restores == 1
-        assert res.phase_times[2] == pytest.approx(res.phase_times[0])
-        assert res.phase_times[1] > res.phase_times[0]
-
-    def test_flow_stall_adds_seconds(self):
-        from repro.faults import FaultKind, FaultPlan, FaultSpec
-
-        clean = Engine(_resources()).run(self._plan()).elapsed
-        inj = FaultPlan(
-            0,
-            [FaultSpec(FaultKind.FLOW_STALL, severity=1.5, at_phase=0)],
-        ).injector()
-        res = Engine(_resources(), injector=inj).run(self._plan())
-        assert res.elapsed == pytest.approx(clean + 1.5)
-        assert inj.counters.stall_seconds == 1.5
-
-    def test_phase_offset_shifts_schedule(self):
-        from repro.faults import FaultKind, FaultPlan, FaultSpec
-
-        plan_src = FaultPlan(
-            0,
-            [
-                FaultSpec(
-                    FaultKind.BANDWIDTH_DEGRADE, "mcdram", 0.5, at_phase=5
-                )
-            ],
-        )
-        e = Engine(_resources(), injector=plan_src.injector())
-        e.phase_offset = 4
-        res = e.run(self._plan())
-        # Global phase 5 is local phase 1 under the offset.
-        assert res.phase_times[1] > res.phase_times[0]
-
-    def test_replay_is_deterministic(self):
-        from repro.faults import FaultPlan
-
-        def run():
-            inj = FaultPlan.degraded_mcdram(seed=9, intensity=0.6).injector()
-            return Engine(_resources(), injector=inj).run(self._plan(8))
-
-        r1, r2 = run(), run()
-        assert r1.elapsed == r2.elapsed
-        assert r1.phase_times == r2.phase_times
-        assert r1.faults == r2.faults
-
-    def test_phase_hook_can_stall(self):
-        e = Engine(_resources())
-        e.add_phase_hook(lambda eng, i, ph: 0.25 if i == 0 else None)
-        res = e.run(self._plan(2))
-        assert res.phase_times[0] == pytest.approx(res.phase_times[1] + 0.25)

@@ -135,63 +135,3 @@ class TestExecution:
     def test_repr_mentions_mode(self):
         assert "cache" in repr(KNLNode())
 
-
-class TestDeviceFaults:
-    def test_degrade_and_restore_bandwidth(self):
-        node = KNLNode()
-        node.mcdram.degrade_bandwidth(0.5)
-        assert node.mcdram.bandwidth == pytest.approx(200 * GB)
-        # Degradations are absolute against nominal, not cumulative.
-        node.mcdram.degrade_bandwidth(0.25)
-        assert node.mcdram.bandwidth == pytest.approx(300 * GB)
-        node.mcdram.restore_bandwidth()
-        assert node.mcdram.bandwidth == pytest.approx(400 * GB)
-
-    def test_full_degradation_stays_positive(self):
-        node = KNLNode()
-        node.mcdram.degrade_bandwidth(1.0)
-        assert node.mcdram.bandwidth > 0
-
-    def test_channel_failures_accumulate(self):
-        node = KNLNode()
-        channels = node.mcdram.channels
-        node.mcdram.fail_channel()
-        node.mcdram.fail_channel()
-        assert node.mcdram.failed_channels == 2
-        expected = 400 * GB * (1 - 2 / channels)
-        assert node.mcdram.bandwidth == pytest.approx(expected)
-
-    def test_capacity_loss_clamps_to_allocated(self):
-        node = KNLNode()
-        node.mcdram.reserve(10 * GiB)
-        lost = node.mcdram.lose_capacity(16 * GiB)
-        assert lost == pytest.approx(6 * GiB)
-        assert node.mcdram.capacity == pytest.approx(10 * GiB)
-        node.mcdram.restore_capacity()
-        assert node.mcdram.capacity == pytest.approx(16 * GiB)
-
-    def test_node_applies_fault_events(self):
-        from repro.faults import FaultEvent, FaultKind
-
-        node = KNLNode()
-        assert node.apply_fault(
-            FaultEvent(FaultKind.BANDWIDTH_DEGRADE, "mcdram", 0.5, 0)
-        )
-        assert node.mcdram.bandwidth == pytest.approx(200 * GB)
-        assert node.apply_fault(
-            FaultEvent(FaultKind.CAPACITY_LOSS, "ddr", 0.25, 0)
-        )
-        assert node.ddr.capacity == pytest.approx(72 * GiB)
-        # Unknown targets/kinds are not this node's to handle.
-        assert not node.apply_fault(
-            FaultEvent(FaultKind.BANDWIDTH_DEGRADE, "disk", 0.5, 0)
-        )
-        assert not node.apply_fault(
-            FaultEvent(FaultKind.CHUNK_FAIL, "mcdram", 0.5, 0)
-        )
-
-    def test_device_lookup(self):
-        node = KNLNode()
-        assert node.device("ddr") is node.ddr
-        assert node.device("mcdram") is node.mcdram
-        assert node.device("nvm") is None

@@ -129,16 +129,3 @@ def test_memo_cache_reused_across_runs():
     assert len(eng._rate_cache) == hits_before  # no new solves
     assert first.elapsed == second.elapsed
 
-
-def test_degradation_invalidates_memo():
-    resources = [Resource("ddr", 90 * GB)]
-    eng = Engine(resources, memoize_rates=True)
-    plan = Plan("degrade").add(
-        Phase("p", [Flow("f", 256, 4.8 * GB, {"ddr": 1.0}, 90 * GB)])
-    )
-    base = eng.run(plan).elapsed
-    assert eng.degrade_resource("ddr", 0.5)
-    degraded = eng.run(plan).elapsed
-    assert degraded > base * 1.5
-    eng.restore_resource("ddr")
-    assert eng.run(plan).elapsed == base

@@ -21,7 +21,6 @@ SCRIPTS = [
     ("usage_mode_explorer.py", ["20", "4"]),
     ("three_level_memory.py", ["25"]),
     ("trace_pipeline.py", []),
-    ("fault_injection.py", ["0.5"]),
     ("telemetry_tour.py", []),
     ("store_replay.py", []),
 ]

@@ -142,12 +142,11 @@ class TestCliAllDrivers:
     def test_every_experiment_runs_via_cli(self, capsys):
         from repro.cli import main
         from repro.experiments import ALL_EXPERIMENTS
-        from repro.errors import DegradedModeWarning
 
-        # A clean run of every artifact degrades nothing: any
-        # DegradedModeWarning is noise on `repro-knl all` and fails.
+        # A clean run of every artifact warns about nothing: any
+        # warning is noise on `repro-knl all` and fails.
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DegradedModeWarning)
+            warnings.simplefilter("error")
             for name in ALL_EXPERIMENTS:
                 assert main([name]) == 0
         out = capsys.readouterr().out

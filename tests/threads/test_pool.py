@@ -79,64 +79,3 @@ class TestPoolSetSplit:
                 copy_out=ThreadPool("copy-out", ()),
             )
 
-
-class TestWorkerLossResplit:
-    def _pools(self, node):
-        return PoolSet.split(node, compute=236, copy_in=10)
-
-    def test_without_threads_strips_only(self, node):
-        pools = self._pools(node)
-        victims = pools.copy_in.threads[:4]
-        out = pools.without_threads(victims)
-        assert out.copy_in.size == 6
-        assert out.compute.size == 236  # untouched, no re-split
-        assert set(victims).isdisjoint(
-            out.compute.threads + out.copy_in.threads + out.copy_out.threads
-        )
-
-    def test_without_threads_all_lost_rejected(self, node):
-        pools = PoolSet.split(node, compute=2, copy_in=0)
-        with pytest.raises(ConfigError):
-            pools.without_threads(pools.compute.threads)
-
-    def test_resplit_preserves_role_proportions(self, node):
-        from repro.errors import DegradedModeWarning
-
-        pools = self._pools(node)
-        victims = pools.compute.threads[:64]
-        with pytest.warns(DegradedModeWarning):
-            out = pools.resplit_after_loss(victims)
-        assert out.total == pools.total - 64
-        # 10/256 copy share, re-applied to 192 survivors: ~7-8 each.
-        assert out.copy_in.size == round(10 * out.total / pools.total)
-        assert out.copy_out.size == round(10 * out.total / pools.total)
-        assert out.compute.size >= 1
-        # Survivors only, still disjoint (PoolSet validates in init).
-        assert set(victims).isdisjoint(
-            out.compute.threads + out.copy_in.threads + out.copy_out.threads
-        )
-
-    def test_resplit_keeps_compute_alive(self, node):
-        from repro.errors import DegradedModeWarning
-
-        pools = PoolSet.split(node, compute=1, copy_in=4)
-        # Lose most threads: compute must keep its guaranteed thread.
-        victims = (pools.copy_in.threads + pools.copy_out.threads)[:6]
-        with pytest.warns(DegradedModeWarning):
-            out = pools.resplit_after_loss(victims)
-        assert out.compute.size >= 1
-        assert out.total == 3
-
-    def test_resplit_noop_when_no_owned_threads_lost(self, node):
-        pools = self._pools(node)
-        assert pools.resplit_after_loss([100000]) is pools
-
-    def test_resplit_all_lost_rejected(self, node):
-        pools = PoolSet.split(node, compute=4, copy_in=2)
-        all_threads = (
-            pools.compute.threads
-            + pools.copy_in.threads
-            + pools.copy_out.threads
-        )
-        with pytest.raises(ConfigError):
-            pools.resplit_after_loss(all_threads)
