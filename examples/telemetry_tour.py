@@ -2,9 +2,9 @@
 """Tour of the telemetry layer: metrics, events, exporters.
 
 Runs one Table 1 sort variant inside a telemetry session and shows
-what the stack recorded along the way — engine phase counters, the
-allocator high-water gauge, per-device traffic — plus the structured
-event log and the Prometheus/Perfetto export paths. The full metric
+what the stack recorded along the way — engine phase counters and
+per-resource traffic — plus the structured event log and the
+Prometheus/Perfetto export paths. The full metric
 and event catalog lives in ``docs/OBSERVABILITY.md``.
 
 Run: ``python examples/telemetry_tour.py [metrics.prom] [events.perfetto.json]``
@@ -33,7 +33,6 @@ def main(
     for name in (
         "engine.phases_total",
         "engine.traffic_bytes_total",
-        "alloc.high_water_bytes",
         "sort.megachunks_total",
     ):
         for point in snap["metrics"][name]["series"]:

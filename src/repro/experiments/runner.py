@@ -24,20 +24,17 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import AllocationError, ConfigError, StoreMissError
+from repro.errors import ConfigError, StoreMissError
 from repro.algorithms.costs import SortCostModel
 from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.modes import UsageMode
-from repro.memkind.allocator import Heap
-from repro.memkind.kinds import MEMKIND_DEFAULT, MEMKIND_HBW_PREFERRED
 from repro.experiments.store import ResultStore, default_store, get_store
 from repro.simknl.batch import PlanBatch, PlanBatchSpec
 from repro.simknl.engine import RunResult
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
-from repro.units import INT64
 
 #: Paper algorithm labels in Table 1 order.
 VARIANTS = ("GNU-flat", "GNU-cache", "MLM-ddr", "MLM-sort", "MLM-implicit")
@@ -310,13 +307,8 @@ def sweep_map(
     raises :class:`~repro.errors.StoreMissError` — the cell function
     is never invoked.
 
-    While a telemetry session is active (and no replay is) the sweep
-    calls ``fn`` on every cell and bypasses both *read* tiers and the
-    tensor path: a cache hit or a batched evaluation would skip the
-    cell's instrumentation side effects, so the collected metrics
-    would silently diverge from a plain per-cell run. Computed results
-    are still written through to both tiers (writes have no
-    instrumentation to skip).
+    A telemetry session changes none of this: its engine metrics count
+    the runs actually made, so a memo or store hit adds none.
     """
     name = cost_key(fn)
     replay = _REPLAY.get()
@@ -325,15 +317,6 @@ def sweep_map(
     tier2 = get_store(store) if store is not None else default_store()
     if memo is None:
         memo = _SWEEP_MEMO
-    if _tm.current().enabled:
-        results = [fn(*cell) for cell in cells]
-        # Write-through only: instrumentation already ran, so caching
-        # the results for later (non-session) sweeps loses nothing.
-        for key, value in zip(_cell_keys(name, cells), results):
-            _memo_insert(memo, key, value)
-            if tier2 is not None:
-                tier2.put(key, value, fn=name)
-        return results
     keys = _cell_keys(name, cells)
     results: list[Any] = [memo.get(k) for k in keys]
     # Deduplicate by key: two identical cells in one call must compute
@@ -379,8 +362,7 @@ def sweep_map(
             # NumPy ops, bit-identical to per-cell ``fn`` calls
             # (:mod:`repro.simknl.batch`). Cells whose ``build``
             # declines fall through to the serial loop below. Replay
-            # and telemetry sweeps never reach this branch — they are
-            # handled above.
+            # sweeps never reach this branch — they are handled above.
             from repro.simknl.batch import evaluate_plan_batch
 
             batched, leftover = evaluate_plan_batch(
@@ -418,43 +400,6 @@ def paper_megachunk(n: int) -> int:
     """The megachunk sizes the paper reports using for MLM-sort:
     1.5 B elements for the 6 B runs, 1 B otherwise."""
     return 1_500_000_000 if n >= 6_000_000_000 else 1_000_000_000
-
-
-def _account_buffers(
-    node: KNLNode, variant: str, n: int, megachunk: int
-) -> None:
-    """Account a variant's principal buffers in the active telemetry.
-
-    The timed plans are closed-form flow models — they never touch the
-    memkind heap — so a metrics-enabled run walks the same placement
-    the real algorithm would make: the input array on DDR and, for the
-    explicit-chunking MLM-sort, one megachunk buffer preferring
-    MCDRAM. That populates the allocator request/byte counters and the
-    per-device high-water gauge honestly (the buffers are freed again;
-    high-water marks survive). No-op when telemetry is disabled and
-    when a buffer exceeds the simulated region (paper-scale inputs can
-    exceed DDR — that is the point of the out-of-core drivers).
-    """
-    tel = _tm.current()
-    if not tel.enabled:
-        return
-    heap = Heap(node)
-    allocations = []
-    try:
-        allocations.append(
-            heap.allocate(int(n) * INT64, MEMKIND_DEFAULT)
-        )
-    except AllocationError:
-        pass
-    if variant == "MLM-sort" and heap.has_hbw():
-        try:
-            allocations.append(
-                heap.allocate(int(megachunk) * INT64, MEMKIND_HBW_PREFERRED)
-            )
-        except AllocationError:
-            pass
-    for allocation in allocations:
-        heap.free(allocation)
 
 
 def _sort_variant_plan(
@@ -498,7 +443,6 @@ def sort_variant_run(
 ) -> RunResult:
     """Execute one Table-1 algorithm variant at paper scale."""
     node, plan = _sort_variant_plan(variant, n, order, cost, megachunk, threads)
-    _account_buffers(node, variant, n, megachunk or paper_megachunk(n))
     return node.run(plan)
 
 
@@ -520,12 +464,7 @@ def _sort_variant_batch(
     cost: SortCostModel | None = None,
     megachunk: int | None = None,
 ) -> PlanBatch:
-    """Lower one :func:`sort_variant_seconds` cell to its single plan.
-
-    ``_account_buffers`` is a telemetry-only side effect and the batch
-    path never runs under an active session, so skipping it here is
-    observationally identical to the serial cell.
-    """
+    """Lower one :func:`sort_variant_seconds` cell to its single plan."""
     node, plan = _sort_variant_plan(variant, n, order, cost, megachunk)
     return PlanBatch(
         resources=tuple(node.resources()),

@@ -27,9 +27,11 @@ Bit-identity with the per-phase reference loop of :meth:`Engine.run`
   rectangular arrays cover cells with fewer repetitions and phases
   whose flows finish early.
 
-Anything the tensor cannot express — an active telemetry session,
-event recording, starved allocations, rounds where some phase
-completes no flow — falls back to the reference loop, per plan.
+Anything the tensor cannot express — event recording, starved
+allocations, rounds where some phase completes no flow — falls back to
+the reference loop, per plan. Telemetry never does: every run, on
+either path, is recorded afterwards from its :class:`RunResult` by
+:func:`~repro.simknl.engine.observe`.
 
 :func:`evaluate_plan_batch` is the sweep-level entry point used by
 ``experiments.runner.sweep_map``: drivers declare structural
@@ -46,8 +48,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import PlanError
-from repro.simknl.engine import _EPS, Engine, Plan, RunResult
+from repro.simknl.engine import _EPS, Engine, Plan, RunResult, observe
 from repro.simknl.flows import Flow, Resource
+from repro.telemetry.runtime import Telemetry, telemetry_session
 
 __all__ = [
     "PlanBatch",
@@ -276,15 +279,15 @@ def run_lowered(
     callers with the original plans fall back to per-cell ``run``.
 
     Raises :class:`~repro.errors.PlanError` if the engine itself is
-    ineligible (active telemetry, event recording,
-    ``batch_phases=False``) — with only the tensor there is nothing to
-    fall back to, so the caller must check first (:func:`run_batch`
-    does).
+    ineligible (event recording, ``batch_phases=False``) — with only
+    the tensor there is nothing to fall back to, so the caller must
+    check first (:func:`run_batch` does). The results are not
+    observed; that is the caller's job.
     """
     if not engine._tensor_eligible():
         raise PlanError(
-            "run_lowered requires a batch-eligible engine (no "
-            "telemetry or event recording)"
+            "run_lowered requires a batch-eligible engine (no event "
+            "recording, batch_phases=True)"
         )
     if tensor.ndim != 2 or tensor.shape[1] != lowered.width:
         raise PlanError(
@@ -374,14 +377,16 @@ def run_lowered(
 def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
     """Run N structurally identical plans as one tensor evaluation.
 
-    Bit-identical to ``[engine.run(p) for p in plans]``. Falls back to
-    exactly that sequential loop when the engine is ineligible (active
-    telemetry session, event recording, ``batch_phases=False``), when
-    there is only one plan, or when the tensor evaluation declines
-    (starved allocation, no-completion round) — in which case the
-    reference path also raises the precise per-phase
-    :class:`~repro.errors.SimulationError` the serial caller would have
-    seen.
+    Bit-identical to ``[engine.run(p) for p in plans]``, telemetry
+    included: tensor results are recorded by
+    :func:`~repro.simknl.engine.observe` in plan order, just as the
+    sequential runs record themselves. Falls back to exactly that
+    sequential loop when the engine is ineligible (event recording,
+    ``batch_phases=False``), when there is only one plan, or when the
+    tensor evaluation declines (starved allocation, no-completion
+    round) — in which case the reference path also raises the precise
+    per-phase :class:`~repro.errors.SimulationError` the serial caller
+    would have seen.
 
     Raises :class:`~repro.errors.PlanError` if the plans do not share
     one block structure (use :meth:`Plan.structure` to pre-group).
@@ -403,6 +408,8 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
     results = run_lowered(engine, *lower_plans(plans))
     if results is None:
         return [engine.run(p) for p in plans]
+    for plan, result in zip(plans, results):
+        observe(plan, result)
     return results
 
 
@@ -459,6 +466,11 @@ def evaluate_plan_batch(
     (entries for leftover cells are ``None``) and ``leftover_indices``
     names the cells whose ``build`` declined — the caller dispatches
     those through the serial path.
+
+    The grouped evaluation runs with telemetry off; every cell's runs
+    are then observed in cell order, as serial cell calls would record
+    them. Observing in group order would reorder the events and change
+    the float sums of the traffic counters.
     """
     results: list[Any] = [None] * len(cells)
     leftovers: list[int] = []
@@ -482,11 +494,14 @@ def evaluate_plan_batch(
             key = (engine_key, plan.structure())
             groups.setdefault(key, []).append((bi, slot, plan))
 
-    for (engine_key, _), entries in groups.items():
-        outs = run_batch(engines[engine_key], [p for _, _, p in entries])
-        for (bi, slot, _), out in zip(entries, outs):
-            cell_runs[bi][slot] = out
+    with telemetry_session(Telemetry(enabled=False)):
+        for (engine_key, _), entries in groups.items():
+            outs = run_batch(engines[engine_key], [p for _, _, p in entries])
+            for (bi, slot, _), out in zip(entries, outs):
+                cell_runs[bi][slot] = out
 
     for bi, (i, item) in enumerate(built):
+        for plan, run in zip(item.plans, cell_runs[bi]):
+            observe(plan, run)
         results[i] = item.finish(cell_runs[bi])
     return results, leftovers

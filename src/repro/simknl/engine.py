@@ -312,13 +312,8 @@ class Engine:
 
     def _tensor_eligible(self) -> bool:
         """Whether plans may skip the per-phase reference loop: the
-        tensor path can neither emit telemetry nor record
-        flow-completion events."""
-        return (
-            self.batch_phases
-            and not _tm.current().enabled
-            and not self.record_events
-        )
+        tensor path cannot record flow-completion events."""
+        return self.batch_phases and not self.record_events
 
     def run(self, plan: Plan) -> RunResult:
         """Execute ``plan`` to completion and return timing/traffic.
@@ -326,7 +321,10 @@ class Engine:
         A plan with a block repeated at least twice is evaluated as a
         one-row :func:`~repro.simknl.batch.run_lowered` when the engine
         is eligible; everything else, and any plan the tensor path
-        declines, runs on the per-phase reference loop.
+        declines, runs on the per-phase reference loop. Either way the
+        result is then recorded by :func:`observe`, so an active
+        telemetry session sees the same metrics and events on both
+        paths and never changes which one runs.
         """
         plan.validate()
         if self._tensor_eligible() and any(b.repeat > 1 for b in plan.blocks):
@@ -334,66 +332,24 @@ class Engine:
 
             results = batch.run_lowered(self, *batch.lower_plans([plan]))
             if results is not None:
+                observe(plan, results[0])
                 return results[0]
         clock = 0.0
         traffic: dict[str, float] = {name: 0.0 for name in self.resources}
         phase_times: list[float] = []
         events: list[tuple[float, str]] = []
-
-        tel = _tm.current()
-        # Successive runs share one monotonic sim timeline: this run's
-        # phase/flow events are offset by the log's current watermark.
-        t0 = tel.events.now if tel.enabled else 0.0
-        if tel.enabled:
-            tel.events.emit(_tn.EVENT_RUN_START, time=t0, plan=plan.name)
-            m = tel.metrics
-            c_phases = m.counter(_tn.ENGINE_PHASES_TOTAL)
-            c_traffic = m.counter(_tn.ENGINE_TRAFFIC_BYTES_TOTAL)
-            h_phase = m.histogram(_tn.ENGINE_PHASE_SECONDS)
-
-        for index, phase in enumerate(plan.phases):
-            if tel.enabled:
-                tel.events.emit(
-                    _tn.EVENT_PHASE_START,
-                    time=t0 + clock,
-                    plan=plan.name,
-                    phase=phase.name,
-                    index=index,
-                )
-                before = dict(traffic)
-            t = self._run_phase(phase, clock, traffic, events, tel, t0)
+        for phase in plan.phases:
+            t = self._run_phase(phase, clock, traffic, events)
             phase_times.append(t)
             clock += t
-            if tel.enabled:
-                c_phases.inc()
-                h_phase.observe(t)
-                for name, total in traffic.items():
-                    moved = total - before.get(name, 0.0)
-                    if moved > 0:
-                        c_traffic.inc(moved, resource=name)
-                tel.events.emit(
-                    _tn.EVENT_PHASE_END,
-                    time=t0 + clock,
-                    plan=plan.name,
-                    phase=phase.name,
-                    index=index,
-                    seconds=t,
-                )
-
-        if tel.enabled:
-            tel.metrics.counter(_tn.ENGINE_RUNS_TOTAL).inc()
-            tel.events.emit(
-                _tn.EVENT_RUN_END,
-                time=t0 + clock,
-                plan=plan.name,
-                seconds=clock,
-            )
-        return RunResult(
+        result = RunResult(
             elapsed=clock,
             traffic=traffic,
             phase_times=phase_times,
             events=events,
         )
+        observe(plan, result)
+        return result
 
     def _run_phase(
         self,
@@ -401,25 +357,10 @@ class Engine:
         start: float,
         traffic: dict[str, float],
         events: list[tuple[float, str]],
-        tel: _tm.Telemetry | None = None,
-        t0: float = 0.0,
     ) -> float:
         """Run one phase; returns its elapsed time."""
-        if tel is None:
-            tel = _tm.current()
-        if tel.enabled:
-            c_flows = tel.metrics.counter(_tn.ENGINE_FLOW_COMPLETIONS_TOTAL)
 
         def flow_done(at: float, f: Flow) -> None:
-            if tel.enabled:
-                c_flows.inc()
-                tel.events.emit(
-                    _tn.EVENT_FLOW_COMPLETE,
-                    time=t0 + at,
-                    phase=phase.name,
-                    flow=f.name,
-                    bytes=f.bytes_total,
-                )
             if self.record_events:
                 events.append((at, f"{phase.name}:{f.name} done"))
 
@@ -499,6 +440,59 @@ class Engine:
         from repro.simknl.batch import run_batch
 
         return run_batch(self, plans)
+
+
+def observe(plan: Plan, result: RunResult) -> None:
+    """Record one finished run of ``plan`` in the active telemetry.
+
+    A pure function of the plan and its result, so the tensor path and
+    the reference loop are observed identically. Outside a session it
+    returns at once. Phase timestamps replay the reference loop's own
+    ``clock += t`` chain over ``result.phase_times``, offset by the
+    event log's watermark so successive runs share one monotonic sim
+    timeline. Every live flow drains exactly once per phase (or the
+    run raises), so flow completions are counted from the plan.
+    """
+    tel = _tm.current()
+    if not tel.enabled:
+        return
+    emit = tel.events.emit
+    m = tel.metrics
+    t0 = tel.events.now
+    emit(_tn.EVENT_RUN_START, time=t0, plan=plan.name)
+    h_phase = m.histogram(_tn.ENGINE_PHASE_SECONDS)
+    clock = 0.0
+    for index, (phase, t) in enumerate(zip(plan.phases, result.phase_times)):
+        emit(
+            _tn.EVENT_PHASE_START,
+            time=t0 + clock,
+            plan=plan.name,
+            phase=phase.name,
+            index=index,
+        )
+        clock += t
+        h_phase.observe(t)
+        emit(
+            _tn.EVENT_PHASE_END,
+            time=t0 + clock,
+            plan=plan.name,
+            phase=phase.name,
+            index=index,
+            seconds=t,
+        )
+    emit(_tn.EVENT_RUN_END, time=t0 + clock, plan=plan.name, seconds=clock)
+    m.counter(_tn.ENGINE_RUNS_TOTAL).inc()
+    m.counter(_tn.ENGINE_PHASES_TOTAL).inc(len(result.phase_times))
+    c_traffic = m.counter(_tn.ENGINE_TRAFFIC_BYTES_TOTAL)
+    for name, moved in result.traffic.items():
+        if moved > 0:
+            c_traffic.inc(moved, resource=name)
+    m.counter(_tn.ENGINE_FLOW_COMPLETIONS_TOTAL).inc(
+        sum(
+            b.repeat * sum(f.bytes_total > 0 for p in b.phases for f in p.flows)
+            for b in plan.blocks
+        )
+    )
 
 
 def run_flows(

@@ -248,7 +248,6 @@ EVENT_RUN_START = "run.start"
 EVENT_RUN_END = "run.end"
 EVENT_PHASE_START = "phase.start"
 EVENT_PHASE_END = "phase.end"
-EVENT_FLOW_COMPLETE = "flow.complete"
 EVENT_ALLOC_FALLBACK = "alloc.fallback"
 EVENT_SORT_SPILL = "sort.spill"
 EVENT_SORT_MERGE = "sort.merge"
@@ -267,10 +266,6 @@ _EVENT_SPECS = [
     EventSpec(
         EVENT_PHASE_END, "A phase completed.",
         ("plan", "phase", "index", "seconds"),
-    ),
-    EventSpec(
-        EVENT_FLOW_COMPLETE, "A flow drained all its bytes.",
-        ("phase", "flow", "bytes"),
     ),
     EventSpec(
         EVENT_ALLOC_FALLBACK,

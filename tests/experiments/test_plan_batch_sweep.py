@@ -4,7 +4,8 @@
 :class:`PlanBatchSpec` through one tensor evaluation instead of
 per-cell calls; cells the spec declines fall back to serial calls. These
 tests pin that wiring: spec used, fallback exercised, memo and store
-warmed, telemetry bypass, and the hash-once-per-unique-cell dedup.
+warmed, the same path under a telemetry session, and the
+hash-once-per-unique-cell dedup.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.experiments.store import get_store
 from repro.simknl.batch import PlanBatch, PlanBatchSpec
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
+from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.units import GB, GiB
 
@@ -106,12 +108,15 @@ class TestPlanBatchFastPath:
         assert len(BUILD_CALLS) == 2  # pending dedup ran first
         assert out[0] == out[1]
 
-    def test_telemetry_session_bypasses_spec(self):
-        cells = [(8, float(GiB))]
-        with _tm.telemetry_session():
+    def test_telemetry_session_uses_spec(self):
+        cells = [(8, float(GiB)), (8, float(2 * GiB))]
+        with _tm.telemetry_session() as tel:
             out = sweep_map(_cell, cells, memo={})
-        assert FN_CALLS == [(8, float(GiB))]  # serial write-through
-        assert out == [_cell(8, float(GiB))]
+        assert len(BUILD_CALLS) == 2
+        assert FN_CALLS == []  # the tensor path, as without a session
+        # The batched runs are still counted, one per cell.
+        assert tel.metrics.counter(_tn.ENGINE_RUNS_TOTAL).value() == 2
+        assert out == [_cell(*c) for c in cells]
 
 
 class TestCellKeyDedup:

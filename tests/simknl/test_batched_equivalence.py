@@ -8,8 +8,9 @@ keeps every phase on the per-phase reference loop, and these tests hold
 the two bit-identical — ``elapsed``, ``phase_times``, and ``traffic``
 — across strategies, odd-sized final chunks and random plans with
 repeated blocks (``test_fast_path_oracle.py`` adds random cells and the
-real plan builders), and assert the documented fallbacks (telemetry,
-recorded events, starved allocations) really do run the reference loop.
+real plan builders), assert the documented fallbacks (recorded events,
+starved allocations) really do run the reference loop, and that a
+telemetry session does not.
 """
 
 from __future__ import annotations
@@ -189,15 +190,21 @@ def steady_plan(n: int = 8) -> Plan:
     return Plan("steady").add_block(step, 0, n)
 
 
-def test_telemetry_enabled_runs_fall_back(tensor_rows):
+def test_telemetry_session_keeps_tensor_path(tensor_rows):
     plan = steady_plan()
-    eng = Engine(RESOURCES, record_events=False)
-    with _tm.telemetry_session():
-        res_tel = eng.run(plan)
-    assert tensor_rows == []
-    res_fast = eng.run(plan)
+    with _tm.telemetry_session() as tel_fast:
+        res_fast = Engine(RESOURCES, record_events=False).run(plan)
     assert tensor_rows == [1]
-    assert_identical(res_tel, res_fast)
+    with _tm.telemetry_session() as tel_ref:
+        res_ref = Engine(
+            RESOURCES, record_events=False, batch_phases=False
+        ).run(plan)
+    assert tensor_rows == [1]  # the reference engine ran the loop
+    assert_identical(res_fast, res_ref)
+    assert tel_fast.snapshot() == tel_ref.snapshot()
+    assert [(e.name, e.time, e.attrs) for e in tel_fast.events] == [
+        (e.name, e.time, e.attrs) for e in tel_ref.events
+    ]
 
 
 def test_recorded_events_fall_back(no_tensor):

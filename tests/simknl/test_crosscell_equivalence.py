@@ -7,9 +7,9 @@ These tests hold it bit-identical — ``elapsed``, ``phase_times``,
 engine, across the three-level pipeline strategies (static ``single``
 and dynamic ``double``), odd cell counts and random mixed
 static/dynamic structures (``test_fast_path_oracle.py`` adds repeated
-blocks and the real plan builders), and assert the documented fallbacks
-(telemetry, starved allocations, zero-byte cells) really do bypass the
-tensor path.
+blocks and the real plan builders), assert the documented fallbacks
+(starved allocations, zero-byte cells) really do bypass the tensor
+path, and that a telemetry session does not.
 """
 
 from __future__ import annotations
@@ -244,16 +244,19 @@ def simple_plans(cells: int = 3, nbytes=None) -> list[Plan]:
     return plans
 
 
-def test_telemetry_session_falls_back(tensor_rows):
+def test_telemetry_session_keeps_tensor_path(tensor_rows):
     plans = simple_plans()
-    engine = fresh_engine()
-    with _tm.telemetry_session():
-        res_tel = run_batch(engine, plans)
-    assert tensor_rows == []
-    res_fast = run_batch(engine, plans)
+    with _tm.telemetry_session() as tel_fast:
+        res_fast = run_batch(fresh_engine(), plans)
     assert tensor_rows == [3]
-    for a, b in zip(res_tel, res_fast):
+    with _tm.telemetry_session() as tel_ref:
+        res_ref = reference_runs(plans)
+    for a, b in zip(res_fast, res_ref):
         assert_identical(a, b)
+    assert tel_fast.snapshot() == tel_ref.snapshot()
+    assert [(e.name, e.time, e.attrs) for e in tel_fast.events] == [
+        (e.name, e.time, e.attrs) for e in tel_ref.events
+    ]
 
 
 def test_starved_allocation_raises_like_reference():
