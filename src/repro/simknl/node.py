@@ -121,16 +121,14 @@ class KNLNode:
         cores_per_tile = 2
         active_tiles = -(-cfg.cores // cores_per_tile)
         rows = 6
-        cols = max(1, -(-active_tiles // rows))
-        if rows * cols < active_tiles:
-            cols = -(-active_tiles // rows)
         self.topology = KNLTopology(
             rows=rows,
-            cols=cols,
+            cols=-(-active_tiles // rows),
             active_tiles=active_tiles,
             cores_per_tile=cores_per_tile,
             threads_per_core=cfg.threads_per_core,
             mesh_bandwidth=cfg.mesh_bandwidth,
+            cores=cfg.cores,
         )
         if self.cache_capacity > 0:
             self.cache_model: StreamingCacheModel | None = StreamingCacheModel(

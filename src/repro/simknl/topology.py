@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.simknl.flows import Resource
@@ -83,6 +84,10 @@ class KNLTopology:
     mesh_bandwidth:
         Aggregate mesh bandwidth in bytes/s available to memory
         traffic (used to build an optional flow resource).
+    cores:
+        Total active cores (``num_cores``); defaults to
+        ``active_tiles * cores_per_tile``. A smaller count leaves the
+        last tile partially populated.
     """
 
     def __init__(
@@ -94,6 +99,7 @@ class KNLTopology:
         threads_per_core: int = 4,
         mesh_bandwidth: float = 700 * GB,
         cluster_mode: ClusterMode = ClusterMode.QUADRANT,
+        cores: int | None = None,
     ) -> None:
         if rows <= 0 or cols <= 0:
             raise ConfigError("mesh dimensions must be positive")
@@ -105,26 +111,36 @@ class KNLTopology:
             raise ConfigError("cores/threads per tile must be positive")
         if mesh_bandwidth <= 0:
             raise ConfigError("mesh bandwidth must be positive")
+        full = active_tiles * cores_per_tile
+        if cores is None:
+            cores = full
+        elif not full - cores_per_tile < cores <= full:
+            raise ConfigError(
+                f"{active_tiles} tiles of {cores_per_tile} cores host "
+                f"{full - cores_per_tile + 1}..{full} cores, got {cores}"
+            )
         self.rows = rows
         self.cols = cols
+        self.active_tiles = active_tiles
         self.cores_per_tile = cores_per_tile
         self.threads_per_core = threads_per_core
         self.mesh_bandwidth = mesh_bandwidth
         self.cluster_mode = cluster_mode
-        self.tiles: list[Tile] = []
-        core = 0
-        for tid in range(active_tiles):
-            cores = tuple(range(core, core + cores_per_tile))
-            core += cores_per_tile
-            # Active tiles fill the grid in row-major order.
-            self.tiles.append(
-                Tile(tile_id=tid, position=divmod(tid, cols), cores=cores)
-            )
+        self.num_cores = cores
 
-    @property
-    def num_cores(self) -> int:
-        """Total active cores."""
-        return len(self.tiles) * self.cores_per_tile
+    @cached_property
+    def tiles(self) -> list[Tile]:
+        """Active tiles, filling the grid in row-major order; built on
+        first access, since thread placement needs only the counts."""
+        cpt, last = self.cores_per_tile, self.num_cores
+        return [
+            Tile(
+                tile_id=tid,
+                position=divmod(tid, self.cols),
+                cores=tuple(range(tid * cpt, min(tid * cpt + cpt, last))),
+            )
+            for tid in range(self.active_tiles)
+        ]
 
     @property
     def num_threads(self) -> int:
@@ -155,7 +171,7 @@ class KNLTopology:
 
     def mean_mesh_distance(self) -> float:
         """Average hop count over all active tile pairs."""
-        n = len(self.tiles)
+        n = self.active_tiles
         if n == 1:
             return 0.0
         total = 0
@@ -167,7 +183,7 @@ class KNLTopology:
     def quadrant_of_tile(self, tile_id: int) -> int:
         """The mesh quadrant (0-3) hosting a tile: the grid split at
         its row/column midpoints."""
-        if not 0 <= tile_id < len(self.tiles):
+        if not 0 <= tile_id < self.active_tiles:
             raise ConfigError(f"tile {tile_id} out of range")
         r, c = self.tiles[tile_id].position
         return (0 if r < (self.rows + 1) // 2 else 2) + (

@@ -7,7 +7,9 @@ from collections import deque
 import pytest
 
 from repro.errors import ConfigError
+from repro.simknl.node import KNLNode
 from repro.simknl.topology import ClusterMode, KNLTopology, Tile
+from repro.threads.pool import PoolSet
 
 
 def _bfs_hops(rows, cols, src, dst):
@@ -220,3 +222,49 @@ class TestMeshOracle:
             else _QUADRANT_HOPS
         )
         assert [t.memory_access_hops(i) for i in range(34)] == expected
+
+
+def _eager_tiles(cols, active_tiles, cores_per_tile):
+    """The tile list as the constructor used to build it up front."""
+    tiles = []
+    core = 0
+    for tid in range(active_tiles):
+        cores = tuple(range(core, core + cores_per_tile))
+        core += cores_per_tile
+        tiles.append(Tile(tile_id=tid, position=divmod(tid, cols), cores=cores))
+    return tiles
+
+
+class TestLazyGrid:
+    def test_thread_placement_builds_no_tiles(self):
+        node = KNLNode()
+        PoolSet.split(node, compute=64, copy_in=8)
+        assert "tiles" not in vars(node.topology)
+
+    @pytest.mark.parametrize(
+        "rows, cols, active", [(6, 7, 34), (1, 1, 1), (2, 2, 3)]
+    )
+    @pytest.mark.parametrize("cores_per_tile", [1, 2])
+    def test_tiles_match_eager_build(self, rows, cols, active, cores_per_tile):
+        t = KNLTopology(
+            rows=rows, cols=cols, active_tiles=active,
+            cores_per_tile=cores_per_tile,
+        )
+        assert t.tiles == _eager_tiles(cols, active, cores_per_tile)
+        assert t.tiles is t.tiles
+        assert t.num_cores == len(t.tiles) * cores_per_tile
+        assert t.num_threads == t.num_cores * t.threads_per_core
+
+    def test_partial_last_tile(self):
+        t = KNLTopology(active_tiles=3, cores=5)
+        assert t.num_cores == 5
+        assert t.num_threads == 20
+        assert [tile.cores for tile in t.tiles] == [(0, 1), (2, 3), (4,)]
+        assert t.tile_of_core(4).tile_id == 2
+        with pytest.raises(ConfigError):
+            t.tile_of_core(5)
+
+    @pytest.mark.parametrize("cores", [0, 4, 7])
+    def test_rejects_cores_outside_the_tiles(self, cores):
+        with pytest.raises(ConfigError):
+            KNLTopology(active_tiles=3, cores=cores)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.simknl.node import KNLNode, KNLNodeConfig
 from repro.simknl.topology import KNLTopology
 from repro.threads.affinity import AffinityPolicy, assign_threads, cores_used
 
@@ -59,6 +60,20 @@ class TestValidation:
     def test_too_many_rejected(self, topo):
         with pytest.raises(ConfigError):
             assign_threads(topo, 273)
+
+
+@pytest.mark.parametrize("cores", [1, 5, 67, 68])
+def test_node_slots_stay_within_its_threads(cores):
+    # An odd core count leaves the last tile half populated; no policy
+    # may place a thread on the missing core's SMT slots.
+    cfg = KNLNodeConfig(cores=cores)
+    node = KNLNode(cfg)
+    assert node.topology.num_cores == cfg.cores
+    assert node.topology.num_threads == node.total_threads
+    for policy in AffinityPolicy:
+        for count in range(node.total_threads + 1):
+            slots = assign_threads(node.topology, count, policy)
+            assert all(s < node.total_threads for s in slots)
 
 
 @settings(max_examples=60, deadline=None)
