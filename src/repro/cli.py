@@ -25,6 +25,7 @@ Each subcommand regenerates one paper artifact (Tables 1-3, Figures
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -44,7 +45,10 @@ REPLAYABLE = tuple(
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process (parsing never
+    changes it)."""
     parser = argparse.ArgumentParser(
         prog="repro-knl",
         description=(

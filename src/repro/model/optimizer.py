@@ -10,7 +10,9 @@ returns the argmin — reproducing the "Model" column of Table 3.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,10 +23,26 @@ from repro.model.params import ModelParams
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    """Best split found by the model sweep."""
+    """Best split found by the model sweep.
+
+    The inputs of the sweep are kept so the full :attr:`curve` is built
+    only when something reads it: the drivers read only :attr:`best`.
+    """
 
     best: ModelPrediction
-    curve: tuple[ModelPrediction, ...]
+    params: ModelParams
+    total_threads: int
+    passes: float
+    p_in_values: tuple[int, ...] | None = None
+
+    @functools.cached_property
+    def curve(self) -> tuple[ModelPrediction, ...]:
+        """Every candidate's prediction, as :func:`sweep_copy_threads`."""
+        return tuple(
+            sweep_copy_threads(
+                self.params, self.total_threads, self.passes, self.p_in_values
+            )
+        )
 
     @property
     def p_in(self) -> int:
@@ -100,11 +118,42 @@ def predict_sweep(
     return c_copy, c_comp, t_copy, t_comp, t_total
 
 
+def _feasible_splits(
+    total_threads: int, p_in_values: Sequence[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(p_comp, p_in)`` arrays of the feasible candidate splits."""
+    if total_threads < 3:
+        raise ConfigError("need at least 3 threads (1 compute + 1 in + 1 out)")
+    if p_in_values is None:
+        p_in_values = list(range(1, (total_threads - 1) // 2 + 1))
+    p_ins = [p_in for p_in in p_in_values if total_threads - 2 * p_in >= 1]
+    if not p_ins:
+        raise ConfigError("no feasible thread split")
+    p_in_arr = np.array(p_ins, dtype=np.int64)
+    return total_threads - 2 * p_in_arr, p_in_arr
+
+
+def _prediction(p_comp, p_in, passes, arrays, i: int) -> ModelPrediction:
+    """Candidate ``i``'s :class:`ModelPrediction` from the sweep arrays."""
+    c_copy, c_comp, t_copy, t_comp, t_total = arrays
+    return ModelPrediction(
+        p_comp=int(p_comp[i]),
+        p_in=int(p_in[i]),
+        p_out=int(p_in[i]),
+        passes=passes,
+        c_copy=float(c_copy[i]),
+        c_comp=float(c_comp[i]),
+        t_copy=float(t_copy[i]),
+        t_comp=float(t_comp[i]),
+        t_total=float(t_total[i]),
+    )
+
+
 def sweep_copy_threads(
     params: ModelParams,
     total_threads: int = 256,
     passes: float = 1.0,
-    p_in_values: list[int] | None = None,
+    p_in_values: Sequence[int] | None = None,
 ) -> list[ModelPrediction]:
     """Model predictions for each candidate ``p_in``.
 
@@ -121,35 +170,10 @@ def sweep_copy_threads(
         Candidate copy-in counts; default is every feasible value
         ``1 .. (total_threads - 1) // 2``.
     """
-    if total_threads < 3:
-        raise ConfigError("need at least 3 threads (1 compute + 1 in + 1 out)")
-    if p_in_values is None:
-        p_in_values = list(range(1, (total_threads - 1) // 2 + 1))
-    feasible = [
-        (total_threads - 2 * p_in, p_in)
-        for p_in in p_in_values
-        if total_threads - 2 * p_in >= 1
-    ]
-    if not feasible:
-        raise ConfigError("no feasible thread split")
-    p_comp_arr = np.array([pc for pc, _ in feasible], dtype=np.int64)
-    p_in_arr = np.array([pi for _, pi in feasible], dtype=np.int64)
-    c_copy, c_comp, t_copy, t_comp, t_total = predict_sweep(
-        params, p_comp_arr, p_in_arr, passes=passes
-    )
+    p_comp, p_in = _feasible_splits(total_threads, p_in_values)
+    arrays = predict_sweep(params, p_comp, p_in, passes=passes)
     return [
-        ModelPrediction(
-            p_comp=int(pc),
-            p_in=int(pi),
-            p_out=int(pi),
-            passes=passes,
-            c_copy=float(c_copy[i]),
-            c_comp=float(c_comp[i]),
-            t_copy=float(t_copy[i]),
-            t_comp=float(t_comp[i]),
-            t_total=float(t_total[i]),
-        )
-        for i, (pc, pi) in enumerate(feasible)
+        _prediction(p_comp, p_in, passes, arrays, i) for i in range(len(p_in))
     ]
 
 
@@ -157,16 +181,29 @@ def optimal_copy_threads(
     params: ModelParams,
     total_threads: int = 256,
     passes: float = 1.0,
-    p_in_values: list[int] | None = None,
+    p_in_values: Iterable[int] | None = None,
 ) -> OptimizerResult:
-    """The model's predicted optimal ``p_in`` (ties go to fewer threads)."""
-    curve = sweep_copy_threads(params, total_threads, passes, p_in_values)
+    """The model's predicted optimal ``p_in`` (ties go to fewer threads).
+
+    The argmin is taken on the sweep's ``t_total`` array; only the
+    winner becomes a :class:`ModelPrediction`.
+    """
+    if p_in_values is not None:
+        p_in_values = tuple(p_in_values)
+    p_comp, p_in = _feasible_splits(total_threads, p_in_values)
+    arrays = predict_sweep(params, p_comp, p_in, passes=passes)
+    t_total = arrays[-1]
     # On the copy-bound plateau every saturating p_in yields the same
     # time up to floating-point division noise; prefer the fewest copy
-    # threads among near-ties (they free compute resources).
-    t_min = min(m.t_total for m in curve)
-    tol = t_min * 1e-9
-    best = min(
-        (m for m in curve if m.t_total <= t_min + tol), key=lambda m: m.p_in
+    # threads among near-ties (they free compute resources). argmin
+    # keeps the first of equal p_in, as a min() over the curve would.
+    t_min = t_total.min()
+    near = np.flatnonzero(t_total <= t_min + t_min * 1e-9)
+    best = int(near[np.argmin(p_in[near])])
+    return OptimizerResult(
+        best=_prediction(p_comp, p_in, passes, arrays, best),
+        params=params,
+        total_threads=total_threads,
+        passes=passes,
+        p_in_values=p_in_values,
     )
-    return OptimizerResult(best=best, curve=tuple(curve))

@@ -106,12 +106,16 @@ def batched_dynamic(
     accumulation order (zero-filled where a flow was already done —
     bitwise neutral under ``+=``). Returns ``None`` — caller falls back
     to the reference loop — when any row would starve (zero aggregate
-    rate) or complete no flow in a round, so the reference path raises
-    the exact :class:`~repro.errors.SimulationError`.
+    rate, or a step too long to be finite) or complete no flow in a
+    round, so the reference path raises the exact
+    :class:`~repro.errors.SimulationError`. One live flow takes the
+    loop's single round directly (:func:`_single_flow`).
     """
     n, k = bytes_matrix.shape
     if k == 0:
         return np.zeros(n, dtype=np.float64), []
+    if k == 1:
+        return _single_flow(flows[0], bytes_matrix, allocate)
     rem = bytes_matrix.astype(np.float64, copy=True)
     thresh = _EPS * np.maximum(1.0, rem)
     alive = np.ones((n, k), dtype=bool)
@@ -139,6 +143,8 @@ def batched_dynamic(
             cells = np.ix_(rows, idx)
             sub_rem = rem[cells]
             dt = (sub_rem[:, pos] / rates[pos]).min(axis=1)
+            if not (dt < np.inf).all():
+                return None  # no finite step (starved): reference raises
             moved = rates * dt[:, None]
             new_rem = np.maximum(0.0, sub_rem - moved)
             finished = new_rem <= thresh[cells]
@@ -160,6 +166,29 @@ def batched_dynamic(
         if chains[name]
     ]
     return elapsed, out
+
+
+def _single_flow(
+    flow: Flow,
+    bytes_matrix: np.ndarray,
+    allocate: Callable[[list[Flow]], list[float]],
+) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]] | None:
+    """:func:`batched_dynamic` for one live flow: the lock-step loop's
+    single round over its single group, done directly. Same arithmetic
+    on the same operands, so bit-identical to the loop."""
+    (rate,) = allocate([flow])
+    if rate <= 0.0:
+        return None  # zero aggregate rate: reference raises
+    rem = bytes_matrix[:, 0].astype(np.float64)
+    dt = rem / rate
+    if not (dt < np.inf).all():
+        return None  # no finite step (starved): reference raises
+    moved = rate * dt
+    if not (np.maximum(0.0, rem - moved) <= _EPS * np.maximum(1.0, rem)).all():
+        return None  # a row completed nothing: reference raises
+    return dt, [
+        (name, moved[:, None] * mult) for name, mult in flow.resources.items()
+    ]
 
 
 # ---- cross-cell lowering ------------------------------------------------

@@ -34,6 +34,19 @@ from repro.telemetry import runtime as _tm
 
 _EPS = 1e-12
 
+#: Water-filling solutions keyed by (resource, live-flow) signature,
+#: shared by every engine in the process. A solve is a pure function of
+#: the capacities and the live flows' signatures, so engines over equal
+#: resources reuse each other's solves: sweeps build fresh engines per
+#: batch and per node, yet re-run the same structures thousands of
+#: times. Only rates are cached, never plans or results.
+_RATE_MEMO: dict[tuple, list[float]] = {}
+
+#: Bound on memoized solutions; reached only by adversarial plans
+#: (every phase structurally unique), at which point the memo is
+#: dropped wholesale rather than LRU-tracked.
+_RATE_MEMO_MAX = 4096
+
 
 @dataclass
 class Phase:
@@ -271,24 +284,16 @@ class Engine:
         #: every phase on the per-phase reference loop — the oracle
         #: property holds the two bit-identical.
         self.batch_phases = batch_phases
-        #: Water-filling solutions keyed by (resource, live-flow)
-        #: signature. Sweeps re-run structurally identical phases
-        #: thousands of times; the solve is skipped for every repeat.
+        #: Solves are looked up in the process-wide ``_RATE_MEMO``.
         #: ``memoize_rates=False`` keeps the direct reference path
         #: (the property tests hold the two bit-identical).
         self.memoize_rates = memoize_rates
-        self._rate_cache: dict[tuple, list[float]] = {}
         self._res_sig = tuple(
             (name, self.resources[name].capacity)
             for name in sorted(self.resources)
         )
 
     # ---- rate allocation -------------------------------------------------
-
-    #: Bound on memoized solutions; reached only by adversarial plans
-    #: (every phase structurally unique), at which point the cache is
-    #: dropped wholesale rather than LRU-tracked.
-    _RATE_CACHE_MAX = 4096
 
     def _allocate(self, live: list[Flow]) -> list[float]:
         """Max-min rates for ``live``, positionally, memoized on structure.
@@ -301,13 +306,14 @@ class Engine:
         if not self.memoize_rates:
             rates = allocate_rates(live, self.resources)
             return [rates[id(f)] for f in live]
+        memo = _RATE_MEMO
         key = (self._res_sig, tuple(f.signature for f in live))
-        cached = self._rate_cache.get(key)
+        cached = memo.get(key)
         if cached is None:
             rates = allocate_rates(live, self.resources)
-            if len(self._rate_cache) >= self._RATE_CACHE_MAX:
-                self._rate_cache.clear()
-            self._rate_cache[key] = cached = [rates[id(f)] for f in live]
+            if len(memo) >= _RATE_MEMO_MAX:
+                memo.clear()
+            memo[key] = cached = [rates[id(f)] for f in live]
         return cached
 
     def _tensor_eligible(self) -> bool:

@@ -37,9 +37,6 @@ from repro.errors import PlanError
 #: Relative tolerance used when comparing rates and capacities.
 _EPS = 1e-12
 
-#: Flow attributes whose mutation invalidates the cached signature.
-_SIGNATURE_FIELDS = frozenset({"threads", "per_thread_rate", "resources"})
-
 
 @dataclass(frozen=True)
 class Resource:
@@ -67,9 +64,13 @@ class Resource:
             )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Flow:
     """A thread pool streaming bytes through a set of resources.
+
+    Flows are immutable values: the engine keeps its own byte counters,
+    so one flow can be run any number of times, and its
+    :attr:`signature` is computed once, at construction.
 
     Parameters
     ----------
@@ -93,7 +94,13 @@ class Flow:
     per_thread_rate: float
     resources: Mapping[str, float]
     bytes_total: float
-    bytes_done: float = field(default=0.0, init=False)
+    #: Structural signature: everything :func:`allocate_rates` reads
+    #: except identity and byte demand. Two flows with equal signatures
+    #: receive identical rates in identical contexts, which is what lets
+    #: the engine memoize the water-filling solve across phases and
+    #: runs, and what cross-cell lowering uses to detect structurally
+    #: identical phases.
+    signature: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.threads < 0:
@@ -107,49 +114,20 @@ class Flow:
                 raise PlanError(
                     f"flow {self.name!r}: negative multiplier for {res!r}"
                 )
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in _SIGNATURE_FIELDS:
-            object.__setattr__(self, "_signature", None)
-        object.__setattr__(self, name, value)
-
-    @property
-    def signature(self) -> tuple:
-        """Structural signature: everything :func:`allocate_rates` reads
-        except identity and byte counters.
-
-        Two flows with equal signatures receive identical rates in
-        identical contexts, which is what lets the engine memoize the
-        water-filling solve across phases and runs, and what plan
-        compilation and cross-cell lowering use to detect structurally
-        identical phases. Computed lazily and cached on the instance;
-        assigning ``threads``, ``per_thread_rate``, or ``resources``
-        invalidates the cache.
-        """
-        sig = self._signature
-        if sig is None:
-            sig = (
+        object.__setattr__(
+            self,
+            "signature",
+            (
                 self.threads,
                 self.per_thread_rate,
                 tuple(sorted(self.resources.items())),
-            )
-            object.__setattr__(self, "_signature", sig)
-        return sig
+            ),
+        )
 
     @property
     def rate_cap(self) -> float:
         """Aggregate cap in logical bytes/s (``threads * per_thread_rate``)."""
         return self.threads * self.per_thread_rate
-
-    @property
-    def bytes_remaining(self) -> float:
-        """Logical bytes still to move."""
-        return max(0.0, self.bytes_total - self.bytes_done)
-
-    @property
-    def finished(self) -> bool:
-        """True once the flow has moved all its bytes."""
-        return self.bytes_remaining <= _EPS * max(1.0, self.bytes_total)
 
 
 def allocate_rates(

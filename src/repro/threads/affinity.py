@@ -53,11 +53,12 @@ def assign_threads(
     if policy is AffinityPolicy.SCATTER:
         spc = topology.threads_per_core
         cores = topology.num_cores
-        out = []
-        for i in range(count):
-            smt = i // cores
-            core = i % cores
-            out.append(core * spc + smt)
+        # Thread i lands on core i % cores, SMT slot i // cores: each
+        # SMT level is one stride-``spc`` range over the cores.
+        out: list[int] = []
+        for smt in range(-(-count // cores)):
+            width = min(cores, count - smt * cores)
+            out.extend(range(smt, smt + width * spc, spc))
         return out
     raise ConfigError(f"unknown policy {policy!r}")
 

@@ -65,14 +65,25 @@ class PoolSet:
     copy_out: ThreadPool
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for pool in (self.compute, self.copy_in, self.copy_out):
-            overlap = seen.intersection(pool.threads)
-            if overlap:
-                raise ConfigError(
-                    f"pool {pool.name!r} reuses threads {sorted(overlap)[:5]}"
-                )
-            seen.update(pool.threads)
+        pools = (self.compute, self.copy_in, self.copy_out)
+        if len(set().union(*(p.threads for p in pools))) != self.total:
+            # Some id appears twice: walk the pools to name it.
+            seen: set[int] = set()
+            for pool in pools:
+                own: set[int] = set()
+                for t in pool.threads:
+                    if t in own:
+                        raise ConfigError(
+                            f"pool {pool.name!r} repeats thread {t}"
+                        )
+                    own.add(t)
+                overlap = seen.intersection(own)
+                if overlap:
+                    raise ConfigError(
+                        f"pool {pool.name!r} reuses threads "
+                        f"{sorted(overlap)[:5]}"
+                    )
+                seen.update(own)
         tel = _tm.current()
         if tel.enabled:
             gauge = tel.metrics.gauge(_tn.POOL_THREADS)

@@ -99,3 +99,70 @@ def test_optimum_is_curve_minimum(passes, budget):
     res = optimal_copy_threads(P, budget, passes=passes)
     t_min = min(m.t_total for m in res.curve)
     assert res.t_total <= t_min * (1 + 1e-9)
+
+
+def _today_rule(curve):
+    """The near-tie argmin over a full curve: fewest ``p_in`` among the
+    predictions within ``t_min * 1e-9`` of the minimum."""
+    t_min = min(m.t_total for m in curve)
+    tol = t_min * 1e-9
+    return min(
+        (m for m in curve if m.t_total <= t_min + tol), key=lambda m: m.p_in
+    )
+
+
+positive = st.floats(min_value=1e6, max_value=1e13, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.builds(
+        ModelParams,
+        b_copy=positive,
+        ddr_max=positive,
+        mcdram_max=positive,
+        s_copy=positive,
+        s_comp=positive,
+    ),
+    budget=st.integers(min_value=3, max_value=272),
+    passes=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=128)),
+    subset=st.one_of(
+        st.none(), st.lists(st.integers(min_value=0, max_value=140), min_size=1)
+    ),
+)
+def test_argmin_matches_rule_over_curve(params, budget, passes, subset):
+    """The array argmin picks, field for field, what the near-tie rule
+    picks over the full curve, and the lazy curve is that curve."""
+    try:
+        curve = sweep_copy_threads(params, budget, passes, subset)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            optimal_copy_threads(params, budget, passes, subset)
+        return
+    res = optimal_copy_threads(params, budget, passes, subset)
+    want = _today_rule(curve)
+    assert res.best == want
+    for name in ("p_comp", "p_in", "p_out", "passes"):
+        assert type(getattr(res.best, name)) is type(getattr(want, name))
+    assert res.curve == tuple(curve)
+
+
+def test_curve_is_built_only_when_read(monkeypatch):
+    import repro.model.optimizer as optimizer
+
+    calls = []
+    original = optimizer.sweep_copy_threads
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "sweep_copy_threads", counting)
+    res = optimal_copy_threads(P, 256, passes=4)
+    assert res.p_in >= 1
+    assert "curve" not in vars(res)
+    assert calls == []
+    curve = res.curve
+    assert len(calls) == 1
+    assert res.curve is curve  # kept after the first read
+    assert len(calls) == 1

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.kernel import StreamKernel
 from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
 from repro.errors import SimulationError
+from repro.simknl import engine as engine_mod
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
@@ -82,13 +83,14 @@ def test_single_strategy_uses_batched_path(tensor_rows):
     assert tensor_rows == [1]
 
 
-def test_compare_shares_one_engine():
+def test_compare_shares_one_engine(monkeypatch):
+    monkeypatch.setattr(engine_mod, "_RATE_MEMO", {})
     pipe = pipeline(30 * GiB, passes=2)
     pipe.compare()
-    solves_after_first = len(pipe._engine._rate_cache)
+    solves_after_first = len(engine_mod._RATE_MEMO)
     assert solves_after_first > 0
-    pipe.compare()  # every solve is memoized on the shared engine now
-    assert len(pipe._engine._rate_cache) == solves_after_first
+    pipe.compare()  # every solve is memoized now
+    assert len(engine_mod._RATE_MEMO) == solves_after_first
 
 
 # ---- random plans: batched == reference ----------------------------------

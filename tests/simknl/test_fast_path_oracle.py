@@ -11,12 +11,17 @@ Plans come from two sources: random static/dynamic phase lists whose
 phases repeat a random number of times per cell, and the real plan
 builders (the triple-buffered and unbuffered chunk pipelines, the
 three-level NVM pipeline and MLM-sort) at random chunk counts, ragged
-final chunks included. This is the check-against-a-reference pattern:
+final chunks included. Dynamic phases with exactly one live flow take
+a direct one-round path (``batch._single_flow``) and get their own
+cases: one row and many, a resource-free overhead flow, idle flows
+beside the live one, and a starved flow that must raise the reference
+error. This is the check-against-a-reference pattern:
 the fast path is trusted only as far as it agrees with the loop.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +32,8 @@ from repro.core.chunking import Chunker
 from repro.core.kernel import StreamKernel
 from repro.core.modes import UsageMode
 from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
+from repro.errors import SimulationError
+from repro.simknl import batch
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
@@ -220,3 +227,96 @@ def test_builder_plans_match_reference(builder, cells):
     built = [BUILDERS[builder](chunks, ragged) for chunks, ragged in cells]
     resources = built[0][0]
     check_against_reference(resources, [plan for _, plan in built])
+
+
+# ---- dynamic phases with one live flow --------------------------------------
+
+
+def single_flow_plans(flows, cells: int, repeat: int = 3) -> list[Plan]:
+    """``cells`` plans of one dynamic phase repeated ``repeat`` times.
+
+    ``flows`` are ``(threads, rate, resources, bytes)`` tuples; a zero
+    byte demand leaves the flow idle, so a phase holding one flow with
+    bytes and any number of idle ones has exactly one live flow. Byte
+    demands are offset per cell.
+    """
+    plans = []
+    for c in range(cells):
+        phase = Phase(
+            "p",
+            [
+                Flow(f"f{i}", threads, rate, res, nbytes + c * 7.0 if nbytes else 0.0)
+                for i, (threads, rate, res, nbytes) in enumerate(flows)
+            ],
+        )
+        plans.append(Plan(f"cell{c}", [phase] * repeat))
+    return plans
+
+
+@pytest.fixture
+def single_flow_calls(monkeypatch):
+    """Count calls of the one-live-flow round, so each case below is
+    known to take it."""
+    calls = []
+    original = batch._single_flow
+
+    def spy(*args):
+        calls.append(args[1].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(batch, "_single_flow", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+def test_single_live_flow_matches_reference(cells, single_flow_calls):
+    flows = [
+        (8, 4.8 * GB, {"ddr": 1.0, "mcdram": 1.0}, 3 * GiB),
+        (4, 6.78 * GB, {"mcdram": 1.0}, 0.0),  # idle: not live
+    ]
+    check_against_reference(RESOURCES, single_flow_plans(flows, cells))
+    assert single_flow_calls and max(single_flow_calls) == cells
+
+
+@pytest.mark.parametrize("cells", [1, 5])
+def test_resource_free_overhead_flow_matches_reference(
+    cells, single_flow_calls
+):
+    flows = [(1, 1.0, {}, 0.25)]  # a fixed overhead: seconds at rate 1
+    check_against_reference(RESOURCES, single_flow_plans(flows, cells))
+    assert single_flow_calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    threads=st.integers(min_value=1, max_value=256),
+    rate=st.sampled_from([0.2, 1.0, 4.8, 6.78]),
+    res=st.sampled_from(
+        [{}, {"ddr": 1.0}, {"mcdram": 2.0}, {"ddr": 1.0, "nvm": 0.5}]
+    ),
+    nbytes=st.floats(min_value=1.0, max_value=64 * GiB),
+    cells=st.integers(min_value=1, max_value=6),
+    idle=st.integers(min_value=0, max_value=2),
+)
+def test_random_single_live_flows_match_reference(
+    threads, rate, res, nbytes, cells, idle
+):
+    flows = [(threads, rate * GB, res, nbytes)]
+    flows += [(2, 1.0 * GB, {"ddr": 1.0}, 0.0)] * idle
+    check_against_reference(RESOURCES, single_flow_plans(flows, cells))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("cells", [1, 3])
+def test_starved_single_flow_raises_reference_error(cells):
+    """A step too long to be a finite float is starvation to the
+    reference loop; the tensor path must decline and let it raise."""
+    plans = single_flow_plans([(1, 1e-300, {"ddr": 1.0}, 1e10)], cells)
+    with pytest.raises(SimulationError) as want:
+        reference(RESOURCES, plans[0])
+    engine = Engine(RESOURCES, record_events=False)
+    with pytest.raises(SimulationError) as got:
+        engine.run(plans[0])
+    assert str(got.value) == str(want.value)
+    with pytest.raises(SimulationError, match="starvation"):
+        engine.run_batch(plans)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -53,13 +54,6 @@ class TestFlowValidation:
     def test_rate_cap(self):
         f = Flow("f", 4, 2.5, {"r": 1.0}, 10.0)
         assert f.rate_cap == 10.0
-
-    def test_bytes_remaining_and_finished(self):
-        f = Flow("f", 1, 1.0, {"r": 1.0}, 10.0)
-        assert f.bytes_remaining == 10.0
-        assert not f.finished
-        f.bytes_done = 10.0
-        assert f.finished
 
 
 class TestSingleFlow:
@@ -265,8 +259,8 @@ def test_adding_threads_never_decreases_own_rate(t1, t2):
 
 
 class TestSignatureCache:
-    """The structural signature is computed lazily, cached on the
-    instance, and invalidated when a signature field mutates."""
+    """Flows are immutable values: the structural signature is computed
+    once, at construction, and no field can be reassigned."""
 
     def _flow(self) -> Flow:
         return Flow("f", 8, 4.8 * GB, {"ddr": 1.0, "mcdram": 0.5}, 1.0)
@@ -283,22 +277,19 @@ class TestSignatureCache:
             (("ddr", 1.0), ("mcdram", 0.5)),
         )
 
-    def test_mutating_signature_fields_invalidates(self):
-        f = self._flow()
-        before = f.signature
-        f.threads = 16
-        assert f.signature != before
-        assert f.signature[0] == 16
-        f.per_thread_rate = 1.0 * GB
-        assert f.signature[1] == 1.0 * GB
-        f.resources = {"ddr": 2.0}
-        assert f.signature[2] == (("ddr", 2.0),)
-
-    def test_bytes_total_mutation_keeps_signature(self):
+    def test_fields_are_frozen(self):
         f = self._flow()
         sig = f.signature
-        f.bytes_total = 123.0
-        assert f.signature is sig  # bytes are not structural
+        for name, value in (
+            ("threads", 16),
+            ("per_thread_rate", 1.0 * GB),
+            ("resources", {"ddr": 2.0}),
+            ("bytes_total", 123.0),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, value)
+        assert f.signature is sig
+        assert f.threads == 8 and f.bytes_total == 1.0
 
     def test_equal_structures_share_signature_value(self):
         a = Flow("a", 8, 4.8 * GB, {"mcdram": 0.5, "ddr": 1.0}, 1.0)
@@ -310,8 +301,8 @@ class TestSignatureCache:
         import pickle
 
         f = self._flow()
-        _ = f.signature
         for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert clone == f
             assert clone.signature == f.signature
-            clone.threads = 99
-            assert clone.signature != f.signature
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clone.threads = 99

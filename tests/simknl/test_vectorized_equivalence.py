@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.simknl import engine as engine_mod
 from repro.simknl.cache import DirectMappedCache
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
@@ -116,16 +117,75 @@ def test_memoized_engine_matches_reference():
 # ---- engine: the memoized solve is reused and invalidated --------------
 
 
-def test_memo_cache_reused_across_runs():
+def test_memo_cache_reused_across_runs(monkeypatch):
+    monkeypatch.setattr(engine_mod, "_RATE_MEMO", {})
     resources = [Resource("ddr", 90 * GB)]
     eng = Engine(resources, memoize_rates=True)
     plan = Plan("memo").add(
         Phase("p", [Flow("f", 8, 1.0 * GB, {"ddr": 1.0}, 10 * GB)])
     )
     first = eng.run(plan)
-    assert eng._rate_cache
-    hits_before = len(eng._rate_cache)
+    assert engine_mod._RATE_MEMO
+    hits_before = len(engine_mod._RATE_MEMO)
     second = eng.run(plan)
-    assert len(eng._rate_cache) == hits_before  # no new solves
+    assert len(engine_mod._RATE_MEMO) == hits_before  # no new solves
     assert first.elapsed == second.elapsed
 
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """A fresh process memo, and a list that grows by one per real
+    water-filling solve."""
+    monkeypatch.setattr(engine_mod, "_RATE_MEMO", {})
+    calls: list[int] = []
+    original = engine_mod.allocate_rates
+
+    def counting(flows, resources):
+        calls.append(len(flows))
+        return original(flows, resources)
+
+    monkeypatch.setattr(engine_mod, "allocate_rates", counting)
+    return calls
+
+
+def _two_flow_plan() -> Plan:
+    return Plan("shared").add(
+        Phase(
+            "p",
+            [
+                Flow("in", 8, 4.8 * GB, {"ddr": 1.0, "mcdram": 1.0}, 10 * GB),
+                Flow("comp", 64, 6.78 * GB, {"mcdram": 1.0}, 30 * GB),
+            ],
+        )
+    )
+
+
+def test_engines_over_equal_resources_share_solves(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    resources = [Resource("ddr", 90 * GB), Resource("mcdram", 400 * GB)]
+    first = Engine(resources).run(_two_flow_plan())
+    assert calls  # the first engine solved
+    calls.clear()
+    # A second engine, over equal but distinct Resource objects given
+    # in another order, reuses every solve.
+    second = Engine(
+        [Resource("mcdram", 400 * GB), Resource("ddr", 90 * GB)]
+    ).run(_two_flow_plan())
+    assert calls == []
+    assert second.elapsed == first.elapsed
+    assert second.traffic == first.traffic
+
+
+def test_engines_with_different_capacities_do_not_share(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    plan = _two_flow_plan()
+    fast = Engine([Resource("ddr", 90 * GB), Resource("mcdram", 400 * GB)])
+    slow = Engine([Resource("ddr", 45 * GB), Resource("mcdram", 400 * GB)])
+    fast.run(plan)
+    solved = len(calls)
+    calls.clear()
+    slow_result = slow.run(plan)
+    assert len(calls) == solved  # every solve is redone
+    ref = Engine(slow.resources.values(), memoize_rates=False).run(plan)
+    assert slow_result.elapsed == ref.elapsed
+    assert slow_result.traffic == ref.traffic

@@ -48,6 +48,16 @@ class TestScatter:
         slots = assign_threads(topo, 272, AffinityPolicy.SCATTER)
         assert len(set(slots)) == 272
 
+    @pytest.mark.parametrize("cores", [1, 5, 68])
+    def test_matches_round_robin_walk(self, cores):
+        """Thread ``i`` lands on core ``i % cores``, SMT slot
+        ``i // cores``, for every count the node holds."""
+        topo = KNLNode(KNLNodeConfig(cores=cores)).topology
+        spc = topo.threads_per_core
+        for count in range(topo.num_threads + 1):
+            want = [(i % cores) * spc + i // cores for i in range(count)]
+            assert assign_threads(topo, count, AffinityPolicy.SCATTER) == want
+
 
 class TestValidation:
     def test_zero_threads(self, topo):

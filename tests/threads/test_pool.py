@@ -79,3 +79,26 @@ class TestPoolSetSplit:
                 copy_out=ThreadPool("copy-out", ()),
             )
 
+
+    def test_overlap_message_names_the_shared_ids(self):
+        with pytest.raises(ConfigError, match=r"'copy-in' reuses threads \[1\]"):
+            PoolSet(
+                compute=ThreadPool("compute", (0, 1)),
+                copy_in=ThreadPool("copy-in", (1, 2)),
+                copy_out=ThreadPool("copy-out", ()),
+            )
+
+    def test_repeated_thread_within_a_pool_rejected(self):
+        """One hardware thread listed twice is not a pool of two."""
+        with pytest.raises(ConfigError, match="'compute' repeats thread 0"):
+            PoolSet(
+                ThreadPool("compute", (0, 0)),
+                ThreadPool("copy-in", ()),
+                ThreadPool("copy-out", ()),
+            )
+        with pytest.raises(ConfigError, match="'copy-out' repeats thread 7"):
+            PoolSet(
+                ThreadPool("compute", (0, 1)),
+                ThreadPool("copy-in", (2,)),
+                ThreadPool("copy-out", (7, 3, 7)),
+            )
