@@ -291,6 +291,23 @@ class TestSignatureCache:
         assert f.signature is sig
         assert f.threads == 8 and f.bytes_total == 1.0
 
+    def test_mutating_signature_fields_invalidates(self):
+        f = self._flow()
+        sig = f.signature
+        g = dataclasses.replace(f, threads=16)
+        assert g.signature == (16, 4.8 * GB, (("ddr", 1.0), ("mcdram", 0.5)))
+        g = dataclasses.replace(f, per_thread_rate=1.0 * GB)
+        assert g.signature[1] == 1.0 * GB
+        g = dataclasses.replace(f, resources={"ddr": 2.0})
+        assert g.signature[2] == (("ddr", 2.0),)
+        assert f.signature is sig  # the original is untouched
+
+    def test_bytes_total_mutation_keeps_signature(self):
+        f = self._flow()
+        g = dataclasses.replace(f, bytes_total=123.0)
+        assert g.bytes_total == 123.0
+        assert g.signature == f.signature
+
     def test_equal_structures_share_signature_value(self):
         a = Flow("a", 8, 4.8 * GB, {"mcdram": 0.5, "ddr": 1.0}, 1.0)
         b = Flow("b", 8, 4.8 * GB, {"ddr": 1.0, "mcdram": 0.5}, 99.0)
