@@ -38,7 +38,6 @@ from repro.algorithms.merge_bench import (
     MergeBenchConfig,
     merge_bench_kernel,
     run_merge_bench,
-    empirical_optimal_copy_threads,
 )
 from repro.algorithms.stream import (
     measure_bandwidth,
@@ -68,7 +67,6 @@ __all__ = [
     "MergeBenchConfig",
     "merge_bench_kernel",
     "run_merge_bench",
-    "empirical_optimal_copy_threads",
     "measure_bandwidth",
     "measure_per_thread_rates",
     "stream_triad_plan",

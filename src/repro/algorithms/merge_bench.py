@@ -129,15 +129,10 @@ def sweep_merge_bench(
     return out
 
 
-def empirical_optimal_copy_threads(
-    node: KNLNode,
-    repeats: int,
-    copy_thread_values: list[int] | None = None,
-    params: ModelParams | None = None,
-    total_threads: int = 256,
-    tolerance: float = 0.03,
+def pick_optimal_copy_threads(
+    times: dict[int, float], tolerance: float = 0.03
 ) -> int:
-    """The empirically best copy-thread count among the candidates
+    """The empirically best copy-thread count among timed candidates
     (the paper tests powers of two: 1, 2, 4, 8, 16, 32).
 
     Among candidates within ``tolerance`` of the fastest time, the
@@ -146,16 +141,5 @@ def empirical_optimal_copy_threads(
     such near-ties indistinguishable, and fewer copy threads leave
     more resources to the application.
     """
-    candidates = copy_thread_values or [1, 2, 4, 8, 16, 32]
-    times = sweep_merge_bench(node, repeats, candidates, params, total_threads)
-    return pick_optimal_copy_threads(times, tolerance)
-
-
-def pick_optimal_copy_threads(
-    times: dict[int, float], tolerance: float = 0.03
-) -> int:
-    """The smallest copy-thread count within ``tolerance`` of the best
-    time (the tie-break rationale is documented on
-    :func:`empirical_optimal_copy_threads`)."""
     t_min = min(times.values())
     return min(p for p, t in times.items() if t <= t_min * (1 + tolerance))

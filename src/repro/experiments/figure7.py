@@ -15,7 +15,7 @@ from repro.algorithms.costs import SortCostModel
 from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.core.modes import UsageMode
 from repro.experiments.runner import ExperimentResult, SeriesSpec, sweep_map
-from repro.simknl.batch import PlanBatch, PlanBatchSpec
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
 #: Default chunk sizes swept, in elements (0.125B .. 6B).
@@ -36,8 +36,9 @@ FLAT_CHUNK_LIMIT = 2_000_000_000
 HYBRID_CHUNK_LIMIT = 1_000_000_000
 
 
-def _variant_plan(mode: UsageMode, n: int, mega: int, cost):
-    """The ``(node, plan)`` pair behind one figure7 cell."""
+@plan_cell
+def _variant_time(mode: UsageMode, n: int, mega: int, cost) -> PlanBatch:
+    """One figure7 cell: MLM-sort's simulated seconds in ``mode``."""
     if mode is UsageMode.FLAT:
         node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
     elif mode is UsageMode.HYBRID:
@@ -47,24 +48,11 @@ def _variant_plan(mode: UsageMode, n: int, mega: int, cost):
     else:
         node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
     cfg = MLMSortConfig(n=n, megachunk_elements=mega, mode=mode)
-    return node, mlm_sort_plan(node, cfg, cost)
-
-
-def _variant_time(mode: UsageMode, n: int, mega: int, cost) -> float:
-    node, plan = _variant_plan(mode, n, mega, cost)
-    return node.run(plan).elapsed
-
-
-def _variant_time_batch(mode: UsageMode, n: int, mega: int, cost) -> PlanBatch:
-    node, plan = _variant_plan(mode, n, mega, cost)
     return PlanBatch(
         resources=tuple(node.resources()),
-        plans=(plan,),
+        plans=(mlm_sort_plan(node, cfg, cost),),
         finish=lambda runs: runs[0].elapsed,
     )
-
-
-_variant_time.plan_batch = PlanBatchSpec(build=_variant_time_batch)
 
 
 def run_figure7(

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.algorithms.merge_bench import (
-    MergeBenchConfig,
-    build_merge_bench,
-    run_merge_bench,
-)
+from repro.algorithms.merge_bench import MergeBenchConfig, build_merge_bench
 from repro.errors import ConfigError
 from repro.experiments.runner import ExperimentResult, SeriesSpec, sweep_map
 from repro.model.analytic import predict
 from repro.model.params import ModelParams
-from repro.simknl.batch import PlanBatch, PlanBatchSpec
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
 DEFAULT_REPEATS = (1, 2, 4, 8, 16, 32, 64)
@@ -38,20 +34,9 @@ def _figure8_model(r: int, p: int, total_threads: int) -> float:
     return predict(ModelParams(), p_comp, p, p, passes=r).t_total
 
 
-def _figure8_cell(r: int, p: int, total_threads: int) -> tuple[float, float]:
+@plan_cell
+def _figure8_cell(r: int, p: int, total_threads: int) -> PlanBatch:
     """One (repeats, copy-threads) grid cell: (model_s, empirical_s)."""
-    model_t = _figure8_model(r, p, total_threads)
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    emp_t = run_merge_bench(
-        node,
-        MergeBenchConfig(
-            repeats=r, copy_in_threads=p, total_threads=total_threads
-        ),
-    ).elapsed
-    return model_t, emp_t
-
-
-def _figure8_batch(r: int, p: int, total_threads: int) -> PlanBatch:
     model_t = _figure8_model(r, p, total_threads)
     node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
     pipe = build_merge_bench(
@@ -65,9 +50,6 @@ def _figure8_batch(r: int, p: int, total_threads: int) -> PlanBatch:
         plans=(pipe.prepare(),),
         finish=lambda runs: (model_t, runs[0].elapsed),
     )
-
-
-_figure8_cell.plan_batch = PlanBatchSpec(build=_figure8_batch)
 
 
 def run_figure8(

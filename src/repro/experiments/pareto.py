@@ -22,7 +22,7 @@ from repro.core.modes import UsageMode
 from repro.errors import ConfigError
 from repro.experiments.runner import ExperimentResult, sweep_map
 from repro.model.designspace import pareto_front
-from repro.simknl.batch import PlanBatch, PlanBatchSpec
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.energy import (
     DEFAULT_ENERGY_PER_BYTE,
     DEFAULT_IDLE_POWER,
@@ -73,32 +73,20 @@ def _pareto_pipeline(
     )
 
 
+@plan_cell
 def _pareto_cell(
     mode_value: str,
     data_gib: float,
     chunk_mib: int,
     copy_threads: int,
     mcdram_scale: float,
-) -> tuple[float, dict]:
+) -> PlanBatch:
     """One configuration's raw measurements: ``(elapsed, traffic)``.
 
     Energy conversion happens in the parent (idle power depends on the
     cell's MCDRAM scaling, and :meth:`EnergyModel.report_many`
     vectorizes across the sweep).
     """
-    res = _pareto_pipeline(
-        mode_value, data_gib, chunk_mib, copy_threads, mcdram_scale
-    ).run()
-    return res.elapsed, dict(res.run.traffic)
-
-
-def _pareto_batch(
-    mode_value: str,
-    data_gib: float,
-    chunk_mib: int,
-    copy_threads: int,
-    mcdram_scale: float,
-) -> PlanBatch:
     pipe = _pareto_pipeline(
         mode_value, data_gib, chunk_mib, copy_threads, mcdram_scale
     )
@@ -107,9 +95,6 @@ def _pareto_batch(
         plans=(pipe.prepare(),),
         finish=lambda runs: (runs[0].elapsed, dict(runs[0].traffic)),
     )
-
-
-_pareto_cell.plan_batch = PlanBatchSpec(build=_pareto_batch)
 
 
 def _energy_model(mcdram_scale: float) -> EnergyModel:

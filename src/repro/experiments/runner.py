@@ -30,7 +30,7 @@ from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.modes import UsageMode
 from repro.experiments.store import ResultStore, default_store, get_store
-from repro.simknl.batch import PlanBatch, PlanBatchSpec
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.engine import RunResult
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.telemetry import names as _tn
@@ -292,10 +292,10 @@ def sweep_map(
     computed once — across drivers in the same process via the memo,
     and across processes and CI runs via the store. Cells that repeat
     *within* one call are deduplicated before evaluation. Pending
-    cells of a function carrying a ``plan_batch`` spec are evaluated
+    cells of a :func:`~repro.simknl.batch.plan_cell` are evaluated
     together on the cross-cell tensor path
-    (:func:`~repro.simknl.batch.evaluate_plan_batch`), bit-identical to
-    per-cell calls; the cells it declines run as serial ``fn(*cell)``
+    (:func:`~repro.simknl.batch.evaluate_cells`), bit-identical to
+    per-cell calls; any other function runs as serial ``fn(*cell)``
     calls. The memo is
     bounded by ``_SWEEP_MEMO_MAX`` entries; once full, new results are
     still returned but no longer cached in memory (a one-time warning
@@ -353,30 +353,19 @@ def sweep_map(
     if pending:
         pending_keys = list(pending)
         indices = list(pending.values())
-        computed_by_key: dict[str, Any] = {}
-        spec = getattr(fn, "plan_batch", None)
-        if spec is not None:
-            # Cross-cell tensor fast path: the driver declared its
-            # cells structurally batchable, so lower them all to plans
-            # and evaluate the pending set in-process with a handful of
-            # NumPy ops, bit-identical to per-cell ``fn`` calls
-            # (:mod:`repro.simknl.batch`). Cells whose ``build``
-            # declines fall through to the serial loop below. Replay
-            # sweeps never reach this branch — they are handled above.
-            from repro.simknl.batch import evaluate_plan_batch
+        build = getattr(fn, "plan_batch", None)
+        if build is not None:
+            # Cross-cell tensor fast path: a plan cell's builder lowers
+            # every pending cell to plans, evaluated in-process with a
+            # handful of NumPy ops, bit-identical to per-cell ``fn``
+            # calls (:mod:`repro.simknl.batch`). Replay sweeps never
+            # reach this branch — they are handled above.
+            from repro.simknl.batch import evaluate_cells
 
-            batched, leftover = evaluate_plan_batch(
-                spec, [cells[i] for i in indices]
-            )
-            left = set(leftover)
-            for j, k in enumerate(pending_keys):
-                if j not in left:
-                    computed_by_key[k] = batched[j]
-            pending_keys = [pending_keys[j] for j in leftover]
-            indices = [indices[j] for j in leftover]
-        if indices:
+            computed = evaluate_cells(build, [cells[i] for i in indices])
+        else:
             computed = [fn(*cells[i]) for i in indices]
-            computed_by_key.update(zip(pending_keys, computed))
+        computed_by_key = dict(zip(pending_keys, computed))
         for i, k in enumerate(keys):
             if k in computed_by_key:
                 results[i] = computed_by_key[k]
@@ -446,32 +435,19 @@ def sort_variant_run(
     return node.run(plan)
 
 
+@plan_cell
 def sort_variant_seconds(
     variant: str,
     n: int,
     order: str,
     cost: SortCostModel | None = None,
     megachunk: int | None = None,
-) -> float:
-    """Simulated execution time of one variant, in seconds."""
-    return sort_variant_run(variant, n, order, cost, megachunk).elapsed
-
-
-def _sort_variant_batch(
-    variant: str,
-    n: int,
-    order: str,
-    cost: SortCostModel | None = None,
-    megachunk: int | None = None,
 ) -> PlanBatch:
-    """Lower one :func:`sort_variant_seconds` cell to its single plan."""
+    """Simulated execution time of one variant, in seconds (figure6 and
+    table1 sweep this shared key space)."""
     node, plan = _sort_variant_plan(variant, n, order, cost, megachunk)
     return PlanBatch(
         resources=tuple(node.resources()),
         plans=(plan,),
         finish=lambda runs: runs[0].elapsed,
     )
-
-
-#: figure6 and table1 sweep this shared key space; the spec batches both.
-sort_variant_seconds.plan_batch = PlanBatchSpec(build=_sort_variant_batch)

@@ -15,8 +15,7 @@ from typing import Any
 
 from repro.experiments.paperdata import TABLE2_PARAMS
 from repro.experiments.runner import ExperimentResult, sweep_map
-from repro.model.params import measure_params
-from repro.simknl.batch import PlanBatch, PlanBatchSpec
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.units import GB
 
@@ -24,23 +23,14 @@ from repro.units import GB
 _PARAM_KEYS = ("B_copy", "DDR_max", "MCDRAM_max", "S_copy", "S_comp")
 
 
-def _table2_cell() -> tuple[float, float, float, float, float]:
-    """Measure the five model parameters, in ``_PARAM_KEYS`` order."""
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    p = measure_params(node)
-    return (
-        float(p.b_copy),
-        float(p.ddr_max),
-        float(p.mcdram_max),
-        float(p.s_copy),
-        float(p.s_comp),
-    )
+@plan_cell
+def _table2_cell() -> PlanBatch:
+    """Measure the five model parameters, in ``_PARAM_KEYS`` order.
 
-
-def _table2_batch() -> PlanBatch:
-    """The measurement cell as four engine plans: two STREAM triads
-    (bandwidth ceilings) plus the two single-thread micro-runs
-    (per-thread rates), divided back into rates by ``finish``."""
+    The measurement is four engine plans: two STREAM triads (bandwidth
+    ceilings) plus the two single-thread micro-runs (per-thread rates),
+    divided back into rates by ``finish`` — the same runs
+    :func:`~repro.model.params.measure_params` makes."""
     from repro.algorithms.stream import micro_rate_plans, stream_triad_plan
 
     node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
@@ -63,9 +53,6 @@ def _table2_batch() -> PlanBatch:
         plans=(ddr_plan, mc_plan, copy_plan, comp_plan),
         finish=finish,
     )
-
-
-_table2_cell.plan_batch = PlanBatchSpec(build=_table2_batch)
 
 
 def run_table2(store: Any | None = None) -> ExperimentResult:

@@ -7,34 +7,26 @@ from typing import Any
 from repro.algorithms.merge_bench import (
     MergeBenchConfig,
     build_merge_bench,
-    empirical_optimal_copy_threads,
     pick_optimal_copy_threads,
 )
 from repro.experiments.paperdata import TABLE3_OPTIMAL
 from repro.experiments.runner import ExperimentResult, sweep_map
 from repro.model.optimizer import optimal_copy_threads
 from repro.model.params import ModelParams
-from repro.simknl.batch import PlanBatch, PlanBatchSpec
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
 #: The paper's empirical candidates: powers of two, 1..32.
 _CANDIDATES = (1, 2, 4, 8, 16, 32)
 
 
-def _table3_cell(r: int, total_threads: int) -> tuple[int, int]:
-    """One repeats row: (model-optimal, empirical-optimal) copy threads."""
-    params = ModelParams()
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    model_p = optimal_copy_threads(params, total_threads, passes=r).p_in
-    emp_p = empirical_optimal_copy_threads(
-        node, r, list(_CANDIDATES), total_threads=total_threads
-    )
-    return int(model_p), int(emp_p)
+@plan_cell
+def _table3_cell(r: int, total_threads: int) -> PlanBatch:
+    """One repeats row: (model-optimal, empirical-optimal) copy threads.
 
-
-def _table3_batch(r: int, total_threads: int) -> PlanBatch:
-    """Lower one row to its six candidate merge-bench plans; ``finish``
-    replays the empirical argmin over the batched times."""
+    The empirical half runs the six candidate merge-bench plans;
+    ``finish`` takes :func:`pick_optimal_copy_threads` over their
+    times."""
     params = ModelParams()
     node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
     model_p = optimal_copy_threads(params, total_threads, passes=r).p_in
@@ -55,9 +47,6 @@ def _table3_batch(r: int, total_threads: int) -> PlanBatch:
     return PlanBatch(
         resources=tuple(node.resources()), plans=plans, finish=finish
     )
-
-
-_table3_cell.plan_batch = PlanBatchSpec(build=_table3_batch)
 
 
 def run_table3(

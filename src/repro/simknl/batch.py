@@ -33,15 +33,17 @@ the reference loop, per plan. Telemetry never does: every run, on
 either path, is recorded afterwards from its :class:`RunResult` by
 :func:`~repro.simknl.engine.observe`.
 
-:func:`evaluate_plan_batch` is the sweep-level entry point used by
-``experiments.runner.sweep_map``: drivers declare structural
-batchability by attaching a :class:`PlanBatchSpec` to their cell
-function, whose ``build`` lowers one cell to plans plus a ``finish``
-post-processor.
+:func:`plan_cell` turns a builder that lowers one sweep cell to a
+:class:`PlanBatch` (plans plus a ``finish`` post-processor) into the
+cell function itself: called directly it runs the plans one by one
+through :meth:`Engine.run`, and ``experiments.runner.sweep_map``
+hands all of a sweep's pending cells to :func:`evaluate_cells`
+instead. The builder is each cell's only definition.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -54,12 +56,12 @@ from repro.telemetry.runtime import Telemetry, telemetry_session
 
 __all__ = [
     "PlanBatch",
-    "PlanBatchSpec",
     "LoweredSweep",
     "batched_dynamic",
-    "evaluate_plan_batch",
+    "evaluate_cells",
     "lower_plans",
     "lower_template",
+    "plan_cell",
     "run_batch",
     "run_lowered",
 ]
@@ -142,7 +144,8 @@ def batched_dynamic(
                 return None  # zero aggregate rate: reference raises
             cells = np.ix_(rows, idx)
             sub_rem = rem[cells]
-            dt = (sub_rem[:, pos] / rates[pos]).min(axis=1)
+            with np.errstate(over="ignore", divide="ignore"):
+                dt = (sub_rem[:, pos] / rates[pos]).min(axis=1)
             if not (dt < np.inf).all():
                 return None  # no finite step (starved): reference raises
             moved = rates * dt[:, None]
@@ -180,7 +183,8 @@ def _single_flow(
     if rate <= 0.0:
         return None  # zero aggregate rate: reference raises
     rem = bytes_matrix[:, 0].astype(np.float64)
-    dt = rem / rate
+    with np.errstate(over="ignore", divide="ignore"):
+        dt = rem / rate
     if not (dt < np.inf).all():
         return None  # no finite step (starved): reference raises
     moved = rate * dt
@@ -337,7 +341,10 @@ def run_lowered(
             rates = np.asarray(engine._allocate(ph.flows), dtype=np.float64)
             if np.any(rates <= 0.0):
                 return None  # starved static flow: reference raises
-            times[:, pi] = (sub / rates).max(axis=1)
+            # A starved rate overflows the step to inf, which the
+            # reference loop returns too; it must not warn on the way.
+            with np.errstate(over="ignore", divide="ignore"):
+                times[:, pi] = (sub / rates).max(axis=1)
             contribs.append(
                 [
                     (name, sub[:, cols] * mults)
@@ -467,54 +474,49 @@ class PlanBatch:
     finish: Callable[[list[RunResult]], Any]
 
 
-@dataclass(frozen=True)
-class PlanBatchSpec:
-    """Declares a cell function structurally batchable.
+def plan_cell(build: Callable[..., PlanBatch]) -> Callable[..., Any]:
+    """Make a :class:`PlanBatch` builder the one definition of a cell.
 
-    Attach as a ``plan_batch`` attribute on the cell function.
-    ``build(*cell)`` must replicate the cell function's configuration
-    work — including raising the same validation errors — and return a
-    :class:`PlanBatch`, or ``None`` to send that cell down the normal
-    serial path (the escape hatch for cells whose work a plan run
-    cannot express).
+    Called directly, the returned cell runs ``build(*args, **kw)``'s
+    plans one by one through :meth:`Engine.run` (the reference loop,
+    exactly what :meth:`~repro.simknl.node.KNLNode.run` does) and
+    returns ``finish`` of the runs. ``sweep_map`` instead reads
+    ``cell.plan_batch`` (the builder) and evaluates all pending cells
+    together with :func:`evaluate_cells`. The cell keeps the builder's
+    name and ``__qualname__``, its memo and store key.
     """
 
-    build: Callable[..., PlanBatch | None]
+    @functools.wraps(build)
+    def cell(*args: Any, **kwargs: Any) -> Any:
+        batch = build(*args, **kwargs)
+        engine = Engine(batch.resources, record_events=False)
+        return batch.finish([engine.run(plan) for plan in batch.plans])
+
+    cell.plan_batch = build
+    return cell
 
 
-def evaluate_plan_batch(
-    spec: PlanBatchSpec, cells: Sequence[tuple]
-) -> tuple[list[Any], list[int]]:
+def evaluate_cells(
+    build: Callable[..., PlanBatch], cells: Sequence[tuple]
+) -> list[Any]:
     """Evaluate sweep cells via cross-cell tensor batching.
 
     Builds every cell's :class:`PlanBatch`, groups all resulting plans
     by ``(resource tuple, plan structure)``, evaluates each group with
     :func:`run_batch` on a shared per-resource-tuple engine, and feeds
-    each cell's results to its ``finish``. Returns ``(results,
-    leftover_indices)`` where ``results`` is aligned with ``cells``
-    (entries for leftover cells are ``None``) and ``leftover_indices``
-    names the cells whose ``build`` declined — the caller dispatches
-    those through the serial path.
+    each cell's results to its ``finish``. Returns the results in cell
+    order, bit-identical to calling the :func:`plan_cell` per cell.
 
     The grouped evaluation runs with telemetry off; every cell's runs
     are then observed in cell order, as serial cell calls would record
     them. Observing in group order would reorder the events and change
     the float sums of the traffic counters.
     """
-    results: list[Any] = [None] * len(cells)
-    leftovers: list[int] = []
-    built: list[tuple[int, PlanBatch]] = []
-    for i, cell in enumerate(cells):
-        item = spec.build(*cell)
-        if item is None:
-            leftovers.append(i)
-        else:
-            built.append((i, item))
-
+    built = [build(*cell) for cell in cells]
     engines: dict[tuple, Engine] = {}
     groups: dict[tuple, list[tuple[int, int, Plan]]] = {}
     cell_runs: list[list[RunResult | None]] = []
-    for bi, (_, item) in enumerate(built):
+    for bi, item in enumerate(built):
         engine_key = tuple((r.name, r.capacity) for r in item.resources)
         if engine_key not in engines:
             engines[engine_key] = Engine(item.resources, record_events=False)
@@ -529,8 +531,9 @@ def evaluate_plan_batch(
             for (bi, slot, _), out in zip(entries, outs):
                 cell_runs[bi][slot] = out
 
-    for bi, (i, item) in enumerate(built):
-        for plan, run in zip(item.plans, cell_runs[bi]):
+    results = []
+    for item, runs in zip(built, cell_runs):
+        for plan, run in zip(item.plans, runs):
             observe(plan, run)
-        results[i] = item.finish(cell_runs[bi])
-    return results, leftovers
+        results.append(item.finish(runs))
+    return results

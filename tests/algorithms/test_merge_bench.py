@@ -7,7 +7,6 @@ import pytest
 
 from repro.algorithms.merge_bench import (
     MergeBenchConfig,
-    empirical_optimal_copy_threads,
     merge_bench_kernel,
     merge_halves,
     run_merge_bench,
@@ -105,28 +104,34 @@ class TestTimedBench:
 
 
 class TestEmpiricalOptimum:
-    def test_decreasing_in_repeats(self):
-        node = flat_node()
-        opts = [
-            empirical_optimal_copy_threads(node, r) for r in (1, 8, 64)
-        ]
+    """The empirical optimum is Table 3's ``empirical_pow2`` column:
+    the best of the paper's power-of-two candidates, ties to fewer
+    threads (:func:`~repro.algorithms.merge_bench.pick_optimal_copy_threads`)."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from repro.experiments.table3 import run_table3
+
+        return {r["repeats"]: r for r in run_table3().rows}
+
+    def test_decreasing_in_repeats(self, rows):
+        opts = [rows[r]["empirical_pow2"] for r in (1, 8, 64)]
         assert opts[0] >= opts[1] >= opts[2]
 
-    def test_matches_paper_endpoints(self):
+    def test_matches_paper_endpoints(self, rows):
         """Table 3 empirical column: 16 at repeats=1, 1 at repeats=64."""
-        node = flat_node()
-        assert empirical_optimal_copy_threads(node, 1) == 16
-        assert empirical_optimal_copy_threads(node, 64) == 1
+        assert rows[1]["empirical_pow2"] == 16
+        assert rows[64]["empirical_pow2"] == 1
 
-    def test_model_and_empirical_nearby(self):
+    def test_model_and_empirical_nearby(self, rows):
         """The paper's conclusion: the model picks nearly the same
         copy-thread counts the empirical sweep finds."""
         from repro.model.optimizer import optimal_copy_threads
 
-        node = flat_node()
         for repeats in (1, 16, 64):
-            emp = empirical_optimal_copy_threads(node, repeats)
-            mod = optimal_copy_threads(
+            emp = rows[repeats]["empirical_pow2"]
+            mod = rows[repeats]["model"]
+            assert mod == optimal_copy_threads(
                 ModelParams(), 256, passes=repeats
             ).p_in
             assert 0.3 <= (mod / emp) <= 3.0

@@ -1,22 +1,35 @@
 """Tests for the sweep-level cross-cell fast path.
 
-``sweep_map`` sends pending cells of a driver that attached a
-:class:`PlanBatchSpec` through one tensor evaluation instead of
-per-cell calls; cells the spec declines fall back to serial calls. These
-tests pin that wiring: spec used, fallback exercised, memo and store
-warmed, the same path under a telemetry session, and the
-hash-once-per-unique-cell dedup.
+A :func:`~repro.simknl.batch.plan_cell` is a :class:`PlanBatch` builder
+that is also the cell function: called directly it runs its plans one
+by one through ``Engine.run``, while ``sweep_map`` sends all pending
+cells through one tensor evaluation instead. These tests pin that
+wiring: builder used and the direct path never run, memo and store
+warmed, the same path under a telemetry session, the
+hash-once-per-unique-cell dedup, and, for every driver's plan cell, a
+direct call equal bit for bit to the sweep under an unchanged memo key.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.modes import UsageMode
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner
-from repro.experiments.runner import replay_session, sweep_map
+from repro.experiments.figure7 import _variant_time
+from repro.experiments.figure8 import _figure8_cell
+from repro.experiments.pareto import _pareto_cell
+from repro.experiments.runner import (
+    cost_key,
+    replay_session,
+    sort_variant_seconds,
+    sweep_map,
+)
 from repro.experiments.store import get_store
-from repro.simknl.batch import PlanBatch, PlanBatchSpec
+from repro.experiments.table2 import _table2_cell
+from repro.experiments.table3 import _table3_cell
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
 from repro.telemetry import names as _tn
@@ -25,7 +38,6 @@ from repro.units import GB, GiB
 
 RESOURCES = (Resource("ddr", 90 * GB), Resource("mcdram", 400 * GB))
 
-FN_CALLS: list[tuple] = []
 BUILD_CALLS: list[tuple] = []
 
 
@@ -42,16 +54,9 @@ def _plan(threads: int, nbytes: float) -> Plan:
     )
 
 
-def _cell(threads: int, nbytes: float) -> float:
-    FN_CALLS.append((threads, nbytes))
-    eng = Engine(RESOURCES, record_events=False)
-    return eng.run(_plan(threads, nbytes)).elapsed
-
-
-def _build(threads: int, nbytes: float) -> PlanBatch | None:
+@plan_cell
+def _cell(threads: int, nbytes: float) -> PlanBatch:
     BUILD_CALLS.append((threads, nbytes))
-    if threads == 99:
-        return None  # unbatchable: serial fallback
     return PlanBatch(
         resources=RESOURCES,
         plans=(_plan(threads, nbytes),),
@@ -59,31 +64,37 @@ def _build(threads: int, nbytes: float) -> PlanBatch | None:
     )
 
 
-_cell.plan_batch = PlanBatchSpec(build=_build)
-
-
 @pytest.fixture(autouse=True)
 def _clear_calls():
-    FN_CALLS.clear()
     BUILD_CALLS.clear()
 
 
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Plans run one by one through ``Engine.run``: the direct path.
+    The tensor path of a multi-cell sweep makes none of these calls."""
+    runs: list[Plan] = []
+    real = Engine.run
+
+    def counting(self, plan):
+        runs.append(plan)
+        return real(self, plan)
+
+    monkeypatch.setattr(Engine, "run", counting)
+    return runs
+
+
 class TestPlanBatchFastPath:
-    def test_spec_used_instead_of_cell_fn(self):
+    def test_spec_used_instead_of_cell_fn(self, engine_runs):
         cells = [(8, float(GiB * (i + 1))) for i in range(4)]
         out = sweep_map(_cell, cells, memo={})
         assert len(BUILD_CALLS) == 4
-        assert FN_CALLS == []  # never invoked per cell
-        # Bit-identical to the serial cell function.
+        assert engine_runs == []  # the direct path never ran
+        # Bit-identical to the direct per-cell path.
         assert out == [_cell(*c) for c in cells]
+        assert len(engine_runs) == 4
 
-    def test_declined_cells_fall_back_to_cell_fn(self):
-        cells = [(8, float(GiB)), (99, float(GiB)), (8, float(2 * GiB))]
-        out = sweep_map(_cell, cells, memo={})
-        assert FN_CALLS == [(99, float(GiB))]
-        assert out[1] == _cell(99, float(GiB))
-
-    def test_memo_warmed_by_batched_results(self):
+    def test_memo_warmed_by_batched_results(self, engine_runs):
         memo: dict = {}
         cells = [(8, float(GiB)), (8, float(2 * GiB))]
         first = sweep_map(_cell, cells, memo=memo)
@@ -91,16 +102,17 @@ class TestPlanBatchFastPath:
         second = sweep_map(_cell, cells, memo=memo)
         assert second == first
         assert BUILD_CALLS == []  # served from the memo
-        assert FN_CALLS == []
+        assert engine_runs == []
 
-    def test_store_warmed_and_replayable(self, tmp_path):
+    def test_store_warmed_and_replayable(self, tmp_path, engine_runs):
         store = get_store(tmp_path)
         cells = [(8, float(GiB)), (8, float(2 * GiB))]
         first = sweep_map(_cell, cells, memo={}, store=store)
         with replay_session(store):
             replayed = sweep_map(_cell, cells, memo={}, store=store)
         assert replayed == first
-        assert FN_CALLS == []
+        assert len(BUILD_CALLS) == 2  # the replay built nothing
+        assert engine_runs == []
 
     def test_duplicate_cells_one_batch_slot(self):
         cells = [(8, float(GiB)), (8, float(GiB)), (8, float(2 * GiB))]
@@ -108,15 +120,73 @@ class TestPlanBatchFastPath:
         assert len(BUILD_CALLS) == 2  # pending dedup ran first
         assert out[0] == out[1]
 
-    def test_telemetry_session_uses_spec(self):
+    def test_telemetry_session_uses_spec(self, engine_runs):
         cells = [(8, float(GiB)), (8, float(2 * GiB))]
         with _tm.telemetry_session() as tel:
             out = sweep_map(_cell, cells, memo={})
         assert len(BUILD_CALLS) == 2
-        assert FN_CALLS == []  # the tensor path, as without a session
+        assert engine_runs == []  # the tensor path, as without a session
         # The batched runs are still counted, one per cell.
         assert tel.metrics.counter(_tn.ENGINE_RUNS_TOTAL).value() == 2
         assert out == [_cell(*c) for c in cells]
+
+
+def _bits(value):
+    """``value`` with every float as its exact hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    return value
+
+
+#: Every driver's plan cell, its memo/store key before cells became
+#: plan cells, and two or three representative cells.
+PLAN_CELLS = [
+    (
+        sort_variant_seconds,
+        "sort_variant_seconds",
+        [
+            ("MLM-sort", 2_000_000_000, "random"),
+            ("GNU-cache", 4_000_000_000, "reverse"),
+            ("MLM-implicit", 6_000_000_000, "random"),
+        ],
+    ),
+    (
+        _variant_time,
+        "_variant_time",
+        [
+            (UsageMode.FLAT, 6_000_000_000, 1_000_000_000, None),
+            (UsageMode.HYBRID, 6_000_000_000, 500_000_000, None),
+            (UsageMode.IMPLICIT, 6_000_000_000, 3_000_000_000, None),
+        ],
+    ),
+    (_table2_cell, "_table2_cell", [()]),
+    (_table3_cell, "_table3_cell", [(1, 256), (64, 256)]),
+    (_figure8_cell, "_figure8_cell", [(1, 8, 256), (16, 2, 256), (64, 32, 256)]),
+    (
+        _pareto_cell,
+        "_pareto_cell",
+        [
+            ("flat", 24.0, 512, 8, 1.0),
+            ("implicit", 24.0, 1024, 0, 2.0),
+            ("ddr", 24.0, 24 * 1024, 0, 1.0),
+        ],
+    ),
+]
+
+
+class TestPlanCells:
+    @pytest.mark.parametrize(
+        "cell, key, cells", PLAN_CELLS, ids=[k for _, k, _ in PLAN_CELLS]
+    )
+    def test_direct_call_equals_sweep(self, cell, key, cells):
+        assert cost_key(cell) == key  # existing stores stay warm
+        direct = [cell(*c) for c in cells]
+        swept = sweep_map(cell, cells, memo={})
+        assert _bits(swept) == _bits(direct)
 
 
 class TestCellKeyDedup:

@@ -26,8 +26,7 @@ from repro.errors import PlanError, SimulationError
 from repro.simknl import batch
 from repro.simknl.batch import (
     PlanBatch,
-    PlanBatchSpec,
-    evaluate_plan_batch,
+    evaluate_cells,
     lower_plans,
     run_batch,
     run_lowered,
@@ -272,7 +271,7 @@ def test_zero_byte_cell_changes_structure():
     """Liveness (``bytes_total > 0``) is part of a plan's structure, so
     a zero-byte cell cannot ride a batch whose template expects the
     flow live — callers must pre-group by :meth:`Plan.structure`
-    (``evaluate_plan_batch`` does)."""
+    (``evaluate_cells`` does)."""
     plans = simple_plans(3, nbytes=[float(GiB), 0.0, float(2 * GiB)])
     with pytest.raises(PlanError, match="structure"):
         run_batch(fresh_engine(), plans)
@@ -305,9 +304,7 @@ def test_run_lowered_rejects_shape_mismatch():
 # ---- sweep-level entry point ----------------------------------------------
 
 
-def _spec_cell(threads: int, nbytes: float) -> PlanBatch | None:
-    if threads == 0:
-        return None  # unbatchable cell: leftover
+def _spec_cell(threads: int, nbytes: float) -> PlanBatch:
     plan = Plan("cell")
     plan.add(
         Phase(
@@ -323,21 +320,17 @@ def _spec_cell(threads: int, nbytes: float) -> PlanBatch | None:
     )
 
 
-def test_evaluate_plan_batch_groups_and_leftovers():
-    spec = PlanBatchSpec(build=_spec_cell)
+def test_evaluate_cells_groups_by_structure():
     cells = [
         (8, float(GiB)),
-        (0, float(GiB)),       # leftover (build declines)
         (8, float(2 * GiB)),
         (16, float(GiB)),      # different structure: its own group
         (8, float(3 * GiB)),
     ]
-    results, leftovers = evaluate_plan_batch(spec, cells)
-    assert leftovers == [1]
-    assert results[1] is None
-    for i, (threads, nbytes) in enumerate(cells):
-        if i == 1:
-            continue
+    with mock.patch.object(batch, "run_batch", wraps=batch.run_batch) as spy:
+        results = evaluate_cells(_spec_cell, cells)
+    assert [len(c.args[1]) for c in spy.call_args_list] == [3, 1]
+    for (threads, nbytes), got in zip(cells, results):
         ref = reference_runs(
             [
                 Plan(
@@ -352,4 +345,4 @@ def test_evaluate_plan_batch_groups_and_leftovers():
                 )
             ]
         )[0]
-        assert results[i] == ref.elapsed
+        assert got == ref.elapsed

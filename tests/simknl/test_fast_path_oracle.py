@@ -15,11 +15,15 @@ final chunks included. Dynamic phases with exactly one live flow take
 a direct one-round path (``batch._single_flow``) and get their own
 cases: one row and many, a resource-free overhead flow, idle flows
 beside the live one, and a starved flow that must raise the reference
-error. This is the check-against-a-reference pattern:
-the fast path is trusted only as far as it agrees with the loop.
+error. Steps that overflow to inf, in static and dynamic phases, must
+match the loop with warnings raised as errors. This is the
+check-against-a-reference pattern: the fast path is trusted only as
+far as it agrees with the loop.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -306,7 +310,6 @@ def test_random_single_live_flows_match_reference(
     check_against_reference(RESOURCES, single_flow_plans(flows, cells))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("cells", [1, 3])
 def test_starved_single_flow_raises_reference_error(cells):
     """A step too long to be a finite float is starvation to the
@@ -320,3 +323,32 @@ def test_starved_single_flow_raises_reference_error(cells):
     assert str(got.value) == str(want.value)
     with pytest.raises(SimulationError, match="starvation"):
         engine.run_batch(plans)
+
+
+@pytest.mark.parametrize("live", [1, 2])
+@pytest.mark.parametrize("static", [False, True])
+def test_overflowing_step_matches_reference_without_warning(static, live):
+    """A 1-thread flow at 1e-300 B/s over 1e10 B needs a step that
+    overflows to inf. The reference loop raises the starvation error
+    for a dynamic phase and returns ``elapsed=inf`` for a static one;
+    the fast path must do the same, and no NumPy overflow warning may
+    escape on the way."""
+    flows = [
+        Flow(f"f{i}", 1, 1e-300, {"ddr": 1.0}, 1e10 + i) for i in range(live)
+    ]
+    phase = Phase("p", flows, static_rates=static)
+    plans = [Plan(f"cell{c}", [phase] * 2) for c in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if static:
+            check_against_reference(RESOURCES, plans)
+            assert reference(RESOURCES, plans[0]).elapsed == float("inf")
+            return
+        with pytest.raises(SimulationError) as want:
+            reference(RESOURCES, plans[0])
+        engine = Engine(RESOURCES, record_events=False)
+        with pytest.raises(SimulationError) as got:
+            engine.run(plans[0])
+        assert str(got.value) == str(want.value)
+        with pytest.raises(SimulationError, match="starvation"):
+            engine.run_batch(plans)

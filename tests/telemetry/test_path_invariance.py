@@ -44,8 +44,11 @@ def _run(name: str, monkeypatch, session: bool) -> tuple:
     return sum(rows), json.dumps(tel.snapshot(), sort_keys=True), events
 
 
-def _decline_every_cell(spec, cells):
-    return [None] * len(cells), list(range(len(cells)))
+def _direct_every_cell(build, cells):
+    """Evaluate each cell through its direct :func:`plan_cell` path,
+    which runs and records its plans one by one."""
+    cell = batch.plan_cell(build)
+    return [cell(*c) for c in cells]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
@@ -57,7 +60,7 @@ def test_session_takes_plain_path_and_sees_reference_telemetry(
     assert rows == plain_rows  # the session did not change the path
     with monkeypatch.context() as m:
         m.setattr(Engine, "_tensor_eligible", lambda self: False)
-        m.setattr(batch, "evaluate_plan_batch", _decline_every_cell)
+        m.setattr(batch, "evaluate_cells", _direct_every_cell)
         ref_rows, ref_snapshot, ref_events = _run(name, m, session=True)
     assert ref_rows == 0
     assert snapshot == ref_snapshot
