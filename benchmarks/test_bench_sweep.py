@@ -7,9 +7,12 @@ same figure7-class cells. The acceptance bar: the tensor evaluation
 is at least 10x faster than the serial loop, bit-identically.
 
 Per-cell plan *construction* is deliberately outside the tensor-side
-timed region: ``sweep_map`` builds plans once per pending cell on
+timed region: ``sweep_map`` builds each pending cell's plans once on
 either path, so the two differ exactly in how built plans are
-evaluated — that difference is what these benchmarks pin.
+evaluated — that difference is what these benchmarks pin. The
+pipeline plans here are built phase by phase; the sort builders'
+cells build only a bytes row against a memoized template (see
+"Plan templates" in ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ def test_bench_table2(benchmark):
 
 def test_bench_stream_triad(benchmark, flat_node):
     """Micro: one STREAM-triad measurement on the simulated node."""
-    from repro.algorithms.stream import measure_bandwidth
+    from repro.algorithms.stream import stream_triad_plan
 
-    bw = benchmark(measure_bandwidth, flat_node, "mcdram")
+    plan = stream_triad_plan(flat_node, "mcdram")
+    result = benchmark(flat_node.run, plan)
+    bw = plan.total_bytes / result.elapsed
     assert abs(bw - 400e9) / 400e9 < 0.01

@@ -39,11 +39,7 @@ from repro.algorithms.merge_bench import (
     merge_bench_kernel,
     run_merge_bench,
 )
-from repro.algorithms.stream import (
-    measure_bandwidth,
-    measure_per_thread_rates,
-    stream_triad_plan,
-)
+from repro.algorithms.stream import stream_triad_plan
 from repro.algorithms.oblivious import oblivious_mergesort, oblivious_sort_plan
 from repro.algorithms.funnelsort import funnelsort, funnelsort_plan
 from repro.algorithms.external_sort import external_sort, external_sort_plan
@@ -67,8 +63,6 @@ __all__ = [
     "MergeBenchConfig",
     "merge_bench_kernel",
     "run_merge_bench",
-    "measure_bandwidth",
-    "measure_per_thread_rates",
     "stream_triad_plan",
     "oblivious_mergesort",
     "oblivious_sort_plan",

@@ -131,6 +131,12 @@ class SortCostModel:
         return replace(self, **kw)
 
 
+#: The calibrated model, built and validated once. Every builder falls
+#: back to this one object when no model is passed, so cells never
+#: re-validate it and template keys holding it compare by identity.
+DEFAULT_COST = SortCostModel()
+
+
 def sort_levels(
     m_elements: float,
     cost: SortCostModel,

@@ -70,7 +70,7 @@ def funnelsort_plan(
     """
     import math
 
-    from repro.algorithms.costs import SortCostModel
+    from repro.algorithms.costs import DEFAULT_COST
     from repro.algorithms.oblivious import OBLIVIOUS_OVERHEAD
     from repro.algorithms.parallel_sort import _sort_phases
     from repro.core.modes import UsageMode, validate_node_mode
@@ -80,7 +80,7 @@ def funnelsort_plan(
     validate_node_mode(node, mode)
     if n < 1 or threads < 1:
         raise ConfigError("n and threads must be positive")
-    cost = cost or SortCostModel()
+    cost = cost or DEFAULT_COST
     nbytes = float(n * element_size)
     m = max(2.0, n / threads)
     # Each funnel round k-way merges segments: log2(m) comparison

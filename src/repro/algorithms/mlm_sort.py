@@ -25,20 +25,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.algorithms.costs import SortCostModel, sort_levels
+from repro.algorithms.costs import DEFAULT_COST, SortCostModel, sort_levels
 from repro.algorithms.multiway_merge import multiway_merge
 from repro.algorithms.parallel_sort import (
     _cache_stream_multipliers,
-    _sort_phases,
+    _sort_stage,
+    _stage_bands,
     gnu_parallel_sort,
 )
 from repro.algorithms.serial_sort import serial_sort
 from repro.core.chunking import Chunker
 from repro.core.kernel import Kernel
 from repro.core.modes import UsageMode, validate_node_mode
-from repro.simknl.engine import Phase, Plan
+from repro.simknl.engine import Phase, Plan, plan_template
 from repro.simknl.flows import Flow
-from repro.simknl.node import KNLNode
+from repro.simknl.node import KNLNode, KNLNodeConfig
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.threads.pool import PoolSet
@@ -115,7 +116,7 @@ class MegachunkSortKernel(Kernel):
         if threads < 1:
             raise ConfigError("threads must be >= 1")
         self.threads = threads
-        self.cost = cost or SortCostModel()
+        self.cost = cost or DEFAULT_COST
         self.order = order
         self.element_size = element_size
 
@@ -197,34 +198,100 @@ def _overhead_phase(name: str, seconds: float) -> Phase:
     return Phase(name, [Flow(name, 1, 1.0, {}, seconds)])
 
 
-def _merge_flows_to_ddr(
-    node: KNLNode,
-    mode: UsageMode,
-    nbytes: float,
-    threads: int,
-    cost: SortCostModel,
-    resident: bool,
-    label: str,
-) -> list[Flow]:
-    """Flows of a multiway merge writing its output to DDR.
+#: Multipliers of a copy between DDR and MCDRAM.
+_COPY = {"ddr": 1.0, "mcdram": 1.0}
 
-    ``resident``: whether the merge's input currently sits in near
-    memory (flat mode) / was just written by the sort stage (cache
-    modes).
-    """
+
+def _merge_multipliers(
+    node: KNLNode, mode: UsageMode, nbytes: float, cost: SortCostModel
+) -> dict[str, float]:
+    """Per-logical-byte multipliers of a megachunk's multiway merge,
+    which reads the megachunk its sort stage just wrote (resident in
+    near memory in flat mode) and writes its output to DDR."""
     if mode in (UsageMode.FLAT, UsageMode.HYBRID):
-        res = {"mcdram": 1.0, "ddr": 1.0}  # read near, write far
-    elif mode is UsageMode.DDR:
-        res = {"ddr": 2.0}
-    else:  # IMPLICIT
-        cache = node.cache_model
-        read = cache.stream(nbytes, passes=1, write_fraction=0.0, cold=not resident)
-        res = {
-            "mcdram": read.mcdram_bytes / nbytes / cost.cache_bw_factor + 1.0,
-            # Writes allocate in the cache and are written back to DDR.
-            "ddr": read.ddr_bytes / nbytes + 1.0,
-        }
-    return [Flow(label, threads, cost.s_merge, res, nbytes)]
+        return {"mcdram": 1.0, "ddr": 1.0}  # read near, write far
+    if mode is UsageMode.DDR:
+        return {"ddr": 2.0}
+    # IMPLICIT
+    read = node.cache_model.stream(
+        nbytes, passes=1, write_fraction=0.0, cold=False
+    )
+    return {
+        "mcdram": read.mcdram_bytes / nbytes / cost.cache_bw_factor + 1.0,
+        # Writes allocate in the cache and are written back to DDR.
+        "ddr": read.ddr_bytes / nbytes + 1.0,
+    }
+
+
+def _mlm_steps(
+    node_config: KNLNodeConfig,
+    mode: UsageMode,
+    threads: int,
+    compute_threads: int,
+    copy_threads: int,
+    cost: SortCostModel,
+    blocks: tuple,
+    final: tuple | None,
+) -> list:
+    """The template behind :func:`mlm_sort_plan`, a pure function of
+    its arguments (the template key).
+
+    ``blocks`` holds one ``(copy_in, stage, next_copy_in, merge)``
+    entry per megachunk block: whether the megachunk is copied in by
+    all threads, its sort stage's shape (see
+    :func:`~repro.algorithms.parallel_sort._sort_stage`), whether the
+    next megachunk's copy-in hides behind the sort (buffered), and the
+    merge's multipliers. ``final`` holds the final merge's multipliers,
+    or None for a single megachunk.
+    """
+    validate_node_mode(KNLNode(node_config), mode)
+
+    def megachunk(copy_in, stage, next_copy_in, merge):
+        def step(i: int, take) -> list[Phase]:
+            """Megachunk ``i``'s phases: setup, copy-in, sort, merge."""
+            phases = []
+            if cost.chunk_overhead_s > 0:
+                phases.append(_overhead_phase(f"mega{i}/setup", take()))
+            if copy_in:
+                # All threads copy in: every megachunk when unbuffered,
+                # only the first (a blocking copy-in) when buffered.
+                flow = Flow("copy-in", threads, cost.s_copy, _COPY, take())
+                phases.append(Phase(f"mega{i}/copy-in", [flow]))
+            label = f"mega{i}/serial-sort"
+            bands = _stage_bands(stage, cost.s_sort_random, cost, label)
+            for band, (name, rate, res) in enumerate(bands):
+                flows = [Flow(name, compute_threads, rate, res, take())]
+                if band == 0 and next_copy_in:
+                    # Future-work variant: hide the next megachunk's
+                    # copy-in behind the (long) serial-sort stage of
+                    # the current one.
+                    flows.append(
+                        Flow(
+                            f"mega{i + 1}/copy-in",
+                            copy_threads,
+                            cost.s_copy,
+                            _COPY,
+                            take(),
+                        )
+                    )
+                phases.append(Phase(name, flows))
+            label = f"mega{i}/merge"
+            flow = Flow(label, compute_threads, cost.s_merge, dict(merge), take())
+            phases.append(Phase(label, [flow]))
+            return phases
+
+        return step
+
+    steps = [megachunk(*block) for block in blocks]
+    if final is not None:
+        # Final multiway merge across megachunks; the paper runs it
+        # without chunking, straight out of DDR.
+        def final_merge(i: int, take) -> list[Phase]:
+            flow = Flow("final-merge", threads, cost.s_merge, dict(final), take())
+            return [Phase("final-merge", [flow])]
+
+        steps.append(final_merge)
+    return steps
 
 
 def mlm_sort_plan(
@@ -232,10 +299,15 @@ def mlm_sort_plan(
     config: MLMSortConfig,
     cost: SortCostModel | None = None,
 ) -> Plan:
-    """Timed flow plan for MLM-sort / MLM-implicit / MLM-ddr."""
+    """Timed flow plan for MLM-sort / MLM-implicit / MLM-ddr.
+
+    Per call this computes only the scalars — megachunk sizes and
+    counts, sort levels, the cache split and the cache-stream
+    multipliers. They form the plan's bytes row and the key of its
+    template (:func:`_mlm_steps`), which is built once per process.
+    """
     cfg = config
-    validate_node_mode(node, cfg.mode)
-    cost = cost or SortCostModel()
+    cost = cost or DEFAULT_COST
     nbytes = float(cfg.n * cfg.element_size)
     chunker = Chunker.from_elements(
         cfg.n,
@@ -243,14 +315,6 @@ def mlm_sort_plan(
         element_size=cfg.element_size,
     )
     explicit = cfg.mode in (UsageMode.FLAT, UsageMode.HYBRID)
-    if explicit and not cfg.buffered_megachunks:
-        budget = node.addressable_mcdram
-        if chunker.chunk_bytes > budget:
-            raise ConfigError(
-                f"megachunk of {chunker.chunk_bytes} bytes exceeds "
-                f"addressable MCDRAM ({budget:.0f})"
-            )
-
     buffered = explicit and cfg.buffered_megachunks
     compute_threads = cfg.threads
     copy_threads = 0
@@ -259,71 +323,6 @@ def mlm_sort_plan(
         compute_threads = cfg.threads - copy_threads
 
     n_mega = chunker.num_chunks
-
-    def megachunk(i: int) -> list[Phase]:
-        """Megachunk ``i``'s phases: setup, copy-in, sort, merge."""
-        mb = float(chunker.nbytes(i))
-        phases = []
-        if cost.chunk_overhead_s > 0:
-            phases.append(
-                _overhead_phase(f"mega{i}/setup", cost.chunk_overhead_s)
-            )
-        m_elems = max(1.0, mb / cfg.element_size / compute_threads)
-        levels = sort_levels(m_elems, cost, order=cfg.order, gnu=False)
-        if explicit and (not buffered or i == 0):
-            # All threads copy in: every megachunk when unbuffered, only
-            # the first (a blocking copy-in) when buffered.
-            phases.append(
-                Phase(
-                    f"mega{i}/copy-in",
-                    [
-                        Flow(
-                            "copy-in",
-                            cfg.threads,
-                            cost.s_copy,
-                            {"ddr": 1.0, "mcdram": 1.0},
-                            mb,
-                        )
-                    ],
-                )
-            )
-        sort_phases = _sort_phases(
-            node,
-            cfg.mode,
-            mb,
-            levels,
-            compute_threads,
-            cost.s_sort_random,
-            cost,
-            working_set=mb,
-            label=f"mega{i}/serial-sort",
-        )
-        if buffered and i + 1 < n_mega:
-            # Future-work variant: hide the next megachunk's copy-in
-            # behind the (long) serial-sort stage of the current one.
-            sort_phases[0].flows.append(
-                Flow(
-                    f"mega{i + 1}/copy-in",
-                    copy_threads,
-                    cost.s_copy,
-                    {"ddr": 1.0, "mcdram": 1.0},
-                    float(chunker.nbytes(i + 1)),
-                )
-            )
-        phases.extend(sort_phases)
-        merge_flows = _merge_flows_to_ddr(
-            node,
-            cfg.mode,
-            mb,
-            compute_threads,
-            cost,
-            resident=True,
-            label=f"mega{i}/merge",
-        )
-        phases.append(Phase(f"mega{i}/merge", merge_flows))
-        return phases
-
-    plan = Plan(name=f"mlm-{cfg.mode.value}/{cfg.order}/n={cfg.n}")
     tel = _tm.current()
     if tel.enabled:
         tel.metrics.counter(_tn.SORT_MEGACHUNKS_TOTAL).inc(n_mega)
@@ -332,25 +331,65 @@ def mlm_sort_plan(
     # partial or absent differ, so they stand alone.
     full = chunker.full_chunks
     steady = (1, max(1, full - 1)) if buffered else (0, full)
-    plan.add_block(megachunk, 0, steady[0])
-    plan.add_block(megachunk, *steady)
-    for i in range(steady[1], n_mega):
-        plan.add_block(megachunk, i, i + 1)
-
+    spans = [(0, steady[0]), steady]
+    spans += [(i, i + 1) for i in range(steady[1], n_mega)]
+    blocks = []
+    row: list[float] = []
+    repeats = []
+    for start, stop in spans:
+        if stop <= start:
+            continue
+        mb = float(chunker.nbytes(start))
+        m_elems = max(1.0, mb / cfg.element_size / compute_threads)
+        levels = sort_levels(m_elems, cost, order=cfg.order, gnu=False)
+        stage, band_bytes = _sort_stage(node, cfg.mode, mb, levels, cost, mb)
+        copy_in = explicit and (not buffered or start == 0)
+        next_copy_in = buffered and start + 1 < n_mega
+        merge = _merge_multipliers(node, cfg.mode, mb, cost)
+        blocks.append((copy_in, stage, next_copy_in, tuple(merge.items())))
+        if cost.chunk_overhead_s > 0:
+            row.append(cost.chunk_overhead_s)
+        if copy_in:
+            row.append(mb)
+        row.append(band_bytes[0])
+        if next_copy_in:
+            row.append(float(chunker.nbytes(start + 1)))
+        row.extend(band_bytes[1:])
+        row.append(mb)
+        repeats.append(stop - start)
+    final = None
     if n_mega > 1:
-        # Final multiway merge across megachunks; the paper runs it
-        # without chunking, straight out of DDR.
         if cfg.mode is UsageMode.IMPLICIT:
             res = _cache_stream_multipliers(node, nbytes, cost)
         else:
             res = {"ddr": 2.0}
-        plan.add(
-            Phase(
-                "final-merge",
-                [Flow("final-merge", cfg.threads, cost.s_merge, res, nbytes)],
+        final = tuple(res.items())
+        row.append(nbytes)
+        repeats.append(1)
+    row.extend(repeats)
+    template = plan_template(
+        _mlm_steps,
+        node.config,
+        cfg.mode,
+        cfg.threads,
+        compute_threads,
+        copy_threads,
+        cost,
+        tuple(blocks),
+        final,
+    )
+    # After the template, whose build checks the node's boot mode
+    # first; the megachunk size is checked per cell.
+    if explicit and not cfg.buffered_megachunks:
+        budget = node.addressable_mcdram
+        if chunker.chunk_bytes > budget:
+            raise ConfigError(
+                f"megachunk of {chunker.chunk_bytes} bytes exceeds "
+                f"addressable MCDRAM ({budget:.0f})"
             )
-        )
-    return plan
+    return Plan.from_template(
+        template, row, f"mlm-{cfg.mode.value}/{cfg.order}/n={cfg.n}"
+    )
 
 
 class ParallelSortKernel(Kernel):
@@ -407,7 +446,7 @@ def basic_chunked_sort_plan(
     from repro.model.params import ModelParams
 
     validate_node_mode(node, UsageMode.FLAT)
-    cost = cost or SortCostModel()
+    cost = cost or DEFAULT_COST
     nbytes = float(n * element_size)
     chunker = Chunker.from_elements(n, chunk_elements, element_size)
     compute = threads - 2 * copy_in_threads

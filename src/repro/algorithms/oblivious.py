@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.algorithms.costs import SortCostModel
+from repro.algorithms.costs import DEFAULT_COST, SortCostModel
 from repro.algorithms.multiway_merge import merge_two
 from repro.algorithms.parallel_sort import _sort_phases
 from repro.core.modes import UsageMode, validate_node_mode
@@ -75,7 +75,7 @@ def oblivious_sort_plan(
     validate_node_mode(node, mode)
     if n < 1 or threads < 1:
         raise ConfigError("n and threads must be positive")
-    cost = cost or SortCostModel()
+    cost = cost or DEFAULT_COST
     nbytes = float(n * element_size)
     m = max(2.0, n / threads)
     # Full log2 levels within blocks — obliviousness means no

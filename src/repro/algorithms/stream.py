@@ -46,15 +46,6 @@ def stream_triad_plan(
     return Plan(name=f"stream-{device}", phases=[Phase("triad", [flow])])
 
 
-def measure_bandwidth(
-    node: KNLNode, device: str, nbytes: float = 4 * GiB, threads: int = 256
-) -> float:
-    """Measured bandwidth of ``device`` in bytes/s (saturating run)."""
-    plan = stream_triad_plan(node, device, nbytes, threads)
-    result = node.run(plan)
-    return plan.total_bytes / result.elapsed
-
-
 def micro_rate_plans(node: KNLNode) -> tuple[Plan, Plan, float]:
     """The single-thread validation plans behind S_copy/S_comp.
 
@@ -75,15 +66,6 @@ def micro_rate_plans(node: KNLNode) -> tuple[Plan, Plan, float]:
     copy_plan = Plan(name="phase", phases=[Phase("phase", [copy_flow])])
     comp_plan = Plan(name="phase", phases=[Phase("phase", [comp_flow])])
     return copy_plan, comp_plan, nbytes
-
-
-def measure_per_thread_rates(node: KNLNode) -> tuple[float, float]:
-    """Single-thread (S_copy, S_comp), validated by actually running
-    the one-thread flows of :func:`micro_rate_plans`."""
-    copy_plan, comp_plan, nbytes = micro_rate_plans(node)
-    r1 = node.run(copy_plan)
-    r2 = node.run(comp_plan)
-    return nbytes / r1.elapsed, nbytes / r2.elapsed
 
 
 def host_stream(n: int = 5_000_000, dtype=np.float64) -> dict[str, float]:

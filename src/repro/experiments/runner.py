@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError, StoreMissError
-from repro.algorithms.costs import SortCostModel
+from repro.algorithms.costs import DEFAULT_COST, SortCostModel
 from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.modes import UsageMode
@@ -378,11 +378,18 @@ def sweep_map(
     return results
 
 
+#: The two node configurations the variants boot. Configs are frozen,
+#: so every cell shares one object, and plan-template keys holding it
+#: compare by identity.
+_CACHE_CONFIG = KNLNodeConfig(mode=MemoryMode.CACHE)
+_FLAT_CONFIG = KNLNodeConfig(mode=MemoryMode.FLAT)
+
+
 def node_for_variant(variant: str) -> KNLNode:
     """A node booted into the BIOS mode the variant needs."""
     if variant in ("GNU-cache", "MLM-implicit"):
-        return KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
-    return KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
+        return KNLNode(_CACHE_CONFIG)
+    return KNLNode(_FLAT_CONFIG)
 
 
 def paper_megachunk(n: int) -> int:
@@ -402,7 +409,7 @@ def _sort_variant_plan(
     """The ``(node, plan)`` pair behind one Table-1 variant cell."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; one of {VARIANTS}")
-    cost = cost or SortCostModel()
+    cost = cost or DEFAULT_COST
     node = node_for_variant(variant)
     if variant == "GNU-flat":
         plan = gnu_sort_plan(node, n, order, UsageMode.DDR, threads, cost)

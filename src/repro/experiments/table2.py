@@ -29,8 +29,7 @@ def _table2_cell() -> PlanBatch:
 
     The measurement is four engine plans: two STREAM triads (bandwidth
     ceilings) plus the two single-thread micro-runs (per-thread rates),
-    divided back into rates by ``finish`` — the same runs
-    :func:`~repro.model.params.measure_params` makes."""
+    divided back into rates by ``finish``."""
     from repro.algorithms.stream import micro_rate_plans, stream_triad_plan
 
     node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))

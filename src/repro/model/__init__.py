@@ -10,7 +10,7 @@ search, and :mod:`repro.model.roofline` implements the Snir-style
 bandwidth-boundedness test the paper cites from Bender et al.
 """
 
-from repro.model.params import ModelParams, measure_params
+from repro.model.params import ModelParams
 from repro.model.analytic import (
     copy_rate_coefficient,
     compute_rate_coefficient,
@@ -29,7 +29,6 @@ from repro.model.roofline import RooflinePoint, machine_balance, is_bandwidth_bo
 
 __all__ = [
     "ModelParams",
-    "measure_params",
     "copy_rate_coefficient",
     "compute_rate_coefficient",
     "copy_time",

@@ -1,4 +1,4 @@
-"""Model parameters (the paper's Table 2) and their measurement.
+"""Model parameters (the paper's Table 2).
 
 The five parameters:
 
@@ -10,11 +10,13 @@ The five parameters:
 ``s_comp``     6.78 GB/s  per-thread compute streaming rate, unconstrained
 =============  =========  ====================================================
 
-:func:`measure_params` recovers the bandwidth ceilings by running the
-STREAM benchmark *on the simulated node* and the per-thread rates by
-single-thread micro-measurements, closing the loop the paper describes
-("values for these parameters from system measurements and problem
-characteristics").
+The Table 2 experiment (:mod:`repro.experiments.table2`) re-measures them
+on the simulated node: the bandwidth ceilings by STREAM-triad runs
+(:func:`~repro.algorithms.stream.stream_triad_plan`) and the per-thread
+rates by single-thread micro-runs
+(:func:`~repro.algorithms.stream.micro_rate_plans`), closing the loop
+the paper describes ("values for these parameters from system
+measurements and problem characteristics").
 """
 
 from __future__ import annotations
@@ -47,25 +49,3 @@ class ModelParams:
     def ddr_saturating_copy_threads(self) -> int:
         """Smallest copy-thread total that saturates DDR (ceil)."""
         return int(-(-self.ddr_max // self.s_copy))
-
-
-def measure_params(node, b_copy: float = 14.9 * GB) -> ModelParams:
-    """Measure model parameters from a simulated node.
-
-    Bandwidth ceilings come from STREAM-triad runs against each
-    device; per-thread rates from single-thread micro-transfers. The
-    import of :mod:`repro.algorithms.stream` is deferred to avoid a
-    package cycle (algorithms use the model's parameters).
-    """
-    from repro.algorithms.stream import measure_bandwidth, measure_per_thread_rates
-
-    ddr_max = measure_bandwidth(node, device="ddr")
-    mcdram_max = measure_bandwidth(node, device="mcdram")
-    s_copy, s_comp = measure_per_thread_rates(node)
-    return ModelParams(
-        b_copy=b_copy,
-        ddr_max=ddr_max,
-        mcdram_max=mcdram_max,
-        s_copy=s_copy,
-        s_comp=s_comp,
-    )

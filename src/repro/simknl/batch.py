@@ -13,6 +13,13 @@ times, cumsum time and traffic accumulation. :meth:`Engine.run` uses
 the same evaluation as a one-row tensor for a plan with a repeated
 block.
 
+Each plan's tensor row is its :attr:`~repro.simknl.engine.Plan.row`.
+The sort builders emit lazy plans: a
+:class:`~repro.simknl.engine.PlanTemplate`, built once per process
+with its lowered shape, plus the cell's row. Lowering their sweep is
+one ``np.array`` over the rows, and :func:`evaluate_cells` groups them
+by template identity; no ``Phase``/``Flow`` object is built per cell.
+
 Bit-identity with the per-phase reference loop of :meth:`Engine.run`
 (the oracle) rests on three facts:
 
@@ -257,24 +264,20 @@ def lower_template(plan: Plan) -> LoweredSweep:
 def lower_plans(plans: Sequence[Plan]) -> tuple[LoweredSweep, np.ndarray]:
     """Stack N structurally identical plans into one tensor.
 
-    The first plan is the structural template. Each plan contributes
-    one row: its block templates' live-flow byte demands in plan order,
-    then its blocks' repeat counts, so plans that differ only in chunk
-    count share one shape. The tensor is the sweep's entire variable
-    state — 8 bytes per live flow slot and per block, per cell.
+    The first plan gives the shared shape: a lazy plan's template holds
+    it ready, any other plan is lowered here. Each plan contributes its
+    :attr:`~repro.simknl.engine.Plan.row` — its block templates'
+    live-flow byte demands in plan order, then its blocks' repeat
+    counts — so plans that differ only in chunk count share one shape.
+    The tensor is the sweep's entire variable state — 8 bytes per live
+    flow slot and per block, per cell.
     """
-    lowered = lower_template(plans[0])
-    tensor = np.empty((len(plans), lowered.width), dtype=np.float64)
-    for c, plan in enumerate(plans):
-        row = [
-            f.bytes_total
-            for block in plan.blocks
-            for ph in block.phases
-            for f in ph.flows
-            if f.bytes_total > 0
-        ]
-        row.extend(block.repeat for block in plan.blocks)
-        tensor[c] = row
+    first = plans[0]
+    if first.template is not None:
+        lowered = first.template.lowered
+    else:
+        lowered = lower_template(first)
+    tensor = np.array([plan.row for plan in plans], dtype=np.float64)
     return lowered, tensor
 
 
@@ -434,13 +437,15 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
         p.validate()
     if len(plans) == 1 or not engine._tensor_eligible():
         return [engine.run(p) for p in plans]
-    structure = plans[0].structure()
-    for p in plans[1:]:
-        if p.structure() != structure:
-            raise PlanError(
-                f"run_batch: plan {p.name!r} does not share the batch's "
-                "block structure"
-            )
+    template = plans[0].template
+    if template is None or any(p.template is not template for p in plans):
+        structure = plans[0].structure()
+        for p in plans[1:]:
+            if p.structure() != structure:
+                raise PlanError(
+                    f"run_batch: plan {p.name!r} does not share the "
+                    "batch's block structure"
+                )
     results = run_lowered(engine, *lower_plans(plans))
     if results is None:
         return [engine.run(p) for p in plans]
@@ -502,10 +507,13 @@ def evaluate_cells(
     """Evaluate sweep cells via cross-cell tensor batching.
 
     Builds every cell's :class:`PlanBatch`, groups all resulting plans
-    by ``(resource tuple, plan structure)``, evaluates each group with
+    by ``(resource tuple, plan template)``, evaluates each group with
     :func:`run_batch` on a shared per-resource-tuple engine, and feeds
     each cell's results to its ``finish``. Returns the results in cell
     order, bit-identical to calling the :func:`plan_cell` per cell.
+    Templates group by identity, so a lazy plan's nested structure is
+    never hashed; a plan without one groups by its
+    :meth:`~repro.simknl.engine.Plan.structure`.
 
     The grouped evaluation runs with telemetry off; every cell's runs
     are then observed in cell order, as serial cell calls would record
@@ -522,7 +530,7 @@ def evaluate_cells(
             engines[engine_key] = Engine(item.resources, record_events=False)
         cell_runs.append([None] * len(item.plans))
         for slot, plan in enumerate(item.plans):
-            key = (engine_key, plan.structure())
+            key = (engine_key, plan.template or plan.structure())
             groups.setdefault(key, []).append((bi, slot, plan))
 
     with telemetry_session(Telemetry(enabled=False)):

@@ -16,6 +16,15 @@ a repeated block is evaluated as a one-row tensor
 (:func:`repro.simknl.batch.run_lowered`), and the per-phase loop here
 is the reference it must match bit for bit.
 
+A builder whose cells differ only in sizes (the sort builders) emits a
+*lazy* plan: a shared :class:`PlanTemplate` plus the cell's bytes row.
+:func:`plan_template` builds each template once per process from its
+key; the plan's :class:`Phase`/:class:`Flow` objects are built only
+when :attr:`Plan.blocks` or :attr:`Plan.phases` is read — by the
+reference loop, by :func:`observe` under a telemetry session, or under
+``record_events=True``. The tensor path reads the template's lowered
+shape and the row directly.
+
 The engine accumulates per-resource traffic counters so experiments can
 report DDR/MCDRAM traffic (used for the Bender et al. corroboration of
 the ~2.5x DDR-traffic reduction).
@@ -23,14 +32,18 @@ the ~2.5x DDR-traffic reduction).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import PlanError, SimulationError
 from repro.simknl.flows import Flow, Resource, allocate_rates
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
+
+if TYPE_CHECKING:
+    from repro.simknl.batch import LoweredSweep
 
 _EPS = 1e-12
 
@@ -134,21 +147,57 @@ class Plan:
     :meth:`add` appends one phase; :meth:`add_block` appends a builder's
     steady state as one repeated block. :attr:`phases` is the expanded
     flat view.
+
+    A plan made by :meth:`from_template` is lazy: it holds a shared
+    :class:`PlanTemplate` and its own :attr:`row`, and builds its
+    blocks only when they are read. Appending to a lazy plan builds
+    them and detaches the template.
     """
 
     def __init__(self, name: str, phases: Iterable[Phase] = ()) -> None:
         self.name = name
-        self.blocks: list[Block] = []
+        #: The shared structure of a lazy plan; None for a plan built
+        #: phase by phase.
+        self.template: PlanTemplate | None = None
+        self._row: Sequence[float] = ()
+        self._blocks: list[Block] | None = []
         self._phases: list[Phase] | None = None
         self._structure: tuple | None = None
         for phase in phases:
             self.add(phase)
 
+    @classmethod
+    def from_template(
+        cls, template: PlanTemplate, row: Sequence[float], name: str
+    ) -> "Plan":
+        """A lazy plan: ``template``'s structure with ``row``'s byte
+        demands and repeat counts (laid out as :attr:`row`)."""
+        plan = cls(name)
+        plan.template = template
+        plan._row = row
+        plan._blocks = None
+        return plan
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Plan({self.name!r}, blocks={len(self.blocks)}, "
+            f"Plan({self.name!r}, blocks={len(self.repeats)}, "
             f"phases={self.num_phases})"
         )
+
+    @property
+    def blocks(self) -> list[Block]:
+        """The run-length entries; a lazy plan builds them on first read."""
+        if self._blocks is None:
+            self._blocks = self.template.blocks(self._row)
+        return self._blocks
+
+    def _detach(self) -> None:
+        """Turn a lazy plan into an ordinary one before it changes."""
+        if self.template is not None:
+            self._blocks = self.blocks
+            self.template = None
+            self._row = ()
+            self._structure = None
 
     def add(self, phase: Phase) -> "Plan":
         """Append a phase and return self (chainable).
@@ -157,7 +206,8 @@ class Plan:
         repetition of its block, so ``Plan(name, [phase] * k)`` holds
         one entry.
         """
-        last = self.blocks[-1] if self.blocks else None
+        self._detach()
+        last = self._blocks[-1] if self._blocks else None
         if (
             last is not None
             and last.make is None
@@ -186,7 +236,8 @@ class Plan:
         return self
 
     def _append(self, block: Block) -> "Plan":
-        self.blocks.append(block)
+        self._detach()
+        self._blocks.append(block)
         self._phases = None
         self._structure = None
         return self
@@ -199,12 +250,51 @@ class Plan:
         return self._phases
 
     @property
+    def row(self) -> Sequence[float]:
+        """The plan's bytes row: every block's live-flow byte demands in
+        block, phase and flow order, then every block's repeat count.
+
+        Plans with equal :meth:`structure` differ only here; it is one
+        row of :func:`repro.simknl.batch.lower_plans`' tensor. A lazy
+        plan holds it; any other plan walks its blocks.
+        """
+        if self.template is not None:
+            return self._row
+        row = [
+            f.bytes_total
+            for block in self.blocks
+            for ph in block.phases
+            for f in ph.flows
+            if f.bytes_total > 0
+        ]
+        row.extend(block.repeat for block in self.blocks)
+        return row
+
+    @property
+    def repeats(self) -> Sequence[int]:
+        """Each block's repeat count, without building a lazy plan's
+        blocks."""
+        if self.template is not None:
+            return self._row[self.template.slots:]
+        return [b.repeat for b in self.blocks]
+
+    @property
     def num_phases(self) -> int:
         """Length of :attr:`phases`, without expanding it."""
+        if self.template is not None:
+            return sum(
+                count * repeat
+                for count, repeat in zip(
+                    self.template.phase_counts, self.repeats
+                )
+            )
         return sum(len(b.phases) * b.repeat for b in self.blocks)
 
     def validate(self) -> None:
-        """Validate every block's phases."""
+        """Validate every block's phases. A lazy plan's template was
+        validated when it was built."""
+        if self.template is not None:
+            return
         for b in self.blocks:
             for p in b.phases:
                 p.validate()
@@ -219,13 +309,124 @@ class Plan:
 
         Two plans with equal structures differ only in byte demands and
         repeat counts, which is exactly the precondition for cross-cell
-        lowering (:func:`repro.simknl.batch.run_batch`). Cached until
-        the next append; liveness (``bytes_total > 0``) is snapshotted
-        at the first call.
+        lowering (:func:`repro.simknl.batch.run_batch`). A lazy plan
+        returns its template's. Otherwise cached until the next append;
+        liveness (``bytes_total > 0``) is snapshotted at the first call.
         """
+        if self.template is not None:
+            return self.template.structure
         if self._structure is None:
             self._structure = tuple(b.structure() for b in self.blocks)
         return self._structure
+
+
+#: ``step(i, take)``: a template block's phases as step ``i``.
+TemplateStep = Callable[[int, Callable[[], float]], list[Phase]]
+
+
+class PlanTemplate:
+    """A plan structure shared by every plan that differs from it only
+    in byte demands and repeat counts.
+
+    ``steps`` holds one function per block: ``step(i, take)`` returns
+    the block's phases as step ``i`` of the plan, giving each live flow
+    ``take()`` bytes, in flow order — the order of :attr:`Plan.row`.
+    Steps count repetitions across all blocks, so names such as
+    ``mega3/copy-in`` follow from ``i``; the structure must not. The
+    template is built from placeholder byte demands and validated once;
+    its :attr:`structure` and tensor layout :attr:`lowered` are computed
+    on first use, so a plan that only ever runs on the reference loop
+    never lowers its template.
+    """
+
+    def __init__(self, steps: Sequence[TemplateStep]) -> None:
+        self.steps = tuple(steps)
+        self.shape = Plan("template")
+        for step in self.steps:
+            self.shape._append(Block(step(0, _placeholder_bytes)))
+        self.shape.validate()
+        #: Each block's ``[lo, hi)`` column range in a row; ``slots``
+        #: columns of byte demands precede the repeat counts.
+        self.columns: list[tuple[int, int]] = []
+        #: Each block's phase count.
+        self.phase_counts: list[int] = []
+        lo = 0
+        for block in self.shape.blocks:
+            hi = lo + sum(
+                f.bytes_total > 0 for ph in block.phases for f in ph.flows
+            )
+            self.columns.append((lo, hi))
+            self.phase_counts.append(len(block.phases))
+            lo = hi
+        self.slots = lo
+
+    @functools.cached_property
+    def structure(self) -> tuple:
+        """The :meth:`Plan.structure` of every plan on this template."""
+        return self.shape.structure()
+
+    @functools.cached_property
+    def lowered(self) -> LoweredSweep:
+        """The shared tensor layout (:func:`repro.simknl.batch.lower_template`)."""
+        from repro.simknl.batch import lower_template
+
+        return lower_template(self.shape)
+
+    def blocks(self, row: Sequence[float]) -> list[Block]:
+        """The blocks of the plan whose bytes row is ``row``, each
+        repetition under its own step's names."""
+        out = []
+        start = 0
+        repeats = row[self.slots:]
+        for step, (lo, hi), repeat in zip(self.steps, self.columns, repeats):
+            make = _repetitions(step, start, row[lo:hi])
+            out.append(Block(make(0), int(repeat), make))
+            start += int(repeat)
+        return out
+
+
+def _placeholder_bytes() -> float:
+    """Byte demand of a template's live flows; rows hold the real ones."""
+    return 1.0
+
+
+def _repetitions(
+    step: TemplateStep, start: int, values: Sequence[float]
+) -> Callable[[int], list[Phase]]:
+    """A :attr:`Block.make` for a template block that begins at step
+    ``start``, with ``values`` as its live flows' byte demands."""
+    return lambda r: step(start + r, iter(values).__next__)
+
+
+#: Templates by ``(build, key)``, shared by every plan built under the
+#: same key (see :func:`plan_template`). Only structures are cached,
+#: never rows, plans or results.
+_TEMPLATE_MEMO: dict[tuple, PlanTemplate] = {}
+
+#: Bound on memoized templates; like ``_RATE_MEMO`` the memo is dropped
+#: wholesale when it is reached.
+_TEMPLATE_MEMO_MAX = 1024
+
+
+def plan_template(
+    build: Callable[..., Sequence[TemplateStep]], *key
+) -> PlanTemplate:
+    """``PlanTemplate(build(*key))``, built once per process per key.
+
+    ``build`` must be a pure function of ``key``, so the key holds
+    everything the template reads (modes, thread counts, cost model,
+    node config, which phases exist, multiplier floats) and nothing a
+    cell of the same structure changes, such as byte counts. Errors
+    ``build`` raises are not cached.
+    """
+    memo_key = (build, key)
+    template = _TEMPLATE_MEMO.get(memo_key)
+    if template is None:
+        template = PlanTemplate(build(*key))
+        if len(_TEMPLATE_MEMO) >= _TEMPLATE_MEMO_MAX:
+            _TEMPLATE_MEMO.clear()
+        _TEMPLATE_MEMO[memo_key] = template
+    return template
 
 
 @dataclass
@@ -326,14 +527,16 @@ class Engine:
 
         A plan with a block repeated at least twice is evaluated as a
         one-row :func:`~repro.simknl.batch.run_lowered` when the engine
-        is eligible; everything else, and any plan the tensor path
-        declines, runs on the per-phase reference loop. Either way the
-        result is then recorded by :func:`observe`, so an active
-        telemetry session sees the same metrics and events on both
-        paths and never changes which one runs.
+        is eligible (a lazy plan straight from its template's layout and
+        its row, without building its phases); everything else, and any
+        plan the tensor path declines, runs on the per-phase reference
+        loop. Either way the result is then recorded by
+        :func:`observe`, so an active telemetry session sees the same
+        metrics and events on both paths and never changes which one
+        runs.
         """
         plan.validate()
-        if self._tensor_eligible() and any(b.repeat > 1 for b in plan.blocks):
+        if self._tensor_eligible() and any(r > 1 for r in plan.repeats):
             from repro.simknl import batch
 
             results = batch.run_lowered(self, *batch.lower_plans([plan]))

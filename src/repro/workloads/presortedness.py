@@ -25,7 +25,7 @@ import bisect
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.algorithms.costs import SortCostModel
+from repro.algorithms.costs import DEFAULT_COST, SortCostModel
 
 
 def _require_1d(arr: np.ndarray) -> np.ndarray:
@@ -146,7 +146,7 @@ def estimate_order_factor(
     labels at the extremes: sorted/reverse inputs land at the floor,
     random inputs at ~1.
     """
-    cost = cost or SortCostModel()
+    cost = cost or DEFAULT_COST
     floor = cost.reverse_factor_gnu if gnu else cost.reverse_factor_mlm
     return floor + (1.0 - floor) * run_structure(arr)
 

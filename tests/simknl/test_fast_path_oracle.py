@@ -10,8 +10,11 @@ loop with a fresh water-filling solve per phase. ``elapsed``,
 Plans come from two sources: random static/dynamic phase lists whose
 phases repeat a random number of times per cell, and the real plan
 builders (the triple-buffered and unbuffered chunk pipelines, the
-three-level NVM pipeline and MLM-sort) at random chunk counts, ragged
-final chunks included. Dynamic phases with exactly one live flow take
+three-level NVM pipeline, MLM-sort and the GNU sort) at random chunk
+counts, ragged final chunks included. The sort builders' plans are
+lazy (a shared template plus a bytes row), so the reference loop runs
+their phases built from the template while the fast path reads the
+row; a mixed sweep of MLM cells also goes through ``evaluate_cells``. Dynamic phases with exactly one live flow take
 a direct one-round path (``batch._single_flow``) and get their own
 cases: one row and many, a resource-free overhead flow, idle flows
 beside the live one, and a starved flow that must raise the reference
@@ -31,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.costs import SortCostModel
 from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
+from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.buffering import BufferedPipeline
 from repro.core.chunking import Chunker
 from repro.core.kernel import StreamKernel
@@ -203,6 +207,16 @@ def mlm_plan(kind: str, chunks: int, ragged: int):
     return list(node.resources()), mlm_sort_plan(node, config, cost)
 
 
+def gnu_plan(mode: UsageMode, chunks: int, ragged: int):
+    """A GNU sort of as many elements as ``mlm_plan`` sorts: in cache
+    mode, small sorts stay cached and large ones gain a thrash band."""
+    memory = MemoryMode.CACHE if mode is UsageMode.CACHE else MemoryMode.FLAT
+    node = KNLNode(KNLNodeConfig(mode=memory))
+    order = "reverse" if ragged % 2 else "random"
+    plan = gnu_sort_plan(node, chunks * (1 << 27) - ragged, order, mode)
+    return list(node.resources()), plan
+
+
 BUILDERS = {
     "pipeline-buffered": lambda c, r: pipeline_plan("buffered", c, r),
     "pipeline-unbuffered": lambda c, r: pipeline_plan("unbuffered", c, r),
@@ -212,6 +226,8 @@ BUILDERS = {
     "mlm-flat": lambda c, r: mlm_plan("flat", c, r),
     "mlm-buffered": lambda c, r: mlm_plan("buffered", c, r),
     "mlm-implicit": lambda c, r: mlm_plan("implicit", c, r),
+    "gnu-flat": lambda c, r: gnu_plan(UsageMode.DDR, c, r),
+    "gnu-cache": lambda c, r: gnu_plan(UsageMode.CACHE, c, r),
 }
 
 
@@ -231,6 +247,51 @@ def test_builder_plans_match_reference(builder, cells):
     built = [BUILDERS[builder](chunks, ragged) for chunks, ragged in cells]
     resources = built[0][0]
     check_against_reference(resources, [plan for _, plan in built])
+
+
+def test_mixed_mlm_sweep_matches_reference(monkeypatch):
+    """MLM cells with full and ragged last megachunks, buffered and
+    unbuffered, with and without per-megachunk overhead, evaluated as
+    one sweep: ``evaluate_cells`` groups them by template and runs one
+    ``run_batch`` per group. Every cell's run must equal the reference
+    loop over its own plan, bit for bit."""
+    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
+    resources = list(node.resources())
+    mega = 1 << 27
+
+    def build(chunks, ragged, buffered, overhead):
+        config = MLMSortConfig(
+            n=chunks * mega - ragged,
+            megachunk_elements=mega,
+            mode=UsageMode.FLAT,
+            buffered_megachunks=buffered,
+        )
+        cost = SortCostModel(chunk_overhead_s=overhead)
+        return batch.PlanBatch(
+            resources=resources,
+            plans=(mlm_sort_plan(node, config, cost),),
+            finish=lambda runs: runs[0],
+        )
+
+    cells = [
+        (chunks, ragged, buffered, overhead)
+        for chunks in (2, 3, 5, 6)
+        for ragged in (0, 3)
+        for buffered in (False, True)
+        for overhead in (0.0, 0.01)
+    ]
+    sizes = []
+    run_batch = batch.run_batch
+
+    def spy(engine, plans):
+        sizes.append(len(plans))
+        return run_batch(engine, plans)
+
+    monkeypatch.setattr(batch, "run_batch", spy)
+    got = batch.evaluate_cells(build, cells)
+    assert sum(sizes) == len(cells) and max(sizes) > 1
+    for cell, result in zip(cells, got):
+        assert_identical(result, reference(resources, build(*cell).plans[0]))
 
 
 # ---- dynamic phases with one live flow --------------------------------------
