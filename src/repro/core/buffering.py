@@ -12,6 +12,16 @@ The pipeline *actually allocates* its buffers through the memkind
 heap, so the capacity constraints the paper discusses (three buffers
 must fit in addressable MCDRAM; hybrid mode shrinks the maximum chunk)
 surface as allocation failures rather than silent fictions.
+
+Pipelines of one configuration differ only in their chunk sizes and
+counts, so :meth:`BufferedPipeline.build_plan` emits a lazy plan: a
+:class:`~repro.simknl.engine.PlanTemplate`, built once per process and
+keyed on the usage mode, the pool sizes, the per-thread rates, the
+compute multipliers and each block's flows, plus the cell's bytes row.
+A ragged final chunk changes the block layout and so is its own key.
+:func:`pipeline_spans` is the one definition of the step layout (fill,
+steady state, tail); :class:`~repro.core.multilevel.ThreeLevelPipeline`
+lays out its steps with it too.
 """
 
 from __future__ import annotations
@@ -26,29 +36,119 @@ from repro.core.modes import UsageMode, compute_multipliers, validate_node_mode
 from repro.memkind.allocator import Allocation, Heap
 from repro.memkind.kinds import MEMKIND_HBW
 from repro.model.params import ModelParams
-from repro.simknl.engine import Phase, Plan, RunResult
+from repro.simknl.engine import Phase, Plan, RunResult, plan_template
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
 from repro.threads.pool import PoolSet
 
 
+def pipeline_spans(chunker: Chunker, depth: int = 3) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` step ranges of a ``depth``-stage pipeline,
+    one per plan block.
+
+    Step ``s`` of Fig. 2's triple-buffered pipeline (``depth`` 3) copies
+    chunk ``s`` in, computes chunk ``s - 1`` and copies chunk ``s - 2``
+    out; a sequential pipeline (``depth`` 1) handles chunk ``s`` whole.
+    The fill steps ``0 .. depth - 2`` come first, then the steady state
+    — every step whose chunks are all full, identical but for names —
+    as one range, then one range per step that touches the partial
+    final chunk or drains the pipeline. Empty ranges are left out.
+    """
+    steady = max(depth - 1, chunker.full_chunks)
+    spans = [(s, s + 1) for s in range(depth - 1)]
+    spans.append((depth - 1, steady))
+    spans += [
+        (s, s + 1) for s in range(steady, chunker.num_chunks + depth - 1)
+    ]
+    return [(start, stop) for start, stop in spans if stop > start]
+
+
 def add_pipeline_steps(
     plan: Plan, chunker: Chunker, step: Callable[[int], list[Phase]]
 ) -> Plan:
-    """Append the ``n + 2`` steps of Fig. 2's triple-buffered pipeline.
-
-    ``step(s)`` builds step ``s``, which copies chunk ``s`` in, computes
-    chunk ``s - 1`` and copies chunk ``s - 2`` out. The fill steps 0 and
-    1 come first, then the steady state — every step whose three chunks
-    are full, identical but for names — as one repeated block, then the
-    steps that touch the partial final chunk or drain the pipeline.
-    """
-    steady = max(2, chunker.full_chunks)
-    plan.add_block(step, 0, 1).add_block(step, 1, 2)
-    plan.add_block(step, 2, steady)
-    for s in range(steady, chunker.num_chunks + 2):
-        plan.add_block(step, s, s + 1)
+    """Append the ``n + 2`` steps of Fig. 2's triple-buffered pipeline,
+    one block per :func:`pipeline_spans` range; ``step(s)`` builds
+    step ``s``."""
+    for start, stop in pipeline_spans(chunker):
+        plan.add_block(step, start, stop)
     return plan
+
+
+#: Flow roles, in a step's flow order. In the triple-buffered pipeline
+#: a role's index is also its lag: step ``s`` copies chunk ``s`` in,
+#: computes chunk ``s - 1`` and copies chunk ``s - 2`` out.
+_COPY_IN, _COMPUTE, _COPY_OUT = 0, 1, 2
+_ROLE_NAMES = ("copy-in", "compute", "copy-out")
+#: Phase-name suffix of each role in the unbuffered pipeline.
+_ROLE_PHASES = ("in", "compute", "out")
+
+#: Multipliers of a copy between DDR and MCDRAM.
+_COPY = (("ddr", 1.0), ("mcdram", 1.0))
+
+
+def _pipeline_steps(
+    mode: UsageMode,
+    buffered: bool,
+    threads: tuple[int, int, int],
+    s_copy: float,
+    s_comp: float,
+    blocks: tuple,
+) -> list:
+    """The template behind :meth:`BufferedPipeline.build_plan`, a pure
+    function of its arguments (the template key).
+
+    ``threads`` holds the copy-in, compute and copy-out pool sizes.
+    ``blocks`` holds one entry per :func:`pipeline_spans` range: the
+    flows of each of its steps as ``(role, multipliers, live)``
+    triples, in flow order. A dead flow (a zero-pass kernel's compute)
+    moves no bytes and takes no column of the row.
+    """
+    explicit = mode in (UsageMode.FLAT, UsageMode.HYBRID)
+
+    def flow(role, multipliers, live, name, take) -> Flow:
+        return Flow(
+            name,
+            threads[role],
+            s_comp if role == _COMPUTE else s_copy,
+            dict(multipliers),
+            take() if live else 0.0,
+        )
+
+    def block(flows):
+        if buffered:
+            # Fig. 2: step s copies chunk s in, computes chunk s-1,
+            # copies chunk s-2 out. Pools hold their threads for the
+            # whole step and spin at the barrier: no mid-step
+            # bandwidth resharing.
+            def step(s: int, take) -> list[Phase]:
+                made = [
+                    flow(
+                        role, res, live, f"{_ROLE_NAMES[role]}[{s - role}]", take
+                    )
+                    for role, res, live in flows
+                ]
+                return [Phase(f"step{s}", made, static_rates=True)]
+        elif explicit:
+            # Unbuffered: sequential copy-in, compute, copy-out.
+            def step(i: int, take) -> list[Phase]:
+                return [
+                    Phase(
+                        f"chunk{i}/{_ROLE_PHASES[role]}",
+                        [flow(role, res, live, _ROLE_NAMES[role], take)],
+                    )
+                    for role, res, live in flows
+                ]
+        else:
+            # Implicit / cache / DDR: compute-only phases; the cache (if
+            # any) pulls data in on first touch, cold per chunk.
+            def step(i: int, take) -> list[Phase]:
+                return [
+                    Phase(f"chunk{i}", [flow(*flows[0], "compute", take)])
+                ]
+
+        return step
+
+    return [block(flows) for flows in blocks]
 
 
 @dataclass
@@ -164,105 +264,76 @@ class BufferedPipeline:
         while self._buffers:
             heap.free(self._buffers.pop())
 
-    # ---- flow construction ------------------------------------------------
+    # ---- plan construction -------------------------------------------------
 
-    def _copy_in_flow(self, nbytes: float, label: str) -> Flow:
-        return self.pools.copy_in.flow(
-            per_thread_rate=self.params.s_copy,
-            resources={"ddr": 1.0, "mcdram": 1.0},
-            nbytes=nbytes,
-            name=label,
-        )
-
-    def _copy_out_flow(self, nbytes: float, label: str) -> Flow:
-        return self.pools.copy_out.flow(
-            per_thread_rate=self.params.s_copy,
-            resources={"ddr": 1.0, "mcdram": 1.0},
-            nbytes=nbytes,
-            name=label,
-        )
-
-    def _compute_flow(self, chunk_bytes: float, label: str, cold: bool) -> Flow:
+    def _compute_scalars(self, chunk_bytes: int) -> tuple[float, tuple]:
+        """The compute flow of a chunk of ``chunk_bytes``: its logical
+        bytes and its resource multipliers (cold: first touch)."""
         resources = compute_multipliers(
             self.node,
             self.mode,
             working_set=chunk_bytes,
             passes=self.kernel.passes(chunk_bytes),
             write_fraction=self.kernel.write_fraction,
-            cold=cold,
+            cold=True,
         )
-        return self.pools.compute.flow(
-            per_thread_rate=self.s_comp,
-            resources=resources,
-            nbytes=self.kernel.logical_bytes(chunk_bytes),
-            name=label,
-        )
-
-    # ---- plan construction -------------------------------------------------
+        return self.kernel.logical_bytes(chunk_bytes), tuple(resources.items())
 
     def build_plan(self) -> Plan:
-        """Emit the step-by-step flow plan.
+        """Emit the step-by-step flow plan as a lazy plan.
 
         Every full chunk moves the same bytes, so the steps that touch
         only full chunks are identical but for their names: they form
         one repeated block (the steady state), with the pipeline fill,
-        drain and partial final chunk as their own entries.
+        drain and partial final chunk as their own entries
+        (:func:`pipeline_spans`). Per call this computes only scalars —
+        chunk sizes, the compute flow's logical bytes and multipliers
+        for a full and a ragged last chunk, and which flows each block
+        holds. They form the plan's bytes row and the key of its
+        template (:func:`_pipeline_steps`), which is built once per
+        process.
         """
         chunker = self.chunker
         n = chunker.num_chunks
-        size = chunker.nbytes
-        plan = Plan(name=f"{self.kernel.name}/{self.mode.value}")
         explicit = self.mode in (UsageMode.FLAT, UsageMode.HYBRID)
-        if explicit and self.buffered:
-            # Fig. 2: step s copies chunk s in, computes chunk s-1,
-            # copies chunk s-2 out.
-            def step(s: int) -> list[Phase]:
-                flows = []
-                if s < n:
-                    flows.append(self._copy_in_flow(size(s), f"copy-in[{s}]"))
-                if 0 <= s - 1 < n:
-                    flows.append(
-                        self._compute_flow(size(s - 1), f"compute[{s - 1}]", True)
-                    )
-                if 0 <= s - 2 < n:
-                    flows.append(
-                        self._copy_out_flow(size(s - 2), f"copy-out[{s - 2}]")
-                    )
-                # Pools hold their threads for the whole step and spin
-                # at the barrier: no mid-step bandwidth resharing.
-                return [Phase(name=f"step{s}", flows=flows, static_rates=True)]
-
-            return add_pipeline_steps(plan, chunker, step)
-        if explicit:
-            # Unbuffered: sequential copy-in, compute, copy-out.
-            def chunk(i: int) -> list[Phase]:
-                return [
-                    Phase(
-                        name=f"chunk{i}/in",
-                        flows=[self._copy_in_flow(size(i), "copy-in")],
-                    ),
-                    Phase(
-                        name=f"chunk{i}/compute",
-                        flows=[self._compute_flow(size(i), "compute", True)],
-                    ),
-                    Phase(
-                        name=f"chunk{i}/out",
-                        flows=[self._copy_out_flow(size(i), "copy-out")],
-                    ),
-                ]
-        else:
-            # Implicit / cache / DDR: compute-only phases; the cache (if
-            # any) pulls data in on first touch, cold per chunk.
-            def chunk(i: int) -> list[Phase]:
-                return [
-                    Phase(
-                        name=f"chunk{i}",
-                        flows=[self._compute_flow(size(i), "compute", True)],
-                    )
-                ]
-
-        full = chunker.full_chunks
-        return plan.add_block(chunk, 0, full).add_block(chunk, full, n)
+        buffered = explicit and self.buffered
+        roles = (_COPY_IN, _COMPUTE, _COPY_OUT) if explicit else (_COMPUTE,)
+        computes: dict[int, tuple[float, tuple]] = {}
+        blocks = []
+        row: list[float] = []
+        repeats = []
+        for start, stop in pipeline_spans(chunker, 3 if buffered else 1):
+            flows = []
+            for role in roles:
+                i = start - role if buffered else start
+                if not 0 <= i < n:
+                    continue
+                size = chunker.nbytes(i)
+                if role == _COMPUTE:
+                    if size not in computes:
+                        computes[size] = self._compute_scalars(size)
+                    nbytes, res = computes[size]
+                else:
+                    nbytes, res = size, _COPY
+                flows.append((role, res, nbytes > 0))
+                if nbytes > 0:
+                    row.append(nbytes)
+            blocks.append(tuple(flows))
+            repeats.append(stop - start)
+        row.extend(repeats)
+        pools = self.pools
+        template = plan_template(
+            _pipeline_steps,
+            self.mode,
+            buffered,
+            (pools.copy_in.size, pools.compute.size, pools.copy_out.size),
+            self.params.s_copy,
+            self.s_comp,
+            tuple(blocks),
+        )
+        return Plan.from_template(
+            template, row, f"{self.kernel.name}/{self.mode.value}"
+        )
 
     def prepare(self, heap: Heap | None = None) -> Plan:
         """Build the plan without executing it, with :meth:`run`'s exact

@@ -6,15 +6,19 @@ by one through ``Engine.run``, while ``sweep_map`` sends all pending
 cells through one tensor evaluation instead. These tests pin that
 wiring: builder used and the direct path never run, memo and store
 warmed, the same path under a telemetry session, the
-hash-once-per-unique-cell dedup, and, for every driver's plan cell, a
-direct call equal bit for bit to the sweep under an unchanged memo key.
+hash-once-per-unique-cell dedup, for every driver's plan cell a direct
+call equal bit for bit to the sweep under an unchanged memo key, and
+table3 served from figure8's merge-bench cells (memo and store).
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.modes import UsageMode
+from repro.cli import main
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner
 from repro.experiments.figure7 import _variant_time
@@ -28,7 +32,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.store import get_store
 from repro.experiments.table2 import _table2_cell
-from repro.experiments.table3 import _table3_cell
+from repro.simknl import batch
 from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
@@ -37,6 +41,8 @@ from repro.telemetry import runtime as _tm
 from repro.units import GB, GiB
 
 RESOURCES = (Resource("ddr", 90 * GB), Resource("mcdram", 400 * GB))
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
 BUILD_CALLS: list[tuple] = []
 
@@ -164,7 +170,6 @@ PLAN_CELLS = [
         ],
     ),
     (_table2_cell, "_table2_cell", [()]),
-    (_table3_cell, "_table3_cell", [(1, 256), (64, 256)]),
     (_figure8_cell, "_figure8_cell", [(1, 8, 256), (16, 2, 256), (64, 32, 256)]),
     (
         _pareto_cell,
@@ -187,6 +192,40 @@ class TestPlanCells:
         direct = [cell(*c) for c in cells]
         swept = sweep_map(cell, cells, memo={})
         assert _bits(swept) == _bits(direct)
+
+
+class TestSharedMergeBenchCells:
+    """table3's empirical column reads figure8's cells: one process
+    simulates the merge-bench sweep once, and a figure8 store replays
+    table3."""
+
+    def test_table3_after_figure8_runs_no_engine_work(
+        self, monkeypatch, engine_runs
+    ):
+        monkeypatch.setattr(runner, "_SWEEP_MEMO", {})
+        batches: list[int] = []
+        real = batch.run_batch
+
+        def counting(engine, plans):
+            batches.append(len(plans))
+            return real(engine, plans)
+
+        monkeypatch.setattr(batch, "run_batch", counting)
+        ALL_EXPERIMENTS["figure8"]()
+        assert sum(batches) == 42
+        batches.clear()
+        engine_runs.clear()
+        ALL_EXPERIMENTS["table3"]()
+        assert batches == []
+        assert engine_runs == []
+
+    def test_figure8_store_replays_table3(self, tmp_path, capsys):
+        store = str(tmp_path / "s8")
+        assert main(["figure8", "--store", store, "--csv", "-"]) == 0
+        capsys.readouterr()
+        assert main(["replay", "table3", "--store", store, "--csv", "-"]) == 0
+        replayed = capsys.readouterr().out.encode()
+        assert replayed == (GOLDEN / "table3.out").read_bytes()
 
 
 class TestCellKeyDedup:

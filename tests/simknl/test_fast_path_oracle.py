@@ -11,10 +11,11 @@ Plans come from two sources: random static/dynamic phase lists whose
 phases repeat a random number of times per cell, and the real plan
 builders (the triple-buffered and unbuffered chunk pipelines, the
 three-level NVM pipeline, MLM-sort and the GNU sort) at random chunk
-counts, ragged final chunks included. The sort builders' plans are
-lazy (a shared template plus a bytes row), so the reference loop runs
-their phases built from the template while the fast path reads the
-row; a mixed sweep of MLM cells also goes through ``evaluate_cells``. Dynamic phases with exactly one live flow take
+counts, ragged final chunks included. The chunk-pipeline and sort
+builders' plans are lazy (a shared template plus a bytes row), so the
+reference loop runs their phases built from the template while the
+fast path reads the row; a mixed sweep of MLM cells also goes through
+``evaluate_cells``. Dynamic phases with exactly one live flow take
 a direct one-round path (``batch._single_flow``) and get their own
 cases: one row and many, a resource-free overhead flow, idle flows
 beside the live one, and a starved flow that must raise the reference
