@@ -244,7 +244,7 @@ def _mlm_steps(
     merge's multipliers. ``final`` holds the final merge's multipliers,
     or None for a single megachunk.
     """
-    validate_node_mode(KNLNode(node_config), mode)
+    validate_node_mode(node_config, mode)
 
     def megachunk(copy_in, stage, next_copy_in, merge):
         def step(i: int, take) -> list[Phase]:

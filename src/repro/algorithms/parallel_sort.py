@@ -160,7 +160,7 @@ def _gnu_steps(
     bands, the multiway merge into temp and the copy back, one phase
     and block each. A pure function of its arguments, the template key.
     """
-    validate_node_mode(KNLNode(node_config), mode)
+    validate_node_mode(node_config, mode)
 
     def single(name, flow, rate, res):
         return lambda i, take: [

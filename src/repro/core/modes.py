@@ -28,7 +28,7 @@ import enum
 import math
 
 from repro.errors import ConfigError
-from repro.simknl.node import KNLNode, MemoryMode
+from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
 
 class UsageMode(enum.Enum):
@@ -66,8 +66,14 @@ def required_memory_mode(mode: UsageMode) -> MemoryMode | None:
     return None
 
 
-def validate_node_mode(node: KNLNode, mode: UsageMode) -> None:
-    """Raise :class:`ConfigError` when the node is booted incompatibly."""
+def validate_node_mode(
+    node: KNLNode | KNLNodeConfig, mode: UsageMode
+) -> None:
+    """Raise :class:`ConfigError` when the node is booted incompatibly.
+
+    Reads only the boot mode, so a node's config serves as well as the
+    node (the plan-template builders pass the config they are keyed on).
+    """
     req = required_memory_mode(mode)
     if req is not None and node.mode is not req:
         raise ConfigError(

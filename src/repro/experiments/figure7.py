@@ -16,7 +16,7 @@ from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.core.modes import UsageMode
 from repro.experiments.runner import ExperimentResult, SeriesSpec, sweep_map
 from repro.simknl.batch import PlanBatch, plan_cell
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.node import KNLNodeConfig, MemoryMode, boot
 
 #: Default chunk sizes swept, in elements (0.125B .. 6B).
 DEFAULT_CHUNKS = (
@@ -40,13 +40,13 @@ HYBRID_CHUNK_LIMIT = 1_000_000_000
 def _variant_time(mode: UsageMode, n: int, mega: int, cost) -> PlanBatch:
     """One figure7 cell: MLM-sort's simulated seconds in ``mode``."""
     if mode is UsageMode.FLAT:
-        node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
+        node = boot(KNLNodeConfig(mode=MemoryMode.FLAT))
     elif mode is UsageMode.HYBRID:
-        node = KNLNode(
+        node = boot(
             KNLNodeConfig(mode=MemoryMode.HYBRID, hybrid_cache_fraction=0.5)
         )
     else:
-        node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
+        node = boot(KNLNodeConfig(mode=MemoryMode.CACHE))
     cfg = MLMSortConfig(n=n, megachunk_elements=mega, mode=mode)
     return PlanBatch(
         resources=tuple(node.resources()),

@@ -16,7 +16,7 @@ from repro.experiments.runner import ExperimentResult, SeriesSpec, sweep_map
 from repro.model.analytic import predict
 from repro.model.params import ModelParams
 from repro.simknl.batch import PlanBatch, plan_cell
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.node import KNLNodeConfig, MemoryMode, boot
 
 DEFAULT_REPEATS = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_COPY_THREADS = (1, 2, 4, 8, 16, 32)
@@ -38,7 +38,7 @@ def _figure8_model(r: int, p: int, total_threads: int) -> float:
 def _figure8_cell(r: int, p: int, total_threads: int) -> PlanBatch:
     """One (repeats, copy-threads) grid cell: (model_s, empirical_s)."""
     model_t = _figure8_model(r, p, total_threads)
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
+    node = boot(KNLNodeConfig(mode=MemoryMode.FLAT))
     pipe = build_merge_bench(
         node,
         MergeBenchConfig(

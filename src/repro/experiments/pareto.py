@@ -29,7 +29,7 @@ from repro.simknl.energy import (
     EnergyModel,
 )
 from repro.simknl.engine import RunResult
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.node import KNLNodeConfig, MemoryMode, boot
 from repro.threads.pool import PoolSet
 from repro.units import GB, GiB, MiB
 
@@ -52,12 +52,12 @@ def _pareto_pipeline(
     mcdram_scale: float,
 ) -> BufferedPipeline:
     """Assemble the pipeline behind one design-space cell."""
-    boot = _BOOT_MODES.get(mode_value)
-    if boot is None:
+    bios = _BOOT_MODES.get(mode_value)
+    if bios is None:
         raise ConfigError(f"unknown pareto mode {mode_value!r}")
     mode = UsageMode(mode_value)
-    node = KNLNode(
-        KNLNodeConfig(mode=boot, mcdram_bandwidth=400 * GB * mcdram_scale)
+    node = boot(
+        KNLNodeConfig(mode=bios, mcdram_bandwidth=400 * GB * mcdram_scale)
     )
     if mode is UsageMode.FLAT:
         pools = PoolSet.split(

@@ -32,7 +32,7 @@ from repro.core.modes import UsageMode
 from repro.experiments.store import ResultStore, default_store, get_store
 from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.engine import RunResult
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 
@@ -110,6 +110,14 @@ def _canonical_repr(obj: Any) -> str:
     return text
 
 
+#: The one encoder :func:`config_hash` canonicalizes through. It is the
+#: encoder ``json.dumps`` would build per call for these arguments, so
+#: keys stay byte-identical and stores written earlier still hit.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, default=_canonical_repr, separators=(",", ":")
+)
+
+
 def config_hash(payload: Any) -> str:
     """Deterministic hash of an experiment cell's configuration.
 
@@ -124,10 +132,7 @@ def config_hash(payload: Any) -> str:
     :class:`~repro.errors.ConfigError`: such a hash would be unique per
     process and the result store would silently never hit across runs.
     """
-    canonical = json.dumps(
-        payload, sort_keys=True, default=_canonical_repr,
-        separators=(",", ":"),
-    )
+    canonical = _CANONICAL_ENCODER.encode(payload)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -379,17 +384,17 @@ def sweep_map(
 
 
 #: The two node configurations the variants boot. Configs are frozen,
-#: so every cell shares one object, and plan-template keys holding it
-#: compare by identity.
+#: so every cell shares one object (and one booted node), and
+#: plan-template keys holding it compare by identity.
 _CACHE_CONFIG = KNLNodeConfig(mode=MemoryMode.CACHE)
 _FLAT_CONFIG = KNLNodeConfig(mode=MemoryMode.FLAT)
 
 
 def node_for_variant(variant: str) -> KNLNode:
-    """A node booted into the BIOS mode the variant needs."""
+    """The shared node booted into the BIOS mode the variant needs."""
     if variant in ("GNU-cache", "MLM-implicit"):
-        return KNLNode(_CACHE_CONFIG)
-    return KNLNode(_FLAT_CONFIG)
+        return boot(_CACHE_CONFIG)
+    return boot(_FLAT_CONFIG)
 
 
 def paper_megachunk(n: int) -> int:

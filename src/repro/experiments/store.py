@@ -167,6 +167,9 @@ class ResultStore:
         self.stats = StoreStats()
         self._dir = self.root / LAYOUT
         self._dir.mkdir(parents=True, exist_ok=True)
+        #: ``_dir`` as a string: entry paths are joined as strings on
+        #: the per-cell get/probe/put path, which ``Path`` objects slow.
+        self._dirname = os.fspath(self._dir)
         self._count: int | None = None  # lazily scanned
         self._bytes = 0
         self._warned_corrupt = False
@@ -207,10 +210,15 @@ class ResultStore:
         self._ensure_scanned()
         return self._bytes
 
-    def _path(self, key: str) -> Path:
-        return self._dir / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return os.path.join(self._dirname, key[:2], key + ".json")
 
-    def _report_corrupt(self, path: Path, why: str) -> None:
+    @staticmethod
+    def _read(path: str) -> str:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+
+    def _report_corrupt(self, path: str, why: str) -> None:
         self.stats.corrupt += 1
         tel = _tm.current()
         if tel.enabled:
@@ -219,9 +227,9 @@ class ResultStore:
             self._warned_corrupt = True
             warnings.warn(
                 f"result store {self.root}: skipping corrupt entry "
-                f"{path.name} ({why}); further corrupt entries in this "
-                "store are counted silently (see store.corrupt_total / "
-                "StoreStats.corrupt)",
+                f"{os.path.basename(path)} ({why}); further corrupt "
+                "entries in this store are counted silently (see "
+                "store.corrupt_total / StoreStats.corrupt)",
                 stacklevel=4,
             )
 
@@ -268,7 +276,7 @@ class ResultStore:
         """
         path = self._path(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = self._read(path)
         except (FileNotFoundError, NotADirectoryError):
             self._miss()
             return False, None
@@ -308,7 +316,7 @@ class ResultStore:
         """
         path = self._path(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = self._read(path)
         except (FileNotFoundError, NotADirectoryError):
             return False
         except OSError as exc:
@@ -351,17 +359,19 @@ class ResultStore:
         }
         data = json.dumps(entry, separators=(",", ":")) + "\n"
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (
-            f".{key}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
+        shard = os.path.dirname(path)
+        os.makedirs(shard, exist_ok=True)
+        tmp = os.path.join(
+            shard, f".{key}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
         )
         try:
-            tmp.write_text(data, encoding="utf-8")
-            existed = path.exists()
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(data)
+            existed = os.path.exists(path)
             os.replace(tmp, path)
         except OSError:
             try:
-                tmp.unlink()
+                os.unlink(tmp)
             except OSError:
                 pass
             raise

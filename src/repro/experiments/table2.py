@@ -16,7 +16,7 @@ from typing import Any
 from repro.experiments.paperdata import TABLE2_PARAMS
 from repro.experiments.runner import ExperimentResult, sweep_map
 from repro.simknl.batch import PlanBatch, plan_cell
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.node import KNLNodeConfig, MemoryMode, boot
 from repro.units import GB
 
 #: Parameter order of the measurement cell's result tuple.
@@ -32,7 +32,7 @@ def _table2_cell() -> PlanBatch:
     divided back into rates by ``finish``."""
     from repro.algorithms.stream import micro_rate_plans, stream_triad_plan
 
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
+    node = boot(KNLNodeConfig(mode=MemoryMode.FLAT))
     ddr_plan = stream_triad_plan(node, device="ddr")
     mc_plan = stream_triad_plan(node, device="mcdram")
     copy_plan, comp_plan, nbytes = micro_rate_plans(node)

@@ -522,20 +522,30 @@ def evaluate_cells(
     """
     built = [build(*cell) for cell in cells]
     engines: dict[tuple, Engine] = {}
+    # Cells on one booted node share its resource tuple, so each
+    # distinct tuple object is keyed once, not once per cell. ``built``
+    # keeps every tuple alive, so no id is reused during the loop.
+    by_tuple: dict[int, Engine] = {}
     groups: dict[tuple, list[tuple[int, int, Plan]]] = {}
     cell_runs: list[list[RunResult | None]] = []
     for bi, item in enumerate(built):
-        engine_key = tuple((r.name, r.capacity) for r in item.resources)
-        if engine_key not in engines:
-            engines[engine_key] = Engine(item.resources, record_events=False)
+        engine = by_tuple.get(id(item.resources))
+        if engine is None:
+            engine_key = tuple((r.name, r.capacity) for r in item.resources)
+            engine = engines.get(engine_key)
+            if engine is None:
+                engine = engines[engine_key] = Engine(
+                    item.resources, record_events=False
+                )
+            by_tuple[id(item.resources)] = engine
         cell_runs.append([None] * len(item.plans))
         for slot, plan in enumerate(item.plans):
-            key = (engine_key, plan.template or plan.structure())
+            key = (engine, plan.template or plan.structure())
             groups.setdefault(key, []).append((bi, slot, plan))
 
     with telemetry_session(Telemetry(enabled=False)):
-        for (engine_key, _), entries in groups.items():
-            outs = run_batch(engines[engine_key], [p for _, _, p in entries])
+        for (engine, _), entries in groups.items():
+            outs = run_batch(engine, [p for _, _, p in entries])
             for (bi, slot, _), out in zip(entries, outs):
                 cell_runs[bi][slot] = out
 

@@ -1,7 +1,9 @@
 """Memory device models: DDR4 DIMMs and on-package MCDRAM.
 
 A device couples a bandwidth :class:`~repro.simknl.flows.Resource` with
-capacity accounting and a latency figure. The paper's key observation —
+a capacity and a latency figure. Devices are frozen values, so a booted
+node built from them is read-only and can be shared
+(:func:`repro.simknl.node.boot`). The paper's key observation —
 MCDRAM offers ~4.4x the bandwidth of DDR at *similar latency* — is
 encoded in the defaults: both devices sit near 130-150 ns loaded
 latency, while bandwidths differ (90 vs 400 GB/s as measured by STREAM
@@ -16,16 +18,14 @@ this bound and are what the model layer actually uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 from repro.simknl.flows import Resource
-from repro.telemetry import names as _tn
-from repro.telemetry import runtime as _tm
 from repro.units import CACHE_LINE, GB, GiB
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemoryDevice:
     """A byte-addressable memory device.
 
@@ -49,7 +49,6 @@ class MemoryDevice:
     capacity: float
     latency: float
     channels: int = 1
-    allocated: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth <= 0:
@@ -64,48 +63,6 @@ class MemoryDevice:
     def resource(self) -> Resource:
         """The bandwidth resource this device contributes."""
         return Resource(name=self.name, capacity=self.bandwidth)
-
-    @property
-    def free(self) -> float:
-        """Unallocated capacity in bytes."""
-        return self.capacity - self.allocated
-
-    def reserve(self, nbytes: float) -> None:
-        """Reserve ``nbytes`` of capacity.
-
-        Raises
-        ------
-        CapacityError
-            If the device does not have ``nbytes`` free.
-        """
-        if nbytes < 0:
-            raise CapacityError(f"{self.name}: negative reservation")
-        if nbytes > self.free * (1 + 1e-12):
-            raise CapacityError(
-                f"{self.name}: reserving {nbytes / GiB:.3f} GiB exceeds free "
-                f"{self.free / GiB:.3f} GiB"
-            )
-        self.allocated += nbytes
-        tel = _tm.current()
-        if tel.enabled:
-            tel.metrics.gauge(_tn.DEVICE_RESERVED_BYTES).set(
-                self.allocated, device=self.name
-            )
-
-    def release(self, nbytes: float) -> None:
-        """Return ``nbytes`` of previously reserved capacity."""
-        if nbytes < 0:
-            raise CapacityError(f"{self.name}: negative release")
-        if nbytes > self.allocated * (1 + 1e-12):
-            raise CapacityError(
-                f"{self.name}: releasing more than allocated"
-            )
-        self.allocated = max(0.0, self.allocated - nbytes)
-        tel = _tm.current()
-        if tel.enabled:
-            tel.metrics.gauge(_tn.DEVICE_RESERVED_BYTES).set(
-                self.allocated, device=self.name
-            )
 
     def per_thread_rate_bound(self, mlp: int = 10) -> float:
         """Little's-law bound on one thread's streaming rate (bytes/s).

@@ -11,6 +11,11 @@ exposed:
 The paper's fourth usage mode, *implicit cache*, is not a BIOS mode —
 it is a software discipline (run a chunked algorithm while booted in
 ``CACHE``), so it lives in :mod:`repro.core.modes`, not here.
+
+A booted node is a pure function of its frozen :class:`KNLNodeConfig`:
+its devices are frozen and nothing changes it after boot. :func:`boot`
+therefore boots each configuration once per process and hands every
+caller the same node.
 """
 
 from __future__ import annotations
@@ -92,6 +97,9 @@ class KNLNodeConfig:
 class KNLNode:
     """A booted KNL node ready to execute flow plans.
 
+    Read-only after boot; sweep cells share one node per configuration
+    through :func:`boot`.
+
     Attributes
     ----------
     config:
@@ -138,6 +146,10 @@ class KNLNode:
             )
         else:
             self.cache_model = None
+        resources = [self.ddr.resource(), self.mcdram.resource()]
+        if cfg.model_mesh:
+            resources.append(self.topology.mesh_resource())
+        self._resources = tuple(resources)
 
     # ---- capacity views -------------------------------------------------
 
@@ -168,12 +180,10 @@ class KNLNode:
 
     # ---- execution ------------------------------------------------------
 
-    def resources(self) -> list[Resource]:
-        """Bandwidth resources contributed by this node."""
-        out = [self.ddr.resource(), self.mcdram.resource()]
-        if self.config.model_mesh:
-            out.append(self.topology.mesh_resource())
-        return out
+    def resources(self) -> tuple[Resource, ...]:
+        """Bandwidth resources contributed by this node (one tuple per
+        node, built at boot, so cells on one node share it)."""
+        return self._resources
 
     def engine(self, record_events: bool = False) -> Engine:
         """A fresh engine over this node's resources."""
@@ -191,3 +201,25 @@ class KNLNode:
             f"mcdram={cfg.mcdram_bandwidth / GB:.0f}GB/s, "
             f"addressable_hbm={self.addressable_mcdram / GiB:.1f}GiB)"
         )
+
+
+#: Nodes booted by :func:`boot`, one per configuration.
+_BOOTED: dict[KNLNodeConfig, KNLNode] = {}
+#: Bound on :data:`_BOOTED`; the memo is dropped wholesale when full.
+_BOOTED_MAX = 256
+
+
+def boot(config: KNLNodeConfig | None = None) -> KNLNode:
+    """The process's node booted with ``config`` (default: the paper's).
+
+    The first call per configuration boots a :class:`KNLNode`; later
+    calls with an equal configuration return that same node, which is
+    safe because a booted node is never mutated.
+    """
+    config = config or KNLNodeConfig()
+    node = _BOOTED.get(config)
+    if node is None:
+        if len(_BOOTED) >= _BOOTED_MAX:
+            _BOOTED.clear()
+        node = _BOOTED[config] = KNLNode(config)
+    return node

@@ -59,9 +59,8 @@ ENGINE_PHASE_SECONDS = "engine.phase_seconds"
 ENGINE_FLOW_COMPLETIONS_TOTAL = "engine.flow_completions_total"
 ENGINE_TRAFFIC_BYTES_TOTAL = "engine.traffic_bytes_total"
 
-# --- devices / hardware cache (simknl.devices, simknl.cache) ---------------
+# --- hardware cache (simknl.cache) ----------------------------------------
 
-DEVICE_RESERVED_BYTES = "device.reserved_bytes"
 CACHE_HITS_TOTAL = "cache.hits_total"
 CACHE_MISSES_TOTAL = "cache.misses_total"
 CACHE_EVICTIONS_TOTAL = "cache.evictions_total"
@@ -123,11 +122,6 @@ _METRIC_SPECS = [
         "Physical bytes moved per bandwidth resource (the per-device "
         "byte counters behind the Fig. 2-5 utilization views).",
         labels=("resource",),
-    ),
-    MetricSpec(
-        DEVICE_RESERVED_BYTES, "gauge", "bytes",
-        "Capacity currently reserved on a memory device.",
-        labels=("device",),
     ),
     MetricSpec(
         CACHE_HITS_TOTAL, "counter", "accesses",

@@ -156,7 +156,7 @@ class TestResultStore:
 
 class TestCorruption:
     def _corrupt(self, store, key, text):
-        path = store._path(key)
+        path = Path(store._path(key))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
 
@@ -228,10 +228,10 @@ class TestGC:
         store.max_entries = 3
         assert store.gc() == 2
         assert store.entries() == 3
-        assert not store._path(keys[0]).exists()
-        assert not store._path(keys[1]).exists()
+        assert not Path(store._path(keys[0])).exists()
+        assert not Path(store._path(keys[1])).exists()
         for key in keys[2:]:
-            assert store._path(key).exists()
+            assert Path(store._path(key)).exists()
 
     def test_hit_refreshes_lru_clock(self, tmp_path):
         store = ResultStore(tmp_path, max_entries=10)
@@ -242,8 +242,8 @@ class TestGC:
         store.get(keys[0], fn="f")  # touch the oldest
         store.max_entries = 2
         store.gc()
-        assert store._path(keys[0]).exists()  # survived: recently used
-        assert not store._path(keys[1]).exists()
+        assert Path(store._path(keys[0])).exists()  # survived: recently used
+        assert not Path(store._path(keys[1])).exists()
 
     def test_gc_noop_under_bound(self, tmp_path):
         store = ResultStore(tmp_path, max_entries=10)
@@ -281,7 +281,7 @@ class TestConcurrency:
         store = ResultStore(tmp_path, max_entries=10)
         for i in range(4):
             store.put(f"{i:04x}" * 4, i, fn="f")
-        store._path("0000" * 4).unlink()  # another process evicted it
+        Path(store._path("0000" * 4)).unlink()  # another process evicted it
         store.max_entries = 2
         store.gc()
         assert store.entries() == 2

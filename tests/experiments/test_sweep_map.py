@@ -51,6 +51,38 @@ class TestConfigHash:
         )
 
 
+class TestPinnedStoreKeys:
+    """Store keys are literal digests: an encoder change that alters
+    one byte of the canonical JSON would orphan every existing store,
+    so these cells' keys are pinned to the values stores hold."""
+
+    @pytest.mark.parametrize(
+        "cell, digest",
+        [
+            (("MLM-sort", 4_000_000_000, "random", "DEFAULT_COST"),
+             "219fcc25e0837d1c"),
+            (("GNU-cache", 6_000_000_000, "reverse", None),
+             "17a1173b4b52dac8"),
+            (("MLM-ddr", 2_500_000_000, "random", None, 500_000_000),
+             "9d7209273b01c73a"),
+        ],
+    )
+    def test_sort_variant_keys(self, cell, digest):
+        from repro.algorithms.costs import DEFAULT_COST
+        from repro.experiments.runner import cost_key, sort_variant_seconds
+
+        cell = tuple(DEFAULT_COST if c == "DEFAULT_COST" else c for c in cell)
+        key = config_hash((cost_key(sort_variant_seconds), cell))
+        assert key == digest
+
+    def test_figure8_key(self):
+        from repro.experiments.figure8 import _figure8_cell
+        from repro.experiments.runner import cost_key
+
+        key = config_hash((cost_key(_figure8_cell), (8, 4, 256)))
+        assert key == "47255b2db52fad22"
+
+
 class TestSweepMap:
     def test_serial_order_preserved(self):
         cells = [(1, 2), (3, 4), (5, 6)]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from repro.errors import CapacityError, ConfigError
+from repro.errors import ConfigError
 from repro.simknl.engine import Phase, Plan
 from repro.simknl.flows import Flow
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl import node as node_mod
+from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
 from repro.units import GB, GiB
 
 
@@ -83,22 +86,10 @@ class TestDevices:
         names = {r.name for r in n.resources()}
         assert names == {"ddr", "mcdram", "mesh"}
 
-    def test_capacity_reservation(self):
+    def test_devices_are_frozen(self):
         n = KNLNode()
-        n.mcdram.reserve(8 * GiB)
-        assert n.mcdram.free == pytest.approx(8 * GiB)
-        n.mcdram.release(8 * GiB)
-        assert n.mcdram.free == pytest.approx(16 * GiB)
-
-    def test_over_reservation_raises(self):
-        n = KNLNode()
-        with pytest.raises(CapacityError):
-            n.mcdram.reserve(17 * GiB)
-
-    def test_over_release_raises(self):
-        n = KNLNode()
-        with pytest.raises(CapacityError):
-            n.mcdram.release(1.0)
+        with pytest.raises(FrozenInstanceError):
+            n.mcdram.capacity = 8 * GiB
 
     def test_per_thread_rate_bound_positive(self):
         n = KNLNode()
@@ -135,3 +126,64 @@ class TestExecution:
     def test_repr_mentions_mode(self):
         assert "cache" in repr(KNLNode())
 
+
+
+class TestBoot:
+    def test_one_node_per_config(self, monkeypatch):
+        monkeypatch.setattr(node_mod, "_BOOTED", {})
+        flat = boot(KNLNodeConfig(mode=MemoryMode.FLAT))
+        assert boot(KNLNodeConfig(mode=MemoryMode.FLAT)) is flat
+        assert boot(KNLNodeConfig(mode=MemoryMode.CACHE)) is not flat
+        assert boot() is boot(KNLNodeConfig())
+
+    def test_memo_dropped_when_full(self, monkeypatch):
+        monkeypatch.setattr(node_mod, "_BOOTED", {})
+        monkeypatch.setattr(node_mod, "_BOOTED_MAX", 2)
+        first = boot(KNLNodeConfig(cores=2))
+        boot(KNLNodeConfig(cores=4))
+        boot(KNLNodeConfig(cores=6))
+        assert len(node_mod._BOOTED) == 1
+        assert boot(KNLNodeConfig(cores=2)) is not first
+
+    def test_resources_built_once(self):
+        n = KNLNode(KNLNodeConfig(model_mesh=True))
+        assert n.resources() is n.resources()
+        assert [r.name for r in n.resources()] == ["ddr", "mcdram", "mesh"]
+
+    def test_sweep_boots_each_config_once(self, monkeypatch):
+        """A sort-variant sweep boots at most its two BIOS modes, and
+        its results match fresh per-cell runs bit for bit."""
+        from repro.experiments.runner import (
+            VARIANTS,
+            node_for_variant,
+            sort_variant_run,
+            sort_variant_seconds,
+            sweep_map,
+        )
+
+        monkeypatch.setattr(node_mod, "_BOOTED", {})
+        boots = []
+        init = KNLNode.__init__
+
+        def counting_init(self, config=None):
+            boots.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(KNLNode, "__init__", counting_init)
+        cells = [
+            (variant, n, order, None, mega)
+            for variant in VARIANTS
+            for n in (1_000_000_000, 2_500_000_000, 6_000_000_000)
+            for order in ("random", "reverse")
+            for mega in (None, 500_000_000)
+        ]
+        assert len(cells) >= 50
+        got = sweep_map(sort_variant_seconds, cells, memo={})
+        assert len(boots) <= 2
+        for cell, seconds in zip(cells, got):
+            variant, n, order, cost, mega = cell
+            ref = sort_variant_run(variant, n, order, cost, mega).elapsed
+            assert seconds == ref, cell
+        shared = node_for_variant("MLM-sort")
+        with pytest.raises(FrozenInstanceError):
+            shared.ddr.bandwidth = 1.0

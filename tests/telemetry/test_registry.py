@@ -47,10 +47,10 @@ class TestCounter:
 
 class TestGauge:
     def test_set_add_and_both_directions(self):
-        g = Telemetry().metrics.gauge(tn.DEVICE_RESERVED_BYTES)
-        g.set(100, device="ddr")
-        g.add(-25, device="ddr")
-        assert g.value(device="ddr") == 75
+        g = Telemetry().metrics.gauge(tn.POOL_THREADS)
+        g.set(100, role="compute")
+        g.add(-25, role="compute")
+        assert g.value(role="compute") == 75
 
     def test_set_max_is_high_water(self):
         g = Telemetry().metrics.gauge(tn.ALLOC_HIGH_WATER_BYTES)
