@@ -15,12 +15,12 @@ import numpy as np
 
 from repro.algorithms.mlm_sort import mlm_sort
 from repro.experiments.runner import VARIANTS, sort_variant_seconds
-from repro.workloads import generate
 
 
 def functional_demo() -> None:
     print("== functional: sorting 2M elements with MLM-sort ==")
-    arr = generate(2_000_000, "random", seed=42)
+    n = 2_000_000
+    arr = np.random.default_rng(42).integers(0, 4 * n, n, dtype=np.int64)
     out = mlm_sort(arr, megachunk_elements=500_000, threads=8)
     assert np.array_equal(out, np.sort(arr)), "sorted output mismatch"
     print(f"sorted {len(out):,} elements; head: {out[:5]} ... tail: {out[-5:]}")

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Visualize a buffered pipeline: Gantt chart, utilization, energy.
+"""Trace a buffered pipeline: phase timeline, energy, Perfetto export.
 
-Runs the Section 5 merge benchmark and shows what the simulator
-actually scheduled — the Fig. 2 overlap of copy-in / compute /
-copy-out steps — plus per-device utilization and the energy bill.
-Optionally writes a Chrome-trace JSON loadable in chrome://tracing
-or Perfetto.
+Runs the Section 5 merge benchmark inside a telemetry session and
+shows what the simulator scheduled — the Fig. 2 overlap of copy-in /
+compute / copy-out steps, one ``phase.end`` event per step — plus the
+energy bill. Optionally writes the event log as Chrome-trace /
+Perfetto JSON (the same format as ``repro-knl <artifact> --events
+x.perfetto.json``), loadable in ui.perfetto.dev or chrome://tracing.
 
-Run: ``python examples/trace_pipeline.py [trace.json]``
+Run: ``python examples/trace_pipeline.py [trace.perfetto.json]``
 """
 
 import sys
@@ -15,12 +16,8 @@ import sys
 from repro.algorithms.merge_bench import MergeBenchConfig, run_merge_bench
 from repro.simknl.energy import EnergyModel
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
-from repro.simknl.trace import (
-    phase_utilizations,
-    render_gantt,
-    to_chrome_trace,
-)
-from repro.units import GB
+from repro.telemetry import events_to_perfetto, telemetry_session
+from repro.telemetry import names as tn
 
 
 def main(trace_path: str | None = None) -> None:
@@ -28,23 +25,18 @@ def main(trace_path: str | None = None) -> None:
     cfg = MergeBenchConfig(
         repeats=8, copy_in_threads=5, data_bytes=8 * 10**9, chunk_bytes=10**9
     )
-    res = run_merge_bench(node, cfg)
+    with telemetry_session() as tel:
+        res = run_merge_bench(node, cfg)
     print(f"merge benchmark: {res.elapsed:.3f} s over {res.num_chunks} chunks\n")
 
-    print(render_gantt(res.plan, res.run, width=50))
-
-    print("\nper-phase device utilization:")
-    utils = phase_utilizations(
-        res.plan, res.run, {"ddr": 90 * GB, "mcdram": 400 * GB}
-    )
-    for u in utils[:6]:
-        ddr = u.device_utilization.get("ddr", 0.0)
-        mc = u.device_utilization.get("mcdram", 0.0)
-        print(
-            f"  {u.name:8s} {u.duration * 1e3:7.2f} ms  "
-            f"ddr {ddr:5.1%}  mcdram {mc:5.1%}"
-        )
-    print(f"  ... ({len(utils)} phases total)")
+    print(f"phase timeline ({len(tel.events)} events logged):")
+    for ev in tel.events:
+        if ev.name == tn.EVENT_PHASE_END:
+            start = ev.time - ev.attrs["seconds"]
+            print(
+                f"  {ev.attrs['phase']:8s} {start * 1e3:7.2f} -> "
+                f"{ev.time * 1e3:7.2f} ms"
+            )
 
     rep = EnergyModel().report(res.run)
     print(
@@ -56,8 +48,8 @@ def main(trace_path: str | None = None) -> None:
 
     if trace_path:
         with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write(to_chrome_trace(res.plan, res.run))
-        print(f"\nwrote Chrome trace to {trace_path}")
+            fh.write(events_to_perfetto(tel.events))
+        print(f"\nwrote Perfetto trace to {trace_path}")
 
 
 if __name__ == "__main__":

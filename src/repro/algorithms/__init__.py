@@ -12,16 +12,20 @@ Every algorithm the paper evaluates exists here in two forms:
 
 The shared cost model lives in :mod:`repro.algorithms.costs`.
 
+The package re-exports no function under its submodule's name, so
+``repro.algorithms.mlm_sort`` is always the module: import a
+functional sort from its submodule
+(``from repro.algorithms.mlm_sort import mlm_sort``).
+
 Covers the Section 4 algorithms, the Section 5 merge benchmark, and the
 Section 2 comparison points.
 """
 
 from repro.algorithms.costs import SortCostModel, sort_levels
-from repro.algorithms.serial_sort import insertion_sort, introsort, serial_sort
+from repro.algorithms.serial_sort import insertion_sort, introsort
 from repro.algorithms.multiway_merge import (
     LoserTree,
     merge_two,
-    multiway_merge,
     multiseq_partition,
 )
 from repro.algorithms.parallel_sort import (
@@ -31,7 +35,6 @@ from repro.algorithms.parallel_sort import (
 from repro.algorithms.mlm_sort import (
     MLMSortConfig,
     basic_chunked_sort,
-    mlm_sort,
     mlm_sort_plan,
 )
 from repro.algorithms.merge_bench import (
@@ -41,24 +44,21 @@ from repro.algorithms.merge_bench import (
 )
 from repro.algorithms.stream import stream_triad_plan
 from repro.algorithms.oblivious import oblivious_mergesort, oblivious_sort_plan
-from repro.algorithms.funnelsort import funnelsort, funnelsort_plan
-from repro.algorithms.external_sort import external_sort, external_sort_plan
+from repro.algorithms.funnelsort import funnelsort_plan
+from repro.algorithms.external_sort import external_sort_plan
 
 __all__ = [
     "SortCostModel",
     "sort_levels",
     "insertion_sort",
     "introsort",
-    "serial_sort",
     "LoserTree",
     "merge_two",
-    "multiway_merge",
     "multiseq_partition",
     "gnu_parallel_sort",
     "gnu_sort_plan",
     "MLMSortConfig",
     "basic_chunked_sort",
-    "mlm_sort",
     "mlm_sort_plan",
     "MergeBenchConfig",
     "merge_bench_kernel",
@@ -66,8 +66,6 @@ __all__ = [
     "stream_triad_plan",
     "oblivious_mergesort",
     "oblivious_sort_plan",
-    "funnelsort",
     "funnelsort_plan",
-    "external_sort",
     "external_sort_plan",
 ]

@@ -11,16 +11,17 @@ This package implements the kernel-redesign methodology of Section 3:
   implicit cache, hardware cache) and how each turns logical kernel
   traffic into physical device traffic;
 * :mod:`repro.core.buffering` — the triple-buffered pipeline of
-  Fig. 2 (copy-in / compute / copy-out overlapped across steps);
-* :mod:`repro.core.planner` — chunk-size and thread-split selection
-  driven by the analytic model.
+  Fig. 2 (copy-in / compute / copy-out overlapped across steps).
+
+Chunk size and thread split are the caller's choice: the drivers pick
+copy threads with :func:`repro.model.optimal_copy_threads` and split
+the node with :meth:`repro.threads.pool.PoolSet.split`.
 """
 
 from repro.core.chunking import Chunk, Chunker
 from repro.core.kernel import FunctionKernel, Kernel, StreamKernel
 from repro.core.modes import UsageMode, required_memory_mode, mode_label
 from repro.core.buffering import BufferedPipeline, PipelineResult
-from repro.core.planner import plan_chunk_bytes, plan_pools
 
 __all__ = [
     "Chunk",
@@ -33,6 +34,4 @@ __all__ = [
     "mode_label",
     "BufferedPipeline",
     "PipelineResult",
-    "plan_chunk_bytes",
-    "plan_pools",
 ]

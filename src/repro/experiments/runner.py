@@ -344,6 +344,9 @@ def sweep_map(
                 backfilled.add(k)
                 if not tier2.probe(k, fn=name):
                     tier2.put(k, memo[k], fn=name)
+    # Values for the memo's misses, by key: store hits, then computed
+    # cells. ``results`` is filled from it in one pass at the end.
+    resolved: dict[str, Any] = {}
     if pending and tier2 is not None:
         # Second tier: resolve what the in-memory memo lacks from the
         # on-disk store, warming the memo for the rest of the process.
@@ -352,9 +355,7 @@ def sweep_map(
             if found:
                 del pending[k]
                 _memo_insert(memo, k, value)
-                for i, key in enumerate(keys):
-                    if key == k:
-                        results[i] = value
+                resolved[k] = value
     if pending:
         pending_keys = list(pending)
         indices = list(pending.values())
@@ -370,16 +371,17 @@ def sweep_map(
             computed = evaluate_cells(build, [cells[i] for i in indices])
         else:
             computed = [fn(*cells[i]) for i in indices]
-        computed_by_key = dict(zip(pending_keys, computed))
-        for i, k in enumerate(keys):
-            if k in computed_by_key:
-                results[i] = computed_by_key[k]
         # Warm both tiers. The memo drops (visibly) at its cap; the
         # store enforces its own LRU bound.
-        for k, value in computed_by_key.items():
+        for k, value in zip(pending_keys, computed):
+            resolved[k] = value
             _memo_insert(memo, k, value)
             if tier2 is not None:
                 tier2.put(k, value, fn=name)
+    if resolved:
+        for i, k in enumerate(keys):
+            if k in resolved:
+                results[i] = resolved[k]
     return results
 
 

@@ -1,10 +1,11 @@
 """Simulated memkind: heap management over heterogeneous memory.
 
 The paper's flat-mode experiments allocate into MCDRAM via the memkind
-library's ``hbw_malloc()``. This package reproduces that API surface on
-top of the simulated node: *kinds* select a placement policy
-(bind / preferred / interleave across DDR and MCDRAM), a first-fit
-free-list heap manages each device's address range, and the numactl
+library's ``hbw_malloc()``; here ``Heap.allocate(size, MEMKIND_HBW)``
+plays that role on top of the simulated node. *Kinds* select a
+placement policy (bind / preferred / interleave across DDR and
+MCDRAM), a first-fit free-list heap manages each device's address
+range, and the numactl
 ``--preferred`` behaviour used by Li et al. (allocate in MCDRAM until
 full, then spill to DDR) is available as
 :data:`~repro.memkind.kinds.MEMKIND_HBW_PREFERRED`.
@@ -22,7 +23,6 @@ from repro.memkind.kinds import (
     MEMKIND_HBW_INTERLEAVE,
 )
 from repro.memkind.allocator import Allocation, Block, Heap, Region
-from repro.memkind.hbw import HbwAPI
 
 __all__ = [
     "Kind",
@@ -35,5 +35,4 @@ __all__ = [
     "Block",
     "Heap",
     "Region",
-    "HbwAPI",
 ]

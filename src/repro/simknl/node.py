@@ -63,9 +63,6 @@ class KNLNodeConfig:
     #: Fraction of the cache portion lost to tag storage.
     tag_overhead: float = 0.0
     cache_line: int = CACHE_LINE
-    #: Whether to include the on-die mesh as a bandwidth resource.
-    model_mesh: bool = False
-    mesh_bandwidth: float = 700 * GB
 
     def __post_init__(self) -> None:
         if self.cores <= 0 or self.threads_per_core <= 0:
@@ -135,7 +132,6 @@ class KNLNode:
             active_tiles=active_tiles,
             cores_per_tile=cores_per_tile,
             threads_per_core=cfg.threads_per_core,
-            mesh_bandwidth=cfg.mesh_bandwidth,
             cores=cfg.cores,
         )
         if self.cache_capacity > 0:
@@ -146,10 +142,7 @@ class KNLNode:
             )
         else:
             self.cache_model = None
-        resources = [self.ddr.resource(), self.mcdram.resource()]
-        if cfg.model_mesh:
-            resources.append(self.topology.mesh_resource())
-        self._resources = tuple(resources)
+        self._resources = (self.ddr.resource(), self.mcdram.resource())
 
     # ---- capacity views -------------------------------------------------
 

@@ -6,11 +6,9 @@ on the mesh edges and DDR controllers on two mesh columns. We model a
 rows x cols grid (default 6 x 7 = 42 slots, 34 tiles active → 68
 cores), expose core/thread enumeration and affinity helpers, and
 compute mesh-hop distances as XY-routing (Manhattan) path lengths —
-on a full grid that is exactly the shortest-path hop count. The mesh's
-bisection bandwidth can be contributed as an additional flow resource;
-with the defaults it is generous enough that it rarely binds —
-matching the paper, which treats NoC contention as a secondary effect
-of over-provisioning copy threads.
+on a full grid that is exactly the shortest-path hop count. The mesh
+is not a flow resource: the paper treats NoC contention as a
+secondary effect of over-provisioning copy threads.
 
 Models the Xeon Phi 7250 node of Section 1 with the Table 2 device
 parameters attached.
@@ -23,8 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.errors import ConfigError
-from repro.simknl.flows import Resource
-from repro.units import GB, MiB
+from repro.units import MiB
 
 
 class ClusterMode(enum.Enum):
@@ -81,9 +78,6 @@ class KNLTopology:
         Cores per tile (KNL: 2).
     threads_per_core:
         SMT ways per core (KNL: 4).
-    mesh_bandwidth:
-        Aggregate mesh bandwidth in bytes/s available to memory
-        traffic (used to build an optional flow resource).
     cores:
         Total active cores (``num_cores``); defaults to
         ``active_tiles * cores_per_tile``. A smaller count leaves the
@@ -97,7 +91,6 @@ class KNLTopology:
         active_tiles: int = 34,
         cores_per_tile: int = 2,
         threads_per_core: int = 4,
-        mesh_bandwidth: float = 700 * GB,
         cluster_mode: ClusterMode = ClusterMode.QUADRANT,
         cores: int | None = None,
     ) -> None:
@@ -109,8 +102,6 @@ class KNLTopology:
             )
         if cores_per_tile <= 0 or threads_per_core <= 0:
             raise ConfigError("cores/threads per tile must be positive")
-        if mesh_bandwidth <= 0:
-            raise ConfigError("mesh bandwidth must be positive")
         full = active_tiles * cores_per_tile
         if cores is None:
             cores = full
@@ -124,7 +115,6 @@ class KNLTopology:
         self.active_tiles = active_tiles
         self.cores_per_tile = cores_per_tile
         self.threads_per_core = threads_per_core
-        self.mesh_bandwidth = mesh_bandwidth
         self.cluster_mode = cluster_mode
         self.num_cores = cores
 
@@ -227,7 +217,3 @@ class KNLTopology:
         if self.cluster_mode is ClusterMode.SNC4:
             return 0.25
         return 1.0
-
-    def mesh_resource(self) -> Resource:
-        """The mesh as a bandwidth resource for flow plans."""
-        return Resource(name="mesh", capacity=self.mesh_bandwidth)

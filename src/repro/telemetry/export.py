@@ -9,8 +9,7 @@ Formats (all documented with examples in ``docs/OBSERVABILITY.md``):
 * :func:`metrics_to_csv` — one row per series, for spreadsheets;
 * :func:`events_to_json` — the event log as a JSON array;
 * :func:`events_to_perfetto` — the event log as Chrome-trace /
-  Perfetto instant events (one track per event category), suitable
-  for merging with :func:`repro.simknl.trace.to_chrome_trace` output.
+  Perfetto instant events (one track per event category).
 
 :func:`write_metrics` / :func:`write_events` pick the format from the
 file extension, which is what the CLI's global ``--metrics`` /
@@ -132,8 +131,7 @@ def events_to_perfetto(log: EventLog) -> str:
     sim-time timestamp (microseconds), on a track named after the
     event's category (the part before the first dot) — so engine
     phases, allocator fallbacks and sort merges appear as separate
-    annotation tracks alongside the flow tracks that
-    :func:`repro.simknl.trace.to_chrome_trace` emits.
+    annotation tracks.
     """
     trace_events = []
     for e in log:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,7 +143,7 @@ class TestSpillFaultHandling:
     ):
         """Spill files are removed on *every* exit path, including an
         I/O error mid-merge."""
-        ext = importlib.import_module("repro.algorithms.external_sort")
+        import repro.algorithms.external_sort as ext
 
         def failing_merge(paths, budget, dtype):
             assert paths and all(p.exists() for p in paths)

@@ -333,6 +333,27 @@ class TestSweepMapTiers:
         sweep_map(_cell, [(2, 3)], memo=memo, store=store)
         assert store.stats.hits == 1  # second lookup never hit disk
 
+    def test_warm_store_fills_every_repeat_index(self, tmp_path):
+        a, b, c = (1, 2), (3, 4), (5, 6)
+        cells = [a, b, a, c, a]
+        want = sweep_map(_cell, cells, memo={}, store=tmp_path)
+        store = ResultStore(tmp_path)
+        gets: list[str] = []
+        real_get = store.get
+
+        def counting_get(key, fn=None):
+            gets.append(key)
+            return real_get(key, fn=fn)
+
+        store.get = counting_get
+        CALLS.clear()
+        warm = sweep_map(_cell, cells, memo={}, store=store)
+        assert CALLS == []  # every value came from the store
+        assert warm == want == [_cell(*cell) for cell in cells]
+        assert sorted(gets) == sorted(
+            {config_hash((_cell.__qualname__, cell)) for cell in cells}
+        )
+
     def test_memo_hit_backfills_cold_store(self, tmp_path):
         # A cell computed store-less, then swept again with a store:
         # the memo answers, but the store must end up replay-complete.

@@ -1,4 +1,4 @@
-"""Tests for the first-fit heap, kinds, and hbw API."""
+"""Tests for the first-fit heap and kinds."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.memkind import (
     MEMKIND_HBW_INTERLEAVE,
     MEMKIND_HBW_PREFERRED,
     Heap,
-    HbwAPI,
     Region,
 )
 from repro.memkind.kinds import Kind, Policy
@@ -107,6 +106,7 @@ class TestHeapKinds:
 
     def test_hbw_goes_to_mcdram(self):
         h = Heap(flat_node())
+        assert h.has_hbw()
         a = h.allocate(MiB, MEMKIND_HBW)
         assert a.devices == {"mcdram"}
 
@@ -204,43 +204,6 @@ class TestHeapKinds:
         bad = Kind("X", "mcdram", Policy.INTERLEAVE, fallback=None)
         with pytest.raises(ConfigError):
             h.allocate(MiB, bad)
-
-
-class TestHbwAPI:
-    def test_check_available(self):
-        assert HbwAPI(Heap(flat_node())).check_available()
-        assert not HbwAPI(Heap(cache_node())).check_available()
-
-    def test_malloc_strict_default(self):
-        api = HbwAPI(Heap(flat_node()))
-        a = api.malloc(MiB)
-        assert a.devices == {"mcdram"}
-
-    def test_set_policy_preferred(self):
-        api = HbwAPI(Heap(cache_node()))
-        api.set_policy(preferred=True)
-        a = api.malloc(MiB)
-        assert a.devices == {"ddr"}
-
-    def test_calloc(self):
-        api = HbwAPI(Heap(flat_node()))
-        a = api.calloc(16, 64)
-        assert a.size == 1024
-
-    def test_calloc_invalid(self):
-        api = HbwAPI(Heap(flat_node()))
-        with pytest.raises(AllocationError):
-            api.calloc(0, 64)
-
-    def test_ddr_malloc(self):
-        api = HbwAPI(Heap(flat_node()))
-        assert api.ddr_malloc(MiB).devices == {"ddr"}
-
-    def test_free(self):
-        api = HbwAPI(Heap(flat_node()))
-        a = api.malloc(MiB)
-        api.free(a)
-        assert api.heap.usage()["mcdram"] == 0
 
 
 # ---- property-based ------------------------------------------------------

@@ -81,11 +81,6 @@ class TestDevices:
         names = {r.name for r in n.resources()}
         assert names == {"ddr", "mcdram"}
 
-    def test_resources_with_mesh(self):
-        n = KNLNode(KNLNodeConfig(model_mesh=True))
-        names = {r.name for r in n.resources()}
-        assert names == {"ddr", "mcdram", "mesh"}
-
     def test_devices_are_frozen(self):
         n = KNLNode()
         with pytest.raises(FrozenInstanceError):
@@ -146,9 +141,9 @@ class TestBoot:
         assert boot(KNLNodeConfig(cores=2)) is not first
 
     def test_resources_built_once(self):
-        n = KNLNode(KNLNodeConfig(model_mesh=True))
+        n = KNLNode()
         assert n.resources() is n.resources()
-        assert [r.name for r in n.resources()] == ["ddr", "mcdram", "mesh"]
+        assert [r.name for r in n.resources()] == ["ddr", "mcdram"]
 
     def test_sweep_boots_each_config_once(self, monkeypatch):
         """A sort-variant sweep boots at most its two BIOS modes, and

@@ -11,7 +11,6 @@ and the memo to its bound. Bit-identity with the reference loop is
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
 import random
 import sys
@@ -19,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.algorithms.mlm_sort as _mlm_sort
+import repro.algorithms.parallel_sort as _parallel_sort
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel
 from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.algorithms.parallel_sort import gnu_sort_plan
@@ -30,8 +31,6 @@ from repro.simknl.engine import Engine, Phase
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
-_parallel_sort = importlib.import_module("repro.algorithms.parallel_sort")
-_mlm_sort = importlib.import_module("repro.algorithms.mlm_sort")
 
 BENCH = Path(__file__).resolve().parents[2] / "bench"
 

@@ -67,10 +67,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             KNLTopology(active_tiles=0)
 
-    def test_rejects_bad_mesh_bandwidth(self):
-        with pytest.raises(ConfigError):
-            KNLTopology(mesh_bandwidth=0)
-
 
 class TestLookup:
     def test_tile_of_core(self):
@@ -124,12 +120,6 @@ class TestMesh:
     def test_mean_distance_single_tile(self):
         t = KNLTopology(rows=1, cols=1, active_tiles=1)
         assert t.mean_mesh_distance() == 0.0
-
-    def test_mesh_resource(self):
-        t = KNLTopology(mesh_bandwidth=123.0)
-        r = t.mesh_resource()
-        assert r.name == "mesh"
-        assert r.capacity == 123.0
 
 
 class TestTile:

@@ -1,4 +1,4 @@
-"""Exporter formats and the trace-merge integration."""
+"""Exporter formats, and a real run's event log exported to Perfetto."""
 
 from __future__ import annotations
 
@@ -121,14 +121,15 @@ class TestWriteByExtension:
         assert isinstance(json.loads(plain.read_text()), list)
 
 
-class TestTraceMerge:
-    def test_chrome_trace_merges_event_log(self):
+class TestRunEventsToPerfetto:
+    def test_merge_bench_session_exports_phase_events(self):
+        """A merge-benchmark run under a telemetry session logs its
+        phases, and the log exports as Perfetto instant events."""
         from repro.algorithms.merge_bench import (
             MergeBenchConfig,
             run_merge_bench,
         )
         from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
-        from repro.simknl.trace import to_chrome_trace
         from repro.telemetry import telemetry_session
 
         node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
@@ -139,12 +140,8 @@ class TestTraceMerge:
             chunk_bytes=10**9,
         )
         with telemetry_session() as tel:
-            res = run_merge_bench(node, cfg)
-        merged = json.loads(
-            to_chrome_trace(res.plan, res.run, events=tel.events)
-        )
-        phases = {e.get("ph") for e in merged["traceEvents"]}
-        # Flow spans from the plan plus telemetry instants.
-        assert "i" in phases and phases - {"i"}
-        names = {e["name"] for e in merged["traceEvents"]}
+            run_merge_bench(node, cfg)
+        trace = json.loads(events_to_perfetto(tel.events))
+        assert {e["ph"] for e in trace["traceEvents"]} == {"i"}
+        names = {e["name"] for e in trace["traceEvents"]}
         assert tn.EVENT_PHASE_END in names

@@ -11,16 +11,21 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 SCRIPTS = [
-    ("quickstart.py", []),
     ("out_of_core_sort.py", []),
-    ("tune_copy_threads.py", ["4"]),
-    ("usage_mode_explorer.py", ["20", "4"]),
+    ("quickstart.py", []),
+    ("reproduce_paper.py", []),
+    ("store_replay.py", []),
+    ("telemetry_tour.py", []),
     ("three_level_memory.py", ["25"]),
     ("trace_pipeline.py", []),
-    ("telemetry_tour.py", []),
-    ("store_replay.py", []),
-    ("reproduce_paper.py", []),
+    ("tune_copy_threads.py", ["4"]),
 ]
+
+
+def test_scripts_list_every_example():
+    """An example added or deleted without updating SCRIPTS fails here."""
+    on_disk = sorted(p.name for p in EXAMPLES.glob("*.py"))
+    assert [s for s, _ in SCRIPTS] == on_disk
 
 
 @pytest.mark.parametrize("script,argv", SCRIPTS, ids=[s for s, _ in SCRIPTS])
