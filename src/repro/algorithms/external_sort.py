@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.simknl.devices import MemoryDevice
-from repro.simknl.engine import Engine, Phase, Plan, RunResult
+from repro.simknl.engine import Phase, Plan
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
 from repro.telemetry import names as _tn
@@ -211,16 +211,3 @@ def external_sort_plan(
             )
         )
     return plan
-
-
-def run_external_sort_plan(
-    node: KNLNode,
-    n: int,
-    memory_budget_bytes: float,
-    disk_bandwidth: float = 2 * GB,
-    **kwargs,
-) -> RunResult:
-    """Execute the timed plan with a disk attached to the node."""
-    plan = external_sort_plan(node, n, memory_budget_bytes, **kwargs)
-    resources = [*node.resources(), disk_device(bandwidth=disk_bandwidth).resource()]
-    return Engine(resources, record_events=False).run(plan)

@@ -31,6 +31,10 @@ from repro.simknl.node import KNLNode, MemoryMode
 from repro.simknl.nvm import nvm_device
 from repro.units import GiB
 
+#: The strategies :meth:`ThreeLevelPipeline.build_plan` emits, in the
+#: order :meth:`ThreeLevelPipeline.compare` runs them.
+STRATEGIES = ("direct", "single", "double")
+
 
 @dataclass(frozen=True)
 class ThreeLevelConfig:
@@ -311,4 +315,4 @@ class ThreeLevelPipeline:
 
     def compare(self) -> dict[str, RunResult]:
         """Run all three strategies on the shared engine."""
-        return {s: self.run(s) for s in ("direct", "single", "double")}
+        return {s: self.run(s) for s in STRATEGIES}

@@ -12,6 +12,8 @@ Backs the Bender-corroboration rows of the Section 5 evaluation.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.algorithms.costs import SortCostModel
 from repro.algorithms.mlm_sort import basic_chunked_sort_plan
 from repro.algorithms.parallel_sort import gnu_sort_plan
@@ -20,23 +22,47 @@ from repro.experiments.paperdata import (
     BENDER_PREDICTED_DDR_TRAFFIC_REDUCTION,
     BENDER_PREDICTED_SPEEDUP,
 )
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ExperimentResult, sweep_map
 from repro.model.roofline import sort_is_bandwidth_bound
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.batch import PlanBatch, plan_cell
+from repro.simknl.node import KNLNodeConfig, MemoryMode, boot
 from repro.units import GB
+
+
+@plan_cell
+def _bender_cell(
+    n: int, chunk_elements: int, cost: SortCostModel | None
+) -> PlanBatch:
+    """GNU-flat and the basic chunked sort on one flat node:
+    ``(gnu_s, gnu_ddr_bytes, basic_s, basic_ddr_bytes)``."""
+    node = boot(KNLNodeConfig(mode=MemoryMode.FLAT))
+    return PlanBatch(
+        resources=node.resources(),
+        plans=(
+            gnu_sort_plan(node, n, "random", UsageMode.DDR, cost=cost),
+            basic_chunked_sort_plan(node, n, chunk_elements, cost=cost),
+        ),
+        finish=lambda runs: (
+            runs[0].elapsed,
+            runs[0].traffic["ddr"],
+            runs[1].elapsed,
+            runs[1].traffic["ddr"],
+        ),
+    )
 
 
 def run_bender(
     n: int = 2_000_000_000,
     chunk_elements: int = 600_000_000,
     cost: SortCostModel | None = None,
+    store: Any | None = None,
 ) -> ExperimentResult:
     """Basic chunked sort vs unchunked GNU-flat: speedup and traffic."""
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    r_gnu = node.run(gnu_sort_plan(node, n, "random", UsageMode.DDR, cost=cost))
-    r_basic = node.run(basic_chunked_sort_plan(node, n, chunk_elements, cost=cost))
-    speedup = r_gnu.elapsed / r_basic.elapsed
-    traffic_ratio = r_gnu.traffic["ddr"] / r_basic.traffic["ddr"]
+    ((gnu_s, gnu_ddr, basic_s, basic_ddr),) = sweep_map(
+        _bender_cell, [(n, chunk_elements, cost)], store=store
+    )
+    speedup = gnu_s / basic_s
+    traffic_ratio = gnu_ddr / basic_ddr
     bandwidth_bound = sort_is_bandwidth_bound(
         n=n,
         element_size=8,
@@ -71,9 +97,10 @@ def run_bender(
             "traffic reduction exceeds Bender's 2.5x because the baseline's "
             "effective-level calibration routes all level traffic to DDR "
             "(the simulator has no L2 absorbing deep recursion levels)",
-            f"GNU-flat: {r_gnu.elapsed:.2f}s / "
-            f"{r_gnu.traffic['ddr'] / 1e9:.0f} GB DDR; basic chunked: "
-            f"{r_basic.elapsed:.2f}s / "
-            f"{r_basic.traffic['ddr'] / 1e9:.0f} GB DDR",
+            f"GNU-flat: {gnu_s:.2f}s / {gnu_ddr / 1e9:.0f} GB DDR; "
+            f"basic chunked: {basic_s:.2f}s / {basic_ddr / 1e9:.0f} GB DDR",
         ],
     )
+
+
+run_bender.supports_store = True

@@ -35,13 +35,18 @@ from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.chunking import Chunk, Chunker
 from repro.core.kernel import StreamKernel
 from repro.core.modes import UsageMode, compute_multipliers
-from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
+from repro.core.multilevel import (
+    STRATEGIES,
+    ThreeLevelConfig,
+    ThreeLevelPipeline,
+)
 from repro.errors import ConfigError
 from repro.experiments.runner import (
     ExperimentResult,
     SeriesSpec,
     VARIANTS,
-    sort_variant_run,
+    _sort_variant_plan,
+    sort_variant_seconds,
     sweep_map,
 )
 from repro.model.designspace import (
@@ -50,31 +55,55 @@ from repro.model.designspace import (
     sweep_far_bandwidth,
 )
 from repro.model.params import ModelParams
+from repro.simknl.batch import PlanBatch, plan_cell
 from repro.simknl.energy import EnergyModel
 from repro.simknl.engine import Engine, Phase, Plan, RunResult
 from repro.simknl.flows import Flow, Resource
-from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
+from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
 from repro.units import INT64, GiB
+
+
+def _flat_node() -> KNLNode:
+    return boot(KNLNodeConfig(mode=MemoryMode.FLAT))
+
+
+def _cache_node() -> KNLNode:
+    return boot(KNLNodeConfig(mode=MemoryMode.CACHE))
+
+
+def _times(runs: list[RunResult]) -> tuple[float, ...]:
+    """A ``finish`` returning each run's elapsed seconds, in plan order."""
+    return tuple(r.elapsed for r in runs)
+
+
+@plan_cell
+def _nvm_cell(data_gib: float, passes: float) -> PlanBatch:
+    """Every three-level strategy on the flat node plus NVM: per
+    strategy ``(seconds, traffic)``."""
+    cfg = ThreeLevelConfig(data_bytes=int(data_gib * GiB))
+    pipe = ThreeLevelPipeline(_flat_node(), StreamKernel(passes=passes), cfg)
+    return PlanBatch(
+        resources=(*pipe.node.resources(), pipe.nvm.resource()),
+        plans=tuple(pipe.build_plan(s) for s in STRATEGIES),
+        finish=lambda runs: tuple((r.elapsed, dict(r.traffic)) for r in runs),
+    )
 
 
 def run_nvm(
     data_gib: float = 100.0, passes: float = 8.0
 ) -> ExperimentResult:
     """Three-level chunking strategies over NVM-resident data."""
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    cfg = ThreeLevelConfig(data_bytes=int(data_gib * GiB))
-    pipe = ThreeLevelPipeline(node, StreamKernel(passes=passes), cfg)
-    rows = []
-    for strategy, res in pipe.compare().items():
-        rows.append(
-            {
-                "strategy": strategy,
-                "seconds": res.elapsed,
-                "nvm_gb": res.traffic.get("nvm", 0.0) / 1e9,
-                "ddr_gb": res.traffic.get("ddr", 0.0) / 1e9,
-                "mcdram_gb": res.traffic.get("mcdram", 0.0) / 1e9,
-            }
-        )
+    (results,) = sweep_map(_nvm_cell, [(data_gib, passes)])
+    rows = [
+        {
+            "strategy": strategy,
+            "seconds": seconds,
+            "nvm_gb": traffic.get("nvm", 0.0) / 1e9,
+            "ddr_gb": traffic.get("ddr", 0.0) / 1e9,
+            "mcdram_gb": traffic.get("mcdram", 0.0) / 1e9,
+        }
+        for strategy, (seconds, traffic) in zip(STRATEGIES, results)
+    ]
     return ExperimentResult(
         experiment="nvm",
         title=f"Extension: three-level memory, {data_gib:g} GiB in NVM",
@@ -128,16 +157,36 @@ def run_designspace(passes: float = 4.0) -> ExperimentResult:
     )
 
 
+@plan_cell
+def _hybrid_cell(n: int, megachunk: int, fraction: float | None) -> PlanBatch:
+    """MLM-sort booted hybrid with ``fraction`` of MCDRAM as cache, or
+    flat when ``fraction`` is None: its seconds."""
+    if fraction is None:
+        node, mode = _flat_node(), UsageMode.FLAT
+    else:
+        node = boot(
+            KNLNodeConfig(
+                mode=MemoryMode.HYBRID, hybrid_cache_fraction=fraction
+            )
+        )
+        mode = UsageMode.HYBRID
+    return PlanBatch(
+        resources=node.resources(),
+        plans=(mlm_sort_plan(node, MLMSortConfig(n, megachunk, mode)),),
+        finish=lambda runs: runs[0].elapsed,
+    )
+
+
 def run_hybrid(
     n: int = 2_000_000_000,
     fractions: tuple[float, ...] = (0.25, 0.5, 0.75),
     megachunk: int = 500_000_000,
 ) -> ExperimentResult:
     """MLM-sort across hybrid cache fractions vs pure flat."""
-    flat_node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    t_flat = flat_node.run(
-        mlm_sort_plan(flat_node, MLMSortConfig(n, megachunk, UsageMode.FLAT))
-    ).elapsed
+    t_flat, *times = sweep_map(
+        _hybrid_cell,
+        [(n, megachunk, frac) for frac in (None, *fractions)],
+    )
     rows = [
         {
             "config": "flat",
@@ -146,13 +195,7 @@ def run_hybrid(
             "vs_flat": 1.0,
         }
     ]
-    for frac in fractions:
-        node = KNLNode(
-            KNLNodeConfig(mode=MemoryMode.HYBRID, hybrid_cache_fraction=frac)
-        )
-        t = node.run(
-            mlm_sort_plan(node, MLMSortConfig(n, megachunk, UsageMode.HYBRID))
-        ).elapsed
+    for frac, t in zip(fractions, times):
         rows.append(
             {
                 "config": f"hybrid-{int(frac * 100)}",
@@ -178,7 +221,9 @@ def run_ablation(n: int = 2_000_000_000) -> ExperimentResult:
     """Disable individual cost mechanisms and watch phenomena vanish."""
     base = SortCostModel()
     scenarios = {
-        "full model": base,
+        # None, not ``base``: table1's default-model cells, so the memo
+        # serves them to a process that ran table1.
+        "full model": None,
         "no chunk overhead": base.replace(chunk_overhead_s=0.0),
         "no thrash penalty": base.replace(thrash_rate_factor=1.0),
         "no gnu overhead": base.replace(
@@ -188,12 +233,23 @@ def run_ablation(n: int = 2_000_000_000) -> ExperimentResult:
             reverse_factor_mlm=1.0, reverse_factor_gnu=1.0
         ),
     }
+    runs = (
+        ("GNU-flat", "random"),
+        ("MLM-sort", "random"),
+        ("MLM-implicit", "random"),
+        ("MLM-implicit", "reverse"),
+    )
+    times = sweep_map(
+        sort_variant_seconds,
+        [
+            (variant, n, order, cost)
+            for cost in scenarios.values()
+            for variant, order in runs
+        ],
+    )
     rows = []
-    for label, cost in scenarios.items():
-        gnu = sort_variant_run("GNU-flat", n, "random", cost).elapsed
-        sort_t = sort_variant_run("MLM-sort", n, "random", cost).elapsed
-        imp = sort_variant_run("MLM-implicit", n, "random", cost).elapsed
-        rev = sort_variant_run("MLM-implicit", n, "reverse", cost).elapsed
+    for i, label in enumerate(scenarios):
+        gnu, sort_t, imp, rev = times[4 * i : 4 * i + 4]
         rows.append(
             {
                 "scenario": label,
@@ -223,21 +279,34 @@ def run_ablation(n: int = 2_000_000_000) -> ExperimentResult:
     )
 
 
-def run_oblivious(n: int = 2_000_000_000) -> ExperimentResult:
-    """Cache-oblivious sorts vs cache-aware MLM variants."""
+@plan_cell
+def _oblivious_cell(n: int, order: str) -> PlanBatch:
+    """Cache-oblivious mergesort and funnelsort in hardware cache mode:
+    ``(oblivious_s, funnelsort_s)``."""
     from repro.algorithms.funnelsort import funnelsort_plan
 
+    node = _cache_node()
+    return PlanBatch(
+        resources=node.resources(),
+        plans=(
+            oblivious_sort_plan(node, n, order, UsageMode.CACHE),
+            funnelsort_plan(node, n, order, UsageMode.CACHE),
+        ),
+        finish=_times,
+    )
+
+
+def run_oblivious(n: int = 2_000_000_000) -> ExperimentResult:
+    """Cache-oblivious sorts vs cache-aware MLM variants."""
     rows = []
     for order in ("random", "reverse"):
-        cache_node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
-        t_obl = cache_node.run(
-            oblivious_sort_plan(cache_node, n, order, UsageMode.CACHE)
-        ).elapsed
-        t_fun = cache_node.run(
-            funnelsort_plan(cache_node, n, order, UsageMode.CACHE)
-        ).elapsed
-        t_imp = sort_variant_run("MLM-implicit", n, order).elapsed
-        t_gnu = sort_variant_run("GNU-cache", n, order).elapsed
+        # Row by row, in the order oblivious, funnelsort, implicit, GNU:
+        # the run order a telemetry session records.
+        ((t_obl, t_fun),) = sweep_map(_oblivious_cell, [(n, order)])
+        t_imp, t_gnu = sweep_map(
+            sort_variant_seconds,
+            [("MLM-implicit", n, order, None), ("GNU-cache", n, order, None)],
+        )
         rows.append(
             {
                 "order": order,
@@ -268,6 +337,46 @@ def run_oblivious(n: int = 2_000_000_000) -> ExperimentResult:
     )
 
 
+@plan_cell
+def _victim_cell(
+    victim_gib: float,
+    victim_passes: int,
+    copy_traffic_gib: float,
+    cache_capacity: float | None,
+    polluted: bool,
+) -> PlanBatch:
+    """The ``pollution`` victim's seconds behind a ``cache_capacity``
+    cache (None: DDR only), with or without the copy streams."""
+    from repro.simknl.cache_analytic import StreamingCacheModel
+
+    ws = victim_gib * GiB
+    if cache_capacity is None:
+        node, res = _flat_node(), {"ddr": 1.0}
+    else:
+        model = StreamingCacheModel(cache_capacity)
+        traffic = (
+            model.stream_with_pollution(
+                ws,
+                passes=victim_passes,
+                pollution_bytes_per_pass=copy_traffic_gib * GiB / victim_passes,
+            )
+            if polluted
+            else model.stream(ws, passes=victim_passes)
+        )
+        logical = ws * victim_passes
+        node = _cache_node()
+        res = {
+            "mcdram": traffic.mcdram_bytes / logical,
+            "ddr": traffic.ddr_bytes / logical,
+        }
+    flow = Flow("victim", 256, 6.78e9, res, ws * victim_passes)
+    return PlanBatch(
+        resources=node.resources(),
+        plans=(Plan("p", [Phase("victim", [flow])]),),
+        finish=lambda runs: runs[0].elapsed,
+    )
+
+
 def run_pollution(
     victim_gib: float = 6.0,
     victim_passes: int = 16,
@@ -282,47 +391,16 @@ def run_pollution(
     dedicated full cache, with a polluted hybrid cache half, and with
     no cache at all.
     """
-    from repro.simknl.cache_analytic import StreamingCacheModel
-    from repro.simknl.engine import Phase, Plan
-    from repro.simknl.flows import Flow
-    from repro.units import GiB
-
-    ws = victim_gib * GiB
-    pollution_per_pass = copy_traffic_gib * GiB / victim_passes
-
-    def victim_time(cache_capacity: float | None, polluted: bool) -> float:
-        node = KNLNode(
-            KNLNodeConfig(
-                mode=MemoryMode.CACHE
-                if cache_capacity
-                else MemoryMode.FLAT
-            )
-        )
-        if cache_capacity is None:
-            res = {"ddr": 1.0}
-        else:
-            model = StreamingCacheModel(cache_capacity)
-            traffic = (
-                model.stream_with_pollution(
-                    ws,
-                    passes=victim_passes,
-                    pollution_bytes_per_pass=pollution_per_pass,
-                )
-                if polluted
-                else model.stream(ws, passes=victim_passes)
-            )
-            logical = ws * victim_passes
-            res = {
-                "mcdram": traffic.mcdram_bytes / logical,
-                "ddr": traffic.ddr_bytes / logical,
-            }
-        flow = Flow("victim", 256, 6.78e9, res, ws * victim_passes)
-        return node.run(Plan("p", [Phase("victim", [flow])])).elapsed
-
-    full = victim_time(16 * GiB, polluted=False)
-    hybrid_clean = victim_time(8 * GiB, polluted=False)
-    hybrid_polluted = victim_time(8 * GiB, polluted=True)
-    ddr_only = victim_time(None, polluted=False)
+    args = (victim_gib, victim_passes, copy_traffic_gib)
+    full, hybrid_clean, hybrid_polluted, ddr_only = sweep_map(
+        _victim_cell,
+        [
+            (*args, 16 * GiB, False),
+            (*args, 8 * GiB, False),
+            (*args, 8 * GiB, True),
+            (*args, None, False),
+        ],
+    )
     rows = [
         {"scenario": "full cache, no copies", "victim_s": full},
         {"scenario": "hybrid half-cache, no copies", "victim_s": hybrid_clean},
@@ -343,6 +421,20 @@ def run_pollution(
     )
 
 
+@plan_cell
+def _external_cell(n: int, memory_budget_bytes: float) -> PlanBatch:
+    """The timed out-of-core sort on the flat node plus a disk: its
+    seconds."""
+    from repro.algorithms.external_sort import disk_device, external_sort_plan
+
+    node = _flat_node()
+    return PlanBatch(
+        resources=(*node.resources(), disk_device().resource()),
+        plans=(external_sort_plan(node, n, memory_budget_bytes),),
+        finish=lambda runs: runs[0].elapsed,
+    )
+
+
 def run_external(n_fits: int = 2_000_000_000) -> ExperimentResult:
     """Out-of-core sort vs in-memory MLM-sort (Section 2.2 contrast).
 
@@ -351,18 +443,13 @@ def run_external(n_fits: int = 2_000_000_000) -> ExperimentResult:
     external sort is the only option, and its time is set by disk
     round-trips.
     """
-    from repro.algorithms.external_sort import run_external_sort_plan
-    from repro.units import GiB
-
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    t_mlm = sort_variant_run("MLM-sort", n_fits, "random").elapsed
-    t_ext_small = run_external_sort_plan(
-        node, n_fits, memory_budget_bytes=14 * GiB
-    ).elapsed
+    (t_mlm,) = sweep_map(
+        sort_variant_seconds, [("MLM-sort", n_fits, "random", None)]
+    )
     n_big = 16_000_000_000  # 128 GB > the node's 96 GiB DDR
-    t_ext_big = run_external_sort_plan(
-        node, n_big, memory_budget_bytes=64 * GiB
-    ).elapsed
+    t_ext_small, t_ext_big = sweep_map(
+        _external_cell, [(n_fits, 14 * GiB), (n_big, 64 * GiB)]
+    )
     rows = [
         {
             "config": f"{n_fits // 10**9}B in-memory MLM-sort",
@@ -393,34 +480,21 @@ def run_external(n_fits: int = 2_000_000_000) -> ExperimentResult:
     )
 
 
-def run_adaptive(
-    data_gib: float = 32.0,
-    passes: int = 8,
-    shrink_fraction: float = 0.5,
-) -> ExperimentResult:
-    """Cache-adaptive behaviour under fluctuating cache capacity.
+#: The ``adaptive`` strategies, in run and row order.
+_ADAPTIVE_STRATEGIES = ("aware-full", "aware-half", "adaptive-dc")
 
-    Section 2.1 cites cache-adaptive algorithms as "useful in a future
-    in which high-performance computing jobs must deal with
-    fluctuating resource allocations". Scenario: a co-scheduled job
-    claims half the MCDRAM cache for the middle third of the run.
-    Three tunings of a chunked streaming kernel compete:
 
-    * ``aware-full``  — chunks sized to the *full* cache (optimal when
-      stable, thrashes when the cache shrinks under it);
-    * ``aware-half``  — chunks conservatively sized to the shrunken
-      cache (never thrashes, more chunks and cold fills always);
-    * ``adaptive-dc`` — a divide-and-conquer kernel whose active sets
-      halve per level: only the top level(s) feel the shrink, the
-      cache-oblivious property the paper's related work describes.
-    """
-    from repro.simknl.cache_analytic import StreamingCacheModel
-    from repro.simknl.engine import Phase, Plan
-    from repro.simknl.flows import Flow
-    from repro.units import GiB
+@plan_cell
+def _adaptive_cell(
+    data_gib: float, passes: int, shrink_fraction: float
+) -> PlanBatch:
+    """Each ``adaptive`` strategy's plan under a stable and then a
+    fluctuating cache; the finish gives their seconds in that order."""
     import math
 
-    node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
+    from repro.simknl.cache_analytic import StreamingCacheModel
+
+    node = _cache_node()
     full_c = node.cache_model.usable_capacity
     small_c = full_c * shrink_fraction
     data = data_gib * GiB
@@ -435,7 +509,7 @@ def run_adaptive(
 
     chunk_overhead = 0.30  # the Fig. 7 per-chunk fixed cost
 
-    def streaming_time(chunk_bytes: float, fluctuating: bool) -> float:
+    def streaming_plan(chunk_bytes: float, fluctuating: bool) -> Plan:
         num = max(1, int(round(data / chunk_bytes)))
         plan = Plan("aware")
         for i, cap in enumerate(phase_caches(num, fluctuating)):
@@ -446,23 +520,13 @@ def run_adaptive(
                 "mcdram": traffic.mcdram_bytes / logical,
                 "ddr": traffic.ddr_bytes / logical,
             }
-            plan.add(
-                Phase(
-                    f"chunk{i}",
-                    [
-                        Flow("compute", 256, 6.78e9, res, logical),
-                    ],
-                )
-            )
-            plan.add(
-                Phase(
-                    f"chunk{i}/setup",
-                    [Flow("setup", 1, 1.0, {}, chunk_overhead)],
-                )
-            )
-        return node.run(plan).elapsed
+            compute = Flow("compute", 256, 6.78e9, res, logical)
+            plan.add(Phase(f"chunk{i}", [compute]))
+            setup = Flow("setup", 1, 1.0, {}, chunk_overhead)
+            plan.add(Phase(f"chunk{i}/setup", [setup]))
+        return plan
 
-    def dc_time(fluctuating: bool) -> float:
+    def dc_plan(fluctuating: bool) -> Plan:
         # One d&c kernel over the whole data: split its level work
         # between the full- and shrunk-cache windows.
         levels = 1.15 * (12.0 + 0.35 * math.log2(data / 256 / 8))
@@ -495,16 +559,47 @@ def run_adaptive(
                     [Flow("dc", 256, 0.21e9, {"mcdram": 2.0 / 0.85}, data * cached)],
                 )
             )
-        return node.run(plan).elapsed
+        return plan
 
+    return PlanBatch(
+        resources=node.resources(),
+        plans=(
+            streaming_plan(full_c, False),
+            streaming_plan(full_c, True),
+            streaming_plan(small_c, False),
+            streaming_plan(small_c, True),
+            dc_plan(False),
+            dc_plan(True),
+        ),
+        finish=_times,
+    )
+
+
+def run_adaptive(
+    data_gib: float = 32.0,
+    passes: int = 8,
+    shrink_fraction: float = 0.5,
+) -> ExperimentResult:
+    """Cache-adaptive behaviour under fluctuating cache capacity.
+
+    Section 2.1 cites cache-adaptive algorithms as "useful in a future
+    in which high-performance computing jobs must deal with
+    fluctuating resource allocations". Scenario: a co-scheduled job
+    claims half the MCDRAM cache for the middle third of the run.
+    Three tunings of a chunked streaming kernel compete:
+
+    * ``aware-full``  — chunks sized to the *full* cache (optimal when
+      stable, thrashes when the cache shrinks under it);
+    * ``aware-half``  — chunks conservatively sized to the shrunken
+      cache (never thrashes, more chunks and cold fills always);
+    * ``adaptive-dc`` — a divide-and-conquer kernel whose active sets
+      halve per level: only the top level(s) feel the shrink, the
+      cache-oblivious property the paper's related work describes.
+    """
+    (times,) = sweep_map(_adaptive_cell, [(data_gib, passes, shrink_fraction)])
     rows = []
-    for label, fn in (
-        ("aware-full", lambda f: streaming_time(full_c, f)),
-        ("aware-half", lambda f: streaming_time(small_c, f)),
-        ("adaptive-dc", dc_time),
-    ):
-        stable = fn(False)
-        fluct = fn(True)
+    for i, label in enumerate(_ADAPTIVE_STRATEGIES):
+        stable, fluct = times[2 * i : 2 * i + 2]
         rows.append(
             {
                 "strategy": label,
@@ -714,15 +809,20 @@ def run_faults(
     )
 
 
-def _energy_cell(variant: str, n: int) -> tuple[float, dict]:
+@plan_cell
+def _energy_cell(variant: str, n: int) -> PlanBatch:
     """One variant's raw run measurements: ``(elapsed, traffic)``.
 
     The energy conversion happens in the parent via
     :meth:`~repro.simknl.energy.EnergyModel.report_many`, vectorized
     across all variants at once.
     """
-    res = sort_variant_run(variant, n, "random")
-    return res.elapsed, dict(res.traffic)
+    node, plan = _sort_variant_plan(variant, n, "random")
+    return PlanBatch(
+        resources=node.resources(),
+        plans=(plan,),
+        finish=lambda runs: (runs[0].elapsed, dict(runs[0].traffic)),
+    )
 
 
 def run_energy(n: int = 2_000_000_000) -> ExperimentResult:

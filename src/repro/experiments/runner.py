@@ -10,6 +10,10 @@ config-hash memoization (in-memory dict first, then the on-disk
 fast path;
 :func:`replay_session` switches :func:`sweep_map` into pure-lookup
 replay, the engine-free re-render mode behind ``repro-knl replay``.
+
+Drivers reach the engine only through :func:`sweep_map` over
+:func:`~repro.simknl.batch.plan_cell` cells, so a cell that another
+driver already ran in the process comes from the memo.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.modes import UsageMode
 from repro.experiments.store import ResultStore, default_store, get_store
 from repro.simknl.batch import PlanBatch, plan_cell
-from repro.simknl.engine import RunResult
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
@@ -434,19 +437,6 @@ def _sort_variant_plan(
         )
         plan = mlm_sort_plan(node, cfg, cost)
     return node, plan
-
-
-def sort_variant_run(
-    variant: str,
-    n: int,
-    order: str,
-    cost: SortCostModel | None = None,
-    megachunk: int | None = None,
-    threads: int = 256,
-) -> RunResult:
-    """Execute one Table-1 algorithm variant at paper scale."""
-    node, plan = _sort_variant_plan(variant, n, order, cost, megachunk, threads)
-    return node.run(plan)
 
 
 @plan_cell

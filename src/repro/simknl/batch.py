@@ -45,7 +45,9 @@ either path, is recorded afterwards from its :class:`RunResult` by
 cell function itself: called directly it runs the plans one by one
 through :meth:`Engine.run`, and ``experiments.runner.sweep_map``
 hands all of a sweep's pending cells to :func:`evaluate_cells`
-instead. The builder is each cell's only definition.
+instead. The builder is each cell's only definition, and plan cells
+in ``sweep_map`` are the only way the experiment drivers reach the
+engine.
 """
 
 from __future__ import annotations

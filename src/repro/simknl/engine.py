@@ -638,18 +638,6 @@ class Engine:
             )
         return elapsed
 
-    def run_batch(self, plans: list[Plan]) -> list[RunResult]:
-        """Run N structurally identical plans as one tensor evaluation.
-
-        Delegates to :func:`repro.simknl.batch.run_batch`; falls back to
-        sequential :meth:`run` calls when the engine or the plans are
-        ineligible (see that function's docs). Results are bit-identical
-        to ``[self.run(p) for p in plans]`` either way.
-        """
-        from repro.simknl.batch import run_batch
-
-        return run_batch(self, plans)
-
 
 def observe(plan: Plan, result: RunResult) -> None:
     """Record one finished run of ``plan`` in the active telemetry.
@@ -702,13 +690,3 @@ def observe(plan: Plan, result: RunResult) -> None:
             for b in plan.blocks
         )
     )
-
-
-def run_flows(
-    flows: list[Flow],
-    resources: Iterable[Resource],
-    name: str = "phase",
-) -> RunResult:
-    """Convenience: run a single phase of flows to completion."""
-    engine = Engine(resources)
-    return engine.run(Plan(name=name, phases=[Phase(name=name, flows=flows)]))

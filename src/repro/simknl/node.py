@@ -178,13 +178,9 @@ class KNLNode:
         node, built at boot, so cells on one node share it)."""
         return self._resources
 
-    def engine(self, record_events: bool = False) -> Engine:
-        """A fresh engine over this node's resources."""
-        return Engine(self.resources(), record_events=record_events)
-
-    def run(self, plan: Plan, record_events: bool = False) -> RunResult:
-        """Execute ``plan`` on this node."""
-        return self.engine(record_events=record_events).run(plan)
+    def run(self, plan: Plan) -> RunResult:
+        """Execute ``plan`` on a fresh engine over this node's resources."""
+        return Engine(self.resources(), record_events=False).run(plan)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cfg = self.config

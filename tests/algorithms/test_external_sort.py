@@ -12,11 +12,23 @@ from repro.algorithms.external_sort import (
     disk_device,
     external_sort,
     external_sort_plan,
-    run_external_sort_plan,
 )
 from repro.errors import ConfigError
+from repro.simknl.engine import Engine, RunResult
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.units import GB, GiB
+
+
+def run_external_sort_plan(
+    node: KNLNode,
+    n: int,
+    memory_budget_bytes: float,
+    disk_bandwidth: float = 2 * GB,
+) -> RunResult:
+    """The timed plan run on ``node`` with a disk attached."""
+    plan = external_sort_plan(node, n, memory_budget_bytes)
+    resources = [*node.resources(), disk_device(bandwidth=disk_bandwidth).resource()]
+    return Engine(resources, record_events=False).run(plan)
 
 
 class TestDiskDevice:

@@ -82,14 +82,14 @@ def test_funnelsort_matches_numpy(arr):
 class TestTimedFunnelsort:
     def test_between_implicit_and_gnu_cache(self):
         from repro.algorithms.funnelsort import funnelsort_plan
-        from repro.experiments.runner import sort_variant_run
+        from repro.experiments.runner import sort_variant_seconds
         from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
         n = 2_000_000_000
         node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
         t_fun = node.run(funnelsort_plan(node, n)).elapsed
-        t_imp = sort_variant_run("MLM-implicit", n, "random").elapsed
-        t_gnu = sort_variant_run("GNU-cache", n, "random").elapsed
+        t_imp = sort_variant_seconds("MLM-implicit", n, "random")
+        t_gnu = sort_variant_seconds("GNU-cache", n, "random")
         assert t_imp < t_fun < t_gnu
 
     def test_funnelsort_beats_naive_oblivious(self):

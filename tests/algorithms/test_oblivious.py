@@ -62,15 +62,15 @@ class TestTimed:
 
     def test_lands_between_implicit_and_gnu_cache(self):
         """The Section 2.1 conjecture, quantified."""
-        from repro.experiments.runner import sort_variant_run
+        from repro.experiments.runner import sort_variant_seconds
 
         n = 2_000_000_000
         node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
         t_obl = node.run(
             oblivious_sort_plan(node, n, mode=UsageMode.CACHE)
         ).elapsed
-        t_imp = sort_variant_run("MLM-implicit", n, "random").elapsed
-        t_gnu = sort_variant_run("GNU-cache", n, "random").elapsed
+        t_imp = sort_variant_seconds("MLM-implicit", n, "random")
+        t_gnu = sort_variant_seconds("GNU-cache", n, "random")
         assert t_imp < t_obl < t_gnu
 
     def test_cache_mode_beats_ddr_mode(self):

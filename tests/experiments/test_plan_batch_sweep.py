@@ -21,6 +21,16 @@ from repro.core.modes import UsageMode
 from repro.cli import main
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner
+from repro.experiments.bender import _bender_cell
+from repro.experiments.extensions import (
+    _adaptive_cell,
+    _energy_cell,
+    _external_cell,
+    _hybrid_cell,
+    _nvm_cell,
+    _oblivious_cell,
+    _victim_cell,
+)
 from repro.experiments.figure7 import _variant_time
 from repro.experiments.figure8 import _figure8_cell
 from repro.experiments.pareto import _pareto_cell
@@ -148,8 +158,9 @@ def _bits(value):
     return value
 
 
-#: Every driver's plan cell, its memo/store key before cells became
-#: plan cells, and two or three representative cells.
+#: Every driver's plan cell, its memo/store key (unchanged for cells
+#: that existed before they became plan cells), and representative
+#: cells.
 PLAN_CELLS = [
     (
         sort_variant_seconds,
@@ -180,6 +191,38 @@ PLAN_CELLS = [
             ("ddr", 24.0, 24 * 1024, 0, 1.0),
         ],
     ),
+    (_bender_cell, "_bender_cell", [(2_000_000_000, 600_000_000, None)]),
+    (_nvm_cell, "_nvm_cell", [(100.0, 8.0), (24.0, 2.0)]),
+    (
+        _hybrid_cell,
+        "_hybrid_cell",
+        [(2_000_000_000, 500_000_000, None), (2_000_000_000, 500_000_000, 0.25)],
+    ),
+    (
+        _oblivious_cell,
+        "_oblivious_cell",
+        [(2_000_000_000, "random"), (2_000_000_000, "reverse")],
+    ),
+    (
+        _energy_cell,
+        "_energy_cell",
+        [("GNU-flat", 2_000_000_000), ("MLM-implicit", 2_000_000_000)],
+    ),
+    (
+        _external_cell,
+        "_external_cell",
+        [(2_000_000_000, 14 * GiB), (16_000_000_000, 64 * GiB)],
+    ),
+    (
+        _victim_cell,
+        "_victim_cell",
+        [
+            (6.0, 16, 30.0, 16 * GiB, False),
+            (6.0, 16, 30.0, 8 * GiB, True),
+            (6.0, 16, 30.0, None, False),
+        ],
+    ),
+    (_adaptive_cell, "_adaptive_cell", [(32.0, 8, 0.5), (16.0, 4, 0.25)]),
 ]
 
 

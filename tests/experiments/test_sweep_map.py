@@ -82,6 +82,14 @@ class TestPinnedStoreKeys:
         key = config_hash((cost_key(_figure8_cell), (8, 4, 256)))
         assert key == "47255b2db52fad22"
 
+    def test_bender_key(self):
+        from repro.experiments.bender import _bender_cell
+        from repro.experiments.runner import cost_key
+
+        cell = (2_000_000_000, 600_000_000, None)
+        key = config_hash((cost_key(_bender_cell), cell))
+        assert key == "8f66577149e67568"
+
 
 class TestSweepMap:
     def test_serial_order_preserved(self):

@@ -1,6 +1,6 @@
 """Tests pinning cross-cell tensor batching to per-cell runs.
 
-``Engine.run_batch`` stacks N structurally identical plans into one
+``batch.run_batch`` stacks N structurally identical plans into one
 bytes tensor and evaluates the whole sweep with vectorized NumPy ops.
 These tests hold it bit-identical — ``elapsed``, ``phase_times``,
 ``traffic`` — to ``[engine.run(p) for p in plans]`` on a reference

@@ -132,14 +132,14 @@ class TestReportMany:
 class TestOnRealRuns:
     def test_implicit_cheaper_than_gnu(self):
         """Chunked MCDRAM-heavy execution saves energy vs DDR-heavy."""
-        from repro.experiments.runner import sort_variant_run
+        from repro.experiments.runner import _sort_variant_plan
+
+        def run(variant):
+            node, plan = _sort_variant_plan(variant, 2_000_000_000, "random")
+            return node.run(plan)
 
         m = EnergyModel()
-        e_gnu = m.report(
-            sort_variant_run("GNU-flat", 2_000_000_000, "random")
-        )
-        e_imp = m.report(
-            sort_variant_run("MLM-implicit", 2_000_000_000, "random")
-        )
+        e_gnu = m.report(run("GNU-flat"))
+        e_imp = m.report(run("MLM-implicit"))
         assert e_imp.total_joules < e_gnu.total_joules
         assert e_imp.energy_delay_product < e_gnu.energy_delay_product

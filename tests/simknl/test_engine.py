@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlanError
-from repro.simknl.engine import Engine, Phase, Plan, RunResult, run_flows
+from repro.simknl.engine import Engine, Phase, Plan, RunResult
 from repro.simknl.flows import Flow, Resource
 from repro.units import GB
+
+
+def run_flows(flows, resources, name="phase") -> RunResult:
+    """Run a single phase of flows to completion."""
+    engine = Engine(resources)
+    return engine.run(Plan(name=name, phases=[Phase(name=name, flows=flows)]))
 
 
 def _resources():

@@ -2,7 +2,7 @@
 
 Every plan evaluation that does not go through the per-phase reference
 loop — a single-plan :meth:`Engine.run` and a cross-cell
-:meth:`Engine.run_batch` — must be bit for bit equal to
+:func:`batch.run_batch` — must be bit for bit equal to
 ``Engine(batch_phases=False, memoize_rates=False).run``: the reference
 loop with a fresh water-filling solve per phase. ``elapsed``,
 ``phase_times`` and per-resource traffic are compared with ``==``.
@@ -84,7 +84,7 @@ def check_against_reference(resources, plans: list[Plan]) -> None:
         groups.setdefault(plan.structure(), []).append(i)
     batch_engine = Engine(resources, record_events=False)
     for members in groups.values():
-        outs = batch_engine.run_batch([plans[i] for i in members])
+        outs = batch.run_batch(batch_engine, [plans[i] for i in members])
         for i, got in zip(members, outs):
             assert_identical(got, wants[i])
 
@@ -384,7 +384,7 @@ def test_starved_single_flow_raises_reference_error(cells):
         engine.run(plans[0])
     assert str(got.value) == str(want.value)
     with pytest.raises(SimulationError, match="starvation"):
-        engine.run_batch(plans)
+        batch.run_batch(engine, plans)
 
 
 @pytest.mark.parametrize("live", [1, 2])
@@ -413,4 +413,4 @@ def test_overflowing_step_matches_reference_without_warning(static, live):
             engine.run(plans[0])
         assert str(got.value) == str(want.value)
         with pytest.raises(SimulationError, match="starvation"):
-            engine.run_batch(plans)
+            batch.run_batch(engine, plans)

@@ -162,9 +162,12 @@ class TestDeterminism:
         ]
 
     def test_plan_rerun_identical(self):
-        from repro.experiments.runner import sort_variant_run
+        from repro.experiments.runner import _sort_variant_plan
 
-        r1 = sort_variant_run("MLM-sort", 2_000_000_000, "random")
-        r2 = sort_variant_run("MLM-sort", 2_000_000_000, "random")
+        runs = []
+        for _ in range(2):
+            node, plan = _sort_variant_plan("MLM-sort", 2_000_000_000, "random")
+            runs.append(node.run(plan))
+        r1, r2 = runs
         assert r1.elapsed == r2.elapsed
         assert r1.traffic == r2.traffic
