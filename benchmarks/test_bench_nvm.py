@@ -2,11 +2,11 @@
 
 The ``single`` strategy emits the triple-buffered steady state — one
 ``static_rates`` step per inner chunk, identical but for names — as
-one repeated block. The engine evaluates a plan with a repeated block
-as a one-row tensor, so per-phase Python overhead is paid once per
-*block* rather than once per *chunk*. These benchmarks time an
-identical plan through the tensor and reference paths and gate the
-speedup the tensor path exists to provide.
+one repeated block. ``run_batch`` evaluates a plan with a repeated
+block as a one-row tensor, so per-phase Python overhead is paid once
+per *block* rather than once per *chunk*. These benchmarks time an
+identical plan through ``run_batch`` and the ``Engine.run`` reference
+loop and gate the speedup the tensor path exists to provide.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import time
 
 from repro.core.kernel import StreamKernel
 from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
+from repro.simknl.batch import run_batch
 from repro.simknl.engine import Engine
 from repro.units import GiB, MiB
 
@@ -33,28 +34,23 @@ def _pipeline(flat_node) -> ThreeLevelPipeline:
     )
 
 
-def _engines(pipe: ThreeLevelPipeline) -> tuple[Engine, Engine]:
-    resources = [*pipe.node.resources(), pipe.nvm.resource()]
-    batched = Engine(resources, record_events=False)
-    reference = Engine(
-        resources, record_events=False, batch_phases=False
-    )
-    return batched, reference
+def _engine(pipe: ThreeLevelPipeline) -> Engine:
+    return Engine([*pipe.node.resources(), pipe.nvm.resource()])
 
 
 def test_bench_nvm_batched_plan(benchmark, flat_node):
     pipe = _pipeline(flat_node)
     plan = pipe.build_plan("single")
-    eng, _ = _engines(pipe)
-    eng.run(plan)  # warm: memoize the rate solves
-    result = benchmark(eng.run, plan)
+    eng = _engine(pipe)
+    run_batch(eng, [plan])  # warm: memoize the rate solves
+    (result,) = benchmark(run_batch, eng, [plan])
     assert result.elapsed > 0
 
 
 def test_bench_nvm_reference_plan(benchmark, flat_node):
     pipe = _pipeline(flat_node)
     plan = pipe.build_plan("single")
-    _, eng = _engines(pipe)
+    eng = _engine(pipe)
     eng.run(plan)  # warm the memoized rate solves
     result = benchmark(eng.run, plan)
     assert result.elapsed > 0
@@ -65,9 +61,9 @@ def test_batched_at_least_5x_faster(flat_node):
     at least 5x faster than the per-phase reference loop."""
     pipe = _pipeline(flat_node)
     plan = pipe.build_plan("single")
-    batched, reference = _engines(pipe)
-    base = batched.run(plan)  # warm both paths
-    ref = reference.run(plan)
+    eng = _engine(pipe)
+    (base,) = run_batch(eng, [plan])  # warm both paths
+    ref = eng.run(plan)
     assert ref.elapsed == base.elapsed  # same simulated answer
 
     def best_of(fn, rounds=5):
@@ -78,8 +74,8 @@ def test_batched_at_least_5x_faster(flat_node):
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    fast = best_of(lambda: batched.run(plan))
-    slow = best_of(lambda: reference.run(plan))
+    fast = best_of(lambda: run_batch(eng, [plan]))
+    slow = best_of(lambda: eng.run(plan))
     assert slow >= 5.0 * fast, (
         f"reference {slow * 1e3:.2f}ms vs batched {fast * 1e3:.2f}ms "
         f"({slow / fast:.1f}x)"

@@ -60,9 +60,7 @@ def _build_lowered():
         pipe = _pipeline(nbytes)
         plans.append(pipe.prepare())
         if engine is None:
-            engine = Engine(
-                list(pipe.node.resources()), record_events=False
-            )
+            engine = Engine(list(pipe.node.resources()))
     lowered, tensor = lower_plans(plans)
     return engine, lowered, tensor
 

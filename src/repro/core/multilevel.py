@@ -25,6 +25,7 @@ from repro.core.buffering import add_pipeline_steps
 from repro.core.chunking import Chunker
 from repro.core.kernel import Kernel
 from repro.model.params import ModelParams
+from repro.simknl.batch import run_batch
 from repro.simknl.engine import Engine, Phase, Plan, RunResult
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode, MemoryMode
@@ -122,9 +123,7 @@ class ThreeLevelPipeline:
         # One engine serves every strategy of this pipeline: the
         # memoized water-filling solves are shared across run()/compare()
         # calls instead of being rebuilt per strategy.
-        self._engine = Engine(
-            [*node.resources(), self.nvm.resource()], record_events=False
-        )
+        self._engine = Engine([*node.resources(), self.nvm.resource()])
 
     # ---- flow builders ---------------------------------------------------
 
@@ -308,10 +307,11 @@ class ThreeLevelPipeline:
         memoized water-filling solves are reused across strategies —
         ``single`` and ``double`` emit structurally identical inner
         steps — and the repeated steady-state blocks of ``single`` and
-        ``double`` take the engine's one-row tensor path.
+        ``double`` take :func:`~repro.simknl.batch.run_batch`'s one-row
+        tensor path.
         """
         plan = self.build_plan(strategy)
-        return self._engine.run(plan)
+        return run_batch(self._engine, [plan])[0]
 
     def compare(self) -> dict[str, RunResult]:
         """Run all three strategies on the shared engine."""

@@ -692,9 +692,7 @@ def _fault_cell(
     sort downgrades to DDR once degraded MCDRAM is no faster than DDR.
     """
     flat_node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-    engine = Engine(
-        _degraded_resources(flat_node, intensity), record_events=False
-    )
+    engine = Engine(_degraded_resources(flat_node, intensity))
     kernel = MegachunkSortKernel(256)
     chunker = Chunker.from_elements(n, min(megachunk, n), element_size=INT64)
     # The retired fault plan's allocation-failure stream (its spec 1),
@@ -719,9 +717,9 @@ def _fault_cell(
         ).elapsed
 
     cache_node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
-    gnu = Engine(
-        _degraded_resources(cache_node, intensity), record_events=False
-    ).run(gnu_sort_plan(cache_node, n, "random", UsageMode.CACHE))
+    gnu = Engine(_degraded_resources(cache_node, intensity)).run(
+        gnu_sort_plan(cache_node, n, "random", UsageMode.CACHE)
+    )
     degraded = mode is UsageMode.DDR
     return elapsed, gnu.elapsed, failed_allocs + int(degraded), degraded
 

@@ -18,7 +18,7 @@ from repro.simknl.engine import Engine, Phase, Plan, RunResult
 from repro.simknl.devices import MemoryDevice, ddr4_device, mcdram_device
 from repro.simknl.cache import DirectMappedCache, CacheStats
 from repro.simknl.cache_analytic import StreamingCacheModel, CacheTraffic
-from repro.simknl.topology import ClusterMode, KNLTopology, Tile
+from repro.simknl.topology import KNLTopology, Tile
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "StreamingCacheModel",
     "CacheTraffic",
     "KNLTopology",
-    "ClusterMode",
     "Tile",
     "KNLNode",
     "KNLNodeConfig",

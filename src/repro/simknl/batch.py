@@ -9,9 +9,10 @@ the same block structure and live-flow signatures (only
 columns)`` tensor — live-flow byte demands plus one repeat-count
 column per block — and evaluates it with a handful of vectorized ops:
 one water-filling solve per template phase, broadcast per-cell phase
-times, cumsum time and traffic accumulation. :meth:`Engine.run` uses
-the same evaluation as a one-row tensor for a plan with a repeated
-block.
+times, cumsum time and traffic accumulation. :func:`run_batch` is the
+one place that chooses this path over the reference loop: for more
+than one plan, or for one plan with a repeated block (a one-row
+tensor).
 
 Each plan's tensor row is its :attr:`~repro.simknl.engine.Plan.row`.
 The sort builders emit lazy plans: a
@@ -34,16 +35,16 @@ Bit-identity with the per-phase reference loop of :meth:`Engine.run`
   rectangular arrays cover cells with fewer repetitions and phases
   whose flows finish early.
 
-Anything the tensor cannot express — event recording, starved
-allocations, rounds where some phase completes no flow — falls back to
-the reference loop, per plan. Telemetry never does: every run, on
-either path, is recorded afterwards from its :class:`RunResult` by
+Anything the tensor cannot express — starved allocations, rounds where
+some phase completes no flow — falls back to the reference loop, per
+plan. Telemetry never does: every run, on either path, is recorded
+afterwards from its :class:`RunResult` by
 :func:`~repro.simknl.engine.observe`.
 
 :func:`plan_cell` turns a builder that lowers one sweep cell to a
 :class:`PlanBatch` (plans plus a ``finish`` post-processor) into the
 cell function itself: called directly it runs the plans one by one
-through :meth:`Engine.run`, and ``experiments.runner.sweep_map``
+through :func:`run_batch`, and ``experiments.runner.sweep_map``
 hands all of a sweep's pending cells to :func:`evaluate_cells`
 instead. The builder is each cell's only definition, and plan cells
 in ``sweep_map`` are the only way the experiment drivers reach the
@@ -274,11 +275,13 @@ def lower_plans(plans: Sequence[Plan]) -> tuple[LoweredSweep, np.ndarray]:
     The tensor is the sweep's entire variable state — 8 bytes per live
     flow slot and per block, per cell.
     """
-    first = plans[0]
-    if first.template is not None:
-        lowered = first.template.lowered
+    template = plans[0].template
+    if template is None:
+        lowered = lower_template(plans[0])
     else:
-        lowered = lower_template(first)
+        lowered = template.lowered
+        if lowered is None:
+            lowered = template.lowered = lower_template(template.shape)
     tensor = np.array([plan.row for plan in plans], dtype=np.float64)
     return lowered, tensor
 
@@ -314,19 +317,9 @@ def run_lowered(
     ``k * t``, which rounds differently. Returns ``None`` when any
     phase needs the reference path (starved rates, a no-completion
     round, or a non-positive tensor entry, which would change liveness);
-    callers with the original plans fall back to per-cell ``run``.
-
-    Raises :class:`~repro.errors.PlanError` if the engine itself is
-    ineligible (event recording, ``batch_phases=False``) — with only
-    the tensor there is nothing to fall back to, so the caller must
-    check first (:func:`run_batch` does). The results are not
-    observed; that is the caller's job.
+    callers with the original plans fall back to per-cell ``run``. The
+    results are not observed; that is the caller's job.
     """
-    if not engine._tensor_eligible():
-        raise PlanError(
-            "run_lowered requires a batch-eligible engine (no event "
-            "recording, batch_phases=True)"
-        )
     if tensor.ndim != 2 or tensor.shape[1] != lowered.width:
         raise PlanError(
             f"tensor has shape {tensor.shape}, expected "
@@ -409,25 +402,25 @@ def run_lowered(
                 elapsed=float(elapsed[c]),
                 traffic=traffic,
                 phase_times=row.tolist(),
-                events=[],
             )
         )
     return results
 
 
 def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
-    """Run N structurally identical plans as one tensor evaluation.
+    """Run N structurally identical plans, as one tensor evaluation
+    where the tensor applies.
 
     Bit-identical to ``[engine.run(p) for p in plans]``, telemetry
     included: tensor results are recorded by
     :func:`~repro.simknl.engine.observe` in plan order, just as the
-    sequential runs record themselves. Falls back to exactly that
-    sequential loop when the engine is ineligible (event recording,
-    ``batch_phases=False``), when there is only one plan, or when the
-    tensor evaluation declines (starved allocation, no-completion
-    round) — in which case the reference path also raises the precise
-    per-phase :class:`~repro.errors.SimulationError` the serial caller
-    would have seen.
+    sequential runs record themselves. The tensor is used for more than
+    one plan, or for one plan with a block repeated at least twice;
+    a single plan without one runs on :meth:`Engine.run`, as does every
+    plan when the tensor evaluation declines (starved allocation,
+    no-completion round) — in which case the reference path also
+    raises the precise per-phase :class:`~repro.errors.SimulationError`
+    the serial caller would have seen.
 
     Raises :class:`~repro.errors.PlanError` if the plans do not share
     one block structure (use :meth:`Plan.structure` to pre-group).
@@ -435,10 +428,10 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
     plans = list(plans)
     if not plans:
         return []
+    if len(plans) == 1 and all(r == 1 for r in plans[0].repeats):
+        return [engine.run(plans[0])]
     for p in plans:
         p.validate()
-    if len(plans) == 1 or not engine._tensor_eligible():
-        return [engine.run(p) for p in plans]
     template = plans[0].template
     if template is None or any(p.template is not template for p in plans):
         structure = plans[0].structure()
@@ -485,19 +478,19 @@ def plan_cell(build: Callable[..., PlanBatch]) -> Callable[..., Any]:
     """Make a :class:`PlanBatch` builder the one definition of a cell.
 
     Called directly, the returned cell runs ``build(*args, **kw)``'s
-    plans one by one through :meth:`Engine.run` (the reference loop,
-    exactly what :meth:`~repro.simknl.node.KNLNode.run` does) and
-    returns ``finish`` of the runs. ``sweep_map`` instead reads
-    ``cell.plan_batch`` (the builder) and evaluates all pending cells
-    together with :func:`evaluate_cells`. The cell keeps the builder's
+    plans one by one through :func:`run_batch` (exactly what
+    :meth:`~repro.simknl.node.KNLNode.run` does) and returns ``finish``
+    of the runs. ``sweep_map`` instead reads ``cell.plan_batch`` (the
+    builder) and evaluates all pending cells together with
+    :func:`evaluate_cells`. The cell keeps the builder's
     name and ``__qualname__``, its memo and store key.
     """
 
     @functools.wraps(build)
     def cell(*args: Any, **kwargs: Any) -> Any:
         batch = build(*args, **kwargs)
-        engine = Engine(batch.resources, record_events=False)
-        return batch.finish([engine.run(plan) for plan in batch.plans])
+        engine = Engine(batch.resources)
+        return batch.finish([run_batch(engine, [p])[0] for p in batch.plans])
 
     cell.plan_batch = build
     return cell
@@ -536,9 +529,7 @@ def evaluate_cells(
             engine_key = tuple((r.name, r.capacity) for r in item.resources)
             engine = engines.get(engine_key)
             if engine is None:
-                engine = engines[engine_key] = Engine(
-                    item.resources, record_events=False
-                )
+                engine = engines[engine_key] = Engine(item.resources)
             by_tuple[id(item.resources)] = engine
         cell_runs.append([None] * len(item.plans))
         for slot, plan in enumerate(item.plans):

@@ -11,19 +11,18 @@ model ignores: when one pool finishes early, the remaining pools speed
 up because bandwidth is re-shared.
 
 A plan stores its phases as run-length :class:`Block` entries, so the
-pipeline steady state is held once with its repeat count; a plan with
-a repeated block is evaluated as a one-row tensor
-(:func:`repro.simknl.batch.run_lowered`), and the per-phase loop here
-is the reference it must match bit for bit.
+pipeline steady state is held once with its repeat count.
+:meth:`Engine.run` is the per-phase reference loop and nothing else;
+the tensor path (:func:`repro.simknl.batch.run_batch`) must match it
+bit for bit.
 
 A builder whose cells differ only in sizes (the sort builders) emits a
 *lazy* plan: a shared :class:`PlanTemplate` plus the cell's bytes row.
 :func:`plan_template` builds each template once per process from its
 key; the plan's :class:`Phase`/:class:`Flow` objects are built only
 when :attr:`Plan.blocks` or :attr:`Plan.phases` is read — by the
-reference loop, by :func:`observe` under a telemetry session, or under
-``record_events=True``. The tensor path reads the template's lowered
-shape and the row directly.
+reference loop or by :func:`observe` under a telemetry session. The
+tensor path reads the template's lowered shape and the row directly.
 
 The engine accumulates per-resource traffic counters so experiments can
 report DDR/MCDRAM traffic (used for the Bender et al. corroboration of
@@ -35,15 +34,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import PlanError, SimulationError
 from repro.simknl.flows import Flow, Resource, allocate_rates
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
-
-if TYPE_CHECKING:
-    from repro.simknl.batch import LoweredSweep
 
 _EPS = 1e-12
 
@@ -334,8 +330,9 @@ class PlanTemplate:
     Steps count repetitions across all blocks, so names such as
     ``mega3/copy-in`` follow from ``i``; the structure must not. The
     template is built from placeholder byte demands and validated once;
-    its :attr:`structure` and tensor layout :attr:`lowered` are computed
-    on first use, so a plan that only ever runs on the reference loop
+    its :attr:`structure` is computed on first use, and its tensor
+    layout :attr:`lowered` by :func:`repro.simknl.batch.lower_plans` on
+    first use, so a plan that only ever runs on the reference loop
     never lowers its template.
     """
 
@@ -359,18 +356,14 @@ class PlanTemplate:
             self.phase_counts.append(len(block.phases))
             lo = hi
         self.slots = lo
+        #: The shared tensor layout (a ``batch.LoweredSweep``), set by
+        #: :func:`repro.simknl.batch.lower_plans` on first use.
+        self.lowered = None
 
     @functools.cached_property
     def structure(self) -> tuple:
         """The :meth:`Plan.structure` of every plan on this template."""
         return self.shape.structure()
-
-    @functools.cached_property
-    def lowered(self) -> LoweredSweep:
-        """The shared tensor layout (:func:`repro.simknl.batch.lower_template`)."""
-        from repro.simknl.batch import lower_template
-
-        return lower_template(self.shape)
 
     def blocks(self, row: Sequence[float]) -> list[Block]:
         """The blocks of the plan whose bytes row is ``row``, each
@@ -441,14 +434,11 @@ class RunResult:
         Physical bytes moved per resource name.
     phase_times:
         Per-phase elapsed seconds, in plan order.
-    events:
-        ``(time, description)`` trace entries (flow completions).
     """
 
     elapsed: float
     traffic: dict[str, float]
     phase_times: list[float]
-    events: list[tuple[float, str]] = field(default_factory=list)
 
     def traffic_gb(self, resource: str) -> float:
         """Traffic on ``resource`` in decimal GB."""
@@ -456,39 +446,21 @@ class RunResult:
 
 
 class Engine:
-    """Executes plans against a fixed set of resources.
+    """Executes plans against a fixed set of resources, one phase at a
+    time: the reference loop every other evaluation must match.
 
     Parameters
     ----------
     resources:
         The shared bandwidth resources (devices, NoC, ...).
-    record_events:
-        When True, flow-completion events are recorded in the result
-        trace. Disable for large sweeps to save memory.
     """
 
-    def __init__(
-        self,
-        resources: Iterable[Resource],
-        record_events: bool = True,
-        memoize_rates: bool = True,
-        batch_phases: bool = True,
-    ) -> None:
+    def __init__(self, resources: Iterable[Resource]) -> None:
         self.resources: dict[str, Resource] = {}
         for r in resources:
             if r.name in self.resources:
                 raise PlanError(f"duplicate resource {r.name!r}")
             self.resources[r.name] = r
-        self.record_events = record_events
-        #: Plans with a repeated block may be evaluated as a one-row
-        #: tensor (:func:`repro.simknl.batch.run_lowered`). False keeps
-        #: every phase on the per-phase reference loop — the oracle
-        #: property holds the two bit-identical.
-        self.batch_phases = batch_phases
-        #: Solves are looked up in the process-wide ``_RATE_MEMO``.
-        #: ``memoize_rates=False`` keeps the direct reference path
-        #: (the property tests hold the two bit-identical).
-        self.memoize_rates = memoize_rates
         self._res_sig = tuple(
             (name, self.resources[name].capacity)
             for name in sorted(self.resources)
@@ -504,9 +476,6 @@ class Engine:
         signature — not on identity, names, or bytes remaining — so a
         cached solution is positionally bit-identical to a re-solve.
         """
-        if not self.memoize_rates:
-            rates = allocate_rates(live, self.resources)
-            return [rates[id(f)] for f in live]
         memo = _RATE_MEMO
         key = (self._res_sig, tuple(f.signature for f in live))
         cached = memo.get(key)
@@ -517,62 +486,29 @@ class Engine:
             memo[key] = cached = [rates[id(f)] for f in live]
         return cached
 
-    def _tensor_eligible(self) -> bool:
-        """Whether plans may skip the per-phase reference loop: the
-        tensor path cannot record flow-completion events."""
-        return self.batch_phases and not self.record_events
-
     def run(self, plan: Plan) -> RunResult:
-        """Execute ``plan`` to completion and return timing/traffic.
+        """Execute ``plan`` phase by phase and return timing/traffic.
 
-        A plan with a block repeated at least twice is evaluated as a
-        one-row :func:`~repro.simknl.batch.run_lowered` when the engine
-        is eligible (a lazy plan straight from its template's layout and
-        its row, without building its phases); everything else, and any
-        plan the tensor path declines, runs on the per-phase reference
-        loop. Either way the result is then recorded by
-        :func:`observe`, so an active telemetry session sees the same
-        metrics and events on both paths and never changes which one
-        runs.
+        The result is then recorded by :func:`observe`, so an active
+        telemetry session sees the same metrics and events as for a
+        tensor run of the same plan.
         """
         plan.validate()
-        if self._tensor_eligible() and any(r > 1 for r in plan.repeats):
-            from repro.simknl import batch
-
-            results = batch.run_lowered(self, *batch.lower_plans([plan]))
-            if results is not None:
-                observe(plan, results[0])
-                return results[0]
         clock = 0.0
         traffic: dict[str, float] = {name: 0.0 for name in self.resources}
         phase_times: list[float] = []
-        events: list[tuple[float, str]] = []
         for phase in plan.phases:
-            t = self._run_phase(phase, clock, traffic, events)
+            t = self._run_phase(phase, traffic)
             phase_times.append(t)
             clock += t
         result = RunResult(
-            elapsed=clock,
-            traffic=traffic,
-            phase_times=phase_times,
-            events=events,
+            elapsed=clock, traffic=traffic, phase_times=phase_times
         )
         observe(plan, result)
         return result
 
-    def _run_phase(
-        self,
-        phase: Phase,
-        start: float,
-        traffic: dict[str, float],
-        events: list[tuple[float, str]],
-    ) -> float:
+    def _run_phase(self, phase: Phase, traffic: dict[str, float]) -> float:
         """Run one phase; returns its elapsed time."""
-
-        def flow_done(at: float, f: Flow) -> None:
-            if self.record_events:
-                events.append((at, f"{phase.name}:{f.name} done"))
-
         # Work on copies of byte counters so plans can be re-run.
         live = [f for f in phase.flows if f.bytes_total > 0]
         remaining = [f.bytes_total for f in live]
@@ -590,7 +526,6 @@ class Engine:
                 dt = max(dt, rem / r)
                 for name, mult in f.resources.items():
                     traffic[name] += rem * mult
-                flow_done(start + rem / r, f)
             return dt
         elapsed = 0.0
         # Each iteration completes at least one flow (every flow whose
@@ -621,10 +556,9 @@ class Engine:
                 for name, mult in f.resources.items():
                     traffic[name] += moved * mult
                 if rem <= _EPS * max(1.0, f.bytes_total):
-                    flow_done(start + elapsed, f)
-                else:
-                    next_live.append(f)
-                    next_remaining.append(rem)
+                    continue  # drained
+                next_live.append(f)
+                next_remaining.append(rem)
             if len(next_live) == len(live):
                 raise SimulationError(
                     f"phase {phase.name!r}: no flow completed in an "

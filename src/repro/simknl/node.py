@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from repro.errors import ConfigError
 from repro.simknl.cache_analytic import StreamingCacheModel
 from repro.simknl.devices import MemoryDevice, ddr4_device, mcdram_device
+from repro.simknl.batch import run_batch
 from repro.simknl.engine import Engine, Plan, RunResult
 from repro.simknl.flows import Resource
 from repro.simknl.topology import KNLTopology
@@ -180,7 +181,7 @@ class KNLNode:
 
     def run(self, plan: Plan) -> RunResult:
         """Execute ``plan`` on a fresh engine over this node's resources."""
-        return Engine(self.resources(), record_events=False).run(plan)
+        return run_batch(Engine(self.resources()), [plan])[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cfg = self.config

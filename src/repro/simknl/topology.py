@@ -16,31 +16,11 @@ parameters attached.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 
 from repro.errors import ConfigError
 from repro.units import MiB
-
-
-class ClusterMode(enum.Enum):
-    """KNL's mesh cluster modes (the BIOS axis orthogonal to the
-    memory modes; Sodani et al.).
-
-    * ``ALL_TO_ALL`` — no affinity between tile, tag directory, and
-      memory controller: worst-case mesh traversals.
-    * ``QUADRANT`` — directories and memory channels grouped into four
-      virtual quadrants; requests stay within a quadrant between
-      directory and memory, invisible to software.
-    * ``SNC4`` — sub-NUMA clustering: the quadrants are exposed as
-      four NUMA nodes; software that keeps its traffic quadrant-local
-      sees the shortest paths, cross-quadrant traffic the longest.
-    """
-
-    ALL_TO_ALL = "all-to-all"
-    QUADRANT = "quadrant"
-    SNC4 = "snc4"
 
 
 @dataclass(frozen=True)
@@ -91,7 +71,6 @@ class KNLTopology:
         active_tiles: int = 34,
         cores_per_tile: int = 2,
         threads_per_core: int = 4,
-        cluster_mode: ClusterMode = ClusterMode.QUADRANT,
         cores: int | None = None,
     ) -> None:
         if rows <= 0 or cols <= 0:
@@ -115,7 +94,6 @@ class KNLTopology:
         self.active_tiles = active_tiles
         self.cores_per_tile = cores_per_tile
         self.threads_per_core = threads_per_core
-        self.cluster_mode = cluster_mode
         self.num_cores = cores
 
     @cached_property
@@ -169,51 +147,3 @@ class KNLTopology:
             for j in range(i + 1, n):
                 total += self.mesh_distance(i, j)
         return total / (n * (n - 1) / 2)
-
-    def quadrant_of_tile(self, tile_id: int) -> int:
-        """The mesh quadrant (0-3) hosting a tile: the grid split at
-        its row/column midpoints."""
-        if not 0 <= tile_id < self.active_tiles:
-            raise ConfigError(f"tile {tile_id} out of range")
-        r, c = self.tiles[tile_id].position
-        return (0 if r < (self.rows + 1) // 2 else 2) + (
-            0 if c < (self.cols + 1) // 2 else 1
-        )
-
-    def memory_access_hops(self, tile_id: int) -> float:
-        """Expected mesh hops for a memory access from ``tile_id``
-        under the configured cluster mode.
-
-        ALL_TO_ALL: the request visits a random tag directory and then
-        a random memory controller — two mean-distance traversals.
-        QUADRANT / SNC4: directory and controller live in the tile's
-        own quadrant, so both traversals stay quadrant-local (SNC4
-        additionally exposes the locality to software; for a single
-        quadrant-local access the cost matches QUADRANT, which is why
-        both share the arithmetic here).
-        """
-        if self.cluster_mode is ClusterMode.ALL_TO_ALL:
-            mean = self.mean_mesh_distance()
-            return 2.0 * mean
-        # Quadrant-local traversal: mean distance within the quadrant.
-        q = self.quadrant_of_tile(tile_id)
-        members = [
-            t.tile_id for t in self.tiles if self.quadrant_of_tile(t.tile_id) == q
-        ]
-        if len(members) < 2:
-            return 0.0
-        total = 0
-        count = 0
-        for i in members:
-            for j in members:
-                if i < j:
-                    total += self.mesh_distance(i, j)
-                    count += 1
-        return 2.0 * total / count
-
-    def snc_local_bandwidth_share(self) -> float:
-        """In SNC4 each NUMA cluster owns ~1/4 of the memory channels;
-        quadrant-local traffic sees that share of device bandwidth."""
-        if self.cluster_mode is ClusterMode.SNC4:
-            return 0.25
-        return 1.0

@@ -28,7 +28,7 @@ def run_external_sort_plan(
     """The timed plan run on ``node`` with a disk attached."""
     plan = external_sort_plan(node, n, memory_budget_bytes)
     resources = [*node.resources(), disk_device(bandwidth=disk_bandwidth).resource()]
-    return Engine(resources, record_events=False).run(plan)
+    return Engine(resources).run(plan)
 
 
 class TestDiskDevice:

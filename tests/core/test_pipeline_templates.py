@@ -27,6 +27,7 @@ from repro.experiments.figure8 import (
     _figure8_cell,
 )
 from repro.simknl import engine
+from repro.simknl.batch import run_batch
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.threads.pool import PoolSet
@@ -279,8 +280,16 @@ def test_plan_errors_raise_at_build_and_are_never_cached(memo):
 def test_run_reads_phases_only_for_the_reference_loop(memo):
     pipe = pipeline("flat-buffered", 14, 1000)
     plan = pipe.build_plan()
-    Engine(pipe.node.resources(), record_events=False).run(plan)
+    eng = Engine(pipe.node.resources())
+    run_batch(eng, [plan])
     assert plan._blocks is None
-    events = Engine(pipe.node.resources(), record_events=True).run(plan).events
-    assert events[0][1] == "step0:copy-in[0] done"
-    assert events[-1][1] == "step15:copy-out[13] done"
+    eng.run(plan)
+    assert plan._blocks is not None
+    assert (plan.phases[0].name, plan.phases[0].flows[0].name) == (
+        "step0",
+        "copy-in[0]",
+    )
+    assert (plan.phases[-1].name, plan.phases[-1].flows[0].name) == (
+        "step15",
+        "copy-out[13]",
+    )

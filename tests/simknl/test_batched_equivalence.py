@@ -2,15 +2,15 @@
 reference loop.
 
 Plan builders emit the pipeline steady state as one repeated block;
-``Engine.run`` evaluates a plan with a repeated block as a one-row
-:func:`~repro.simknl.batch.run_lowered`. ``Engine(batch_phases=False)``
-keeps every phase on the per-phase reference loop, and these tests hold
+:func:`~repro.simknl.batch.run_batch` evaluates one plan with a
+repeated block as a one-row :func:`~repro.simknl.batch.run_lowered`.
+``Engine.run`` is the per-phase reference loop, and these tests hold
 the two bit-identical — ``elapsed``, ``phase_times``, and ``traffic``
 — across strategies, odd-sized final chunks and random plans with
 repeated blocks (``test_fast_path_oracle.py`` adds random cells and the
-real plan builders), assert the documented fallbacks (recorded events,
-starved allocations) really do run the reference loop, and that a
-telemetry session does not.
+real plan builders), assert the documented fallback (starved
+allocations) really does run the reference loop, and that a telemetry
+session does not.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.kernel import StreamKernel
 from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
 from repro.errors import SimulationError
+from repro.simknl import batch
 from repro.simknl import engine as engine_mod
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
@@ -36,14 +37,10 @@ RESOURCES = [
 ]
 
 
-def run_both(plan: Plan, **engine_kw) -> tuple:
-    fast = Engine(
-        RESOURCES, record_events=False, batch_phases=True, **engine_kw
-    )
-    ref = Engine(
-        RESOURCES, record_events=False, batch_phases=False, **engine_kw
-    )
-    return fast, fast.run(plan), ref, ref.run(plan)
+def run_both(plan: Plan) -> tuple:
+    """``plan``'s ``run_batch`` result and its reference-loop result."""
+    fast = batch.run_batch(Engine(RESOURCES), [plan])[0]
+    return fast, Engine(RESOURCES).run(plan)
 
 
 def assert_identical(a, b) -> None:
@@ -69,8 +66,7 @@ def pipeline(data_bytes: int, passes: float = 3) -> ThreeLevelPipeline:
 )
 def test_pipeline_strategies_bit_identical(strategy, data_bytes, tensor_rows):
     ref_pipe = pipeline(data_bytes)
-    ref_pipe._engine.batch_phases = False
-    ref = ref_pipe.run(strategy)
+    ref = ref_pipe._engine.run(ref_pipe.build_plan(strategy))
     assert tensor_rows == []
     fast = pipeline(data_bytes).run(strategy)
     assert_identical(fast, ref)
@@ -146,7 +142,7 @@ def build_plan(phases, repeats: int) -> Plan:
 )
 def test_random_plans_bit_identical(phases, repeats):
     plan = build_plan(phases, repeats)
-    _, fast_res, _, ref_res = run_both(plan)
+    fast_res, ref_res = run_both(plan)
     assert_identical(fast_res, ref_res)
 
 
@@ -165,7 +161,7 @@ def test_zero_byte_flows_drop_out_of_structure(tensor_rows):
         static_rates=True,
     )
     plan = Plan("zeros", [phase] * 4)
-    _, fast_res, _, ref_res = run_both(plan)
+    fast_res, ref_res = run_both(plan)
     assert_identical(fast_res, ref_res)
     assert tensor_rows == [1]
     assert fast_res.traffic["mcdram"] == 0.0
@@ -195,12 +191,10 @@ def steady_plan(n: int = 8) -> Plan:
 def test_telemetry_session_keeps_tensor_path(tensor_rows):
     plan = steady_plan()
     with _tm.telemetry_session() as tel_fast:
-        res_fast = Engine(RESOURCES, record_events=False).run(plan)
+        res_fast = batch.run_batch(Engine(RESOURCES), [plan])[0]
     assert tensor_rows == [1]
     with _tm.telemetry_session() as tel_ref:
-        res_ref = Engine(
-            RESOURCES, record_events=False, batch_phases=False
-        ).run(plan)
+        res_ref = Engine(RESOURCES).run(plan)
     assert tensor_rows == [1]  # the reference engine ran the loop
     assert_identical(res_fast, res_ref)
     assert tel_fast.snapshot() == tel_ref.snapshot()
@@ -209,11 +203,20 @@ def test_telemetry_session_keeps_tensor_path(tensor_rows):
     ]
 
 
-def test_recorded_events_fall_back(no_tensor):
-    plan = steady_plan()
-    eng = Engine(RESOURCES, record_events=True)
-    res = eng.run(plan)
-    assert res.events  # flow completions were recorded
+def test_engine_run_is_only_the_reference_loop(no_tensor, reference_engine):
+    """``Engine.run`` never enters the tensor path: with ``run_lowered``
+    refusing, plans whose steady state repeats at least three times
+    still return the reference result — on the engine a pipeline holds
+    and on a bare one."""
+    pipe = pipeline(30 * GiB, passes=2)
+    cases = [
+        (pipe._engine, pipe.build_plan("single")),
+        (Engine(RESOURCES), steady_plan(5)),
+    ]
+    for eng, plan in cases:
+        assert max(plan.repeats) >= 3
+        want = reference_engine(eng.resources.values()).run(plan)
+        assert_identical(eng.run(plan), want)
 
 
 def test_starved_group_raises_like_reference():
@@ -221,11 +224,11 @@ def test_starved_group_raises_like_reference():
     max-min allocator) must make the tensor path decline, so the
     reference loop raises its per-phase starvation error."""
     plan = steady_plan(3)
-    for batch in (True, False):
-        eng = Engine(RESOURCES, record_events=False, batch_phases=batch)
-        eng._allocate = lambda live: [0.0] * len(live)
+    eng = Engine(RESOURCES)
+    eng._allocate = lambda live: [0.0] * len(live)
+    for run in (lambda: batch.run_batch(eng, [plan]), lambda: eng.run(plan)):
         with pytest.raises(SimulationError, match="phase 's0'.*starved"):
-            eng.run(plan)
+            run()
 
 
 def test_inner_chunk_variation_only_in_bytes():
@@ -269,7 +272,7 @@ def test_nvm_and_mixed_dynamic_static_interleaving(tensor_rows):
         ]
 
     plan = Plan("mix").add_block(round_, 0, 3)
-    _, fast_res, _, ref_res = run_both(plan)
+    fast_res, ref_res = run_both(plan)
     assert_identical(fast_res, ref_res)
     assert tensor_rows == [1]
     assert [p.name for p in plan.phases][3:6] == ["dyn1", "st1.0", "st1.1"]

@@ -3,8 +3,8 @@
 ``batch.run_batch`` stacks N structurally identical plans into one
 bytes tensor and evaluates the whole sweep with vectorized NumPy ops.
 These tests hold it bit-identical — ``elapsed``, ``phase_times``,
-``traffic`` — to ``[engine.run(p) for p in plans]`` on a reference
-engine, across the three-level pipeline strategies (static ``single``
+``traffic`` — to ``[engine.run(p) for p in plans]``, the per-phase
+reference loop, across the three-level pipeline strategies (static ``single``
 and dynamic ``double``), odd cell counts and random mixed
 static/dynamic structures (``test_fast_path_oracle.py`` adds repeated
 blocks and the real plan builders), assert the documented fallbacks
@@ -44,8 +44,8 @@ RESOURCES = [
 ]
 
 
-def fresh_engine(**kw) -> Engine:
-    return Engine(RESOURCES, record_events=False, **kw)
+def fresh_engine() -> Engine:
+    return Engine(RESOURCES)
 
 
 def assert_identical(a, b) -> None:
@@ -55,7 +55,7 @@ def assert_identical(a, b) -> None:
 
 
 def reference_runs(plans) -> list:
-    ref = Engine(RESOURCES, record_events=False, batch_phases=False)
+    ref = Engine(RESOURCES)
     return [ref.run(p) for p in plans]
 
 
@@ -74,9 +74,7 @@ def pipeline_plans(strategy: str, data_sizes) -> tuple[Engine, list[Plan]]:
         )
         plans.append(pipe.build_plan(strategy))
         if engine is None:
-            engine = Engine(
-                [*node.resources(), pipe.nvm.resource()], record_events=False
-            )
+            engine = Engine([*node.resources(), pipe.nvm.resource()])
     return engine, plans
 
 
@@ -97,22 +95,25 @@ def test_pipeline_strategies_bit_identical_across_cells(
         pipe = ThreeLevelPipeline(
             node, StreamKernel(passes=3), ThreeLevelConfig(data_bytes=nbytes)
         )
-        pipe._engine.batch_phases = False
-        refs.append(pipe.run(strategy))
+        refs.append(pipe._engine.run(pipe.build_plan(strategy)))
     for got, ref in zip(results, refs):
         assert_identical(got, ref)
 
 
-def test_single_plan_takes_sequential_path(monkeypatch):
-    engine, plans = pipeline_plans("single", [int(20 * GiB)])
-    runs = []
-    real_run = engine.run
-    monkeypatch.setattr(engine, "run", lambda p: runs.append(p) or real_run(p))
-    results = run_batch(engine, plans)
-    assert runs == plans  # one plan: Engine.run, not a cross-cell batch
-    ref_engine, ref_plans = pipeline_plans("single", [int(20 * GiB)])
-    ref_engine.batch_phases = False
-    assert_identical(results[0], ref_engine.run(ref_plans[0]))
+def test_single_plan_takes_sequential_path(monkeypatch, tensor_rows):
+    """One plan runs on ``Engine.run`` unless a block repeats: the
+    ``single`` strategy's steady state is a one-row tensor instead."""
+    for strategy, rows in (("direct", []), ("double", []), ("single", [1])):
+        engine, plans = pipeline_plans(strategy, [int(20 * GiB)])
+        runs = []
+        real_run = engine.run
+        monkeypatch.setattr(engine, "run", lambda p: runs.append(p) or real_run(p))
+        tensor_rows.clear()
+        results = run_batch(engine, plans)
+        assert tensor_rows == rows
+        assert runs == ([] if rows else plans)
+        ref_engine, ref_plans = pipeline_plans(strategy, [int(20 * GiB)])
+        assert_identical(results[0], ref_engine.run(ref_plans[0]))
 
 
 # ---- random structures: batched == per-cell reference ----------------------
@@ -284,14 +285,6 @@ def test_zero_byte_cell_changes_structure():
         engine = fresh_engine()
         for got, ref in zip(run_batch(engine, group), reference_runs(group)):
             assert_identical(got, ref)
-
-
-def test_run_lowered_rejects_ineligible_engine():
-    plans = simple_plans()
-    lowered, tensor = lower_plans(plans)
-    engine = Engine(RESOURCES, record_events=True)
-    with pytest.raises(PlanError, match="eligible"):
-        run_lowered(engine, lowered, tensor)
 
 
 def test_run_lowered_rejects_shape_mismatch():

@@ -90,18 +90,6 @@ class TestSinglePhase:
         r = run_flows([f, _copy_flow(threads=10, nbytes=4.8 * GB)], _resources())
         assert r.elapsed == pytest.approx(1.0 / 10.0)
 
-    def test_events_recorded(self):
-        eng = Engine(_resources(), record_events=True)
-        plan = Plan("p", [Phase("s0", [_copy_flow(threads=10)])])
-        r = eng.run(plan)
-        assert len(r.events) == 1
-        assert "copy" in r.events[0][1]
-
-    def test_events_suppressed(self):
-        eng = Engine(_resources(), record_events=False)
-        plan = Plan("p", [Phase("s0", [_copy_flow(threads=10)])])
-        assert eng.run(plan).events == []
-
 
 class TestMultiPhase:
     def test_phases_are_barriers(self):
@@ -238,10 +226,4 @@ class TestStaticRates:
         p = Phase("s", [Flow("f", 1, 1.0, {"ddr": 1.0}, 0.0)], static_rates=True)
         r = Engine(_resources()).run(Plan("p", [p]))
         assert r.elapsed == 0.0
-
-    def test_static_records_events(self):
-        eng = Engine(_resources(), record_events=True)
-        p = Phase("s", [_copy_flow(threads=10)], static_rates=True)
-        r = eng.run(Plan("p", [p]))
-        assert len(r.events) == 1
 

@@ -1,11 +1,11 @@
 """The one oracle for the engine's fast path.
 
-Every plan evaluation that does not go through the per-phase reference
-loop — a single-plan :meth:`Engine.run` and a cross-cell
-:func:`batch.run_batch` — must be bit for bit equal to
-``Engine(batch_phases=False, memoize_rates=False).run``: the reference
-loop with a fresh water-filling solve per phase. ``elapsed``,
-``phase_times`` and per-resource traffic are compared with ``==``.
+Every plan evaluation through :func:`batch.run_batch` — one plan, as
+``KNLNode.run`` does, or a cross-cell group — must be bit for bit equal
+to ``Engine.run`` on the ``reference_engine`` fixture: the per-phase
+reference loop with a fresh water-filling solve per phase.
+``elapsed``, ``phase_times`` and per-resource traffic are compared with
+``==``.
 
 Plans come from two sources: random static/dynamic phase lists whose
 phases repeat a random number of times per cell, and the real plan
@@ -56,33 +56,25 @@ RESOURCES = [
 ]
 
 
-def reference(resources, plan: Plan):
-    engine = Engine(
-        resources,
-        record_events=False,
-        batch_phases=False,
-        memoize_rates=False,
-    )
-    return engine.run(plan)
-
-
 def assert_identical(got, want) -> None:
     assert got.elapsed == want.elapsed
     assert got.phase_times == want.phase_times
     assert got.traffic == want.traffic
 
 
-def check_against_reference(resources, plans: list[Plan]) -> None:
+def check_against_reference(
+    reference_engine, resources, plans: list[Plan]
+) -> None:
     """Single-plan runs and structure-grouped cross-cell batches both
     match the reference loop."""
-    wants = [reference(resources, p) for p in plans]
-    engine = Engine(resources, record_events=False)
+    wants = [reference_engine(resources).run(p) for p in plans]
+    engine = Engine(resources)
     for plan, want in zip(plans, wants):
-        assert_identical(engine.run(plan), want)
+        assert_identical(batch.run_batch(engine, [plan])[0], want)
     groups: dict[tuple, list[int]] = {}
     for i, plan in enumerate(plans):
         groups.setdefault(plan.structure(), []).append(i)
-    batch_engine = Engine(resources, record_events=False)
+    batch_engine = Engine(resources)
     for members in groups.values():
         outs = batch.run_batch(batch_engine, [plans[i] for i in members])
         for i, got in zip(members, outs):
@@ -134,7 +126,7 @@ def random_plan(phases, repeats: list[int], cell: int) -> Plan:
     phases=st.lists(phase_strategy, min_size=1, max_size=4),
     data=st.data(),
 )
-def test_random_plans_match_reference(phases, data):
+def test_random_plans_match_reference(phases, data, reference_engine):
     cells = data.draw(st.integers(min_value=1, max_value=4), label="cells")
     repeat = st.integers(min_value=1, max_value=6)
     plans = [
@@ -148,7 +140,7 @@ def test_random_plans_match_reference(phases, data):
         )
         for c in range(cells)
     ]
-    check_against_reference(RESOURCES, plans)
+    check_against_reference(reference_engine, RESOURCES, plans)
 
 
 # ---- the real plan builders at random chunk counts -------------------------
@@ -244,13 +236,15 @@ BUILDERS = {
         max_size=4,
     ),
 )
-def test_builder_plans_match_reference(builder, cells):
+def test_builder_plans_match_reference(builder, cells, reference_engine):
     built = [BUILDERS[builder](chunks, ragged) for chunks, ragged in cells]
     resources = built[0][0]
-    check_against_reference(resources, [plan for _, plan in built])
+    check_against_reference(
+        reference_engine, resources, [plan for _, plan in built]
+    )
 
 
-def test_mixed_mlm_sweep_matches_reference(monkeypatch):
+def test_mixed_mlm_sweep_matches_reference(monkeypatch, reference_engine):
     """MLM cells with full and ragged last megachunks, buffered and
     unbuffered, with and without per-megachunk overhead, evaluated as
     one sweep: ``evaluate_cells`` groups them by template and runs one
@@ -291,8 +285,9 @@ def test_mixed_mlm_sweep_matches_reference(monkeypatch):
     monkeypatch.setattr(batch, "run_batch", spy)
     got = batch.evaluate_cells(build, cells)
     assert sum(sizes) == len(cells) and max(sizes) > 1
+    reference = reference_engine(resources)
     for cell, result in zip(cells, got):
-        assert_identical(result, reference(resources, build(*cell).plans[0]))
+        assert_identical(result, reference.run(build(*cell).plans[0]))
 
 
 # ---- dynamic phases with one live flow --------------------------------------
@@ -335,21 +330,27 @@ def single_flow_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("cells", [1, 7])
-def test_single_live_flow_matches_reference(cells, single_flow_calls):
+def test_single_live_flow_matches_reference(
+    cells, single_flow_calls, reference_engine
+):
     flows = [
         (8, 4.8 * GB, {"ddr": 1.0, "mcdram": 1.0}, 3 * GiB),
         (4, 6.78 * GB, {"mcdram": 1.0}, 0.0),  # idle: not live
     ]
-    check_against_reference(RESOURCES, single_flow_plans(flows, cells))
+    check_against_reference(
+        reference_engine, RESOURCES, single_flow_plans(flows, cells)
+    )
     assert single_flow_calls and max(single_flow_calls) == cells
 
 
 @pytest.mark.parametrize("cells", [1, 5])
 def test_resource_free_overhead_flow_matches_reference(
-    cells, single_flow_calls
+    cells, single_flow_calls, reference_engine
 ):
     flows = [(1, 1.0, {}, 0.25)]  # a fixed overhead: seconds at rate 1
-    check_against_reference(RESOURCES, single_flow_plans(flows, cells))
+    check_against_reference(
+        reference_engine, RESOURCES, single_flow_plans(flows, cells)
+    )
     assert single_flow_calls
 
 
@@ -365,23 +366,25 @@ def test_resource_free_overhead_flow_matches_reference(
     idle=st.integers(min_value=0, max_value=2),
 )
 def test_random_single_live_flows_match_reference(
-    threads, rate, res, nbytes, cells, idle
+    threads, rate, res, nbytes, cells, idle, reference_engine
 ):
     flows = [(threads, rate * GB, res, nbytes)]
     flows += [(2, 1.0 * GB, {"ddr": 1.0}, 0.0)] * idle
-    check_against_reference(RESOURCES, single_flow_plans(flows, cells))
+    check_against_reference(
+        reference_engine, RESOURCES, single_flow_plans(flows, cells)
+    )
 
 
 @pytest.mark.parametrize("cells", [1, 3])
-def test_starved_single_flow_raises_reference_error(cells):
+def test_starved_single_flow_raises_reference_error(cells, reference_engine):
     """A step too long to be a finite float is starvation to the
     reference loop; the tensor path must decline and let it raise."""
     plans = single_flow_plans([(1, 1e-300, {"ddr": 1.0}, 1e10)], cells)
     with pytest.raises(SimulationError) as want:
-        reference(RESOURCES, plans[0])
-    engine = Engine(RESOURCES, record_events=False)
+        reference_engine(RESOURCES).run(plans[0])
+    engine = Engine(RESOURCES)
     with pytest.raises(SimulationError) as got:
-        engine.run(plans[0])
+        batch.run_batch(engine, plans[:1])
     assert str(got.value) == str(want.value)
     with pytest.raises(SimulationError, match="starvation"):
         batch.run_batch(engine, plans)
@@ -389,7 +392,9 @@ def test_starved_single_flow_raises_reference_error(cells):
 
 @pytest.mark.parametrize("live", [1, 2])
 @pytest.mark.parametrize("static", [False, True])
-def test_overflowing_step_matches_reference_without_warning(static, live):
+def test_overflowing_step_matches_reference_without_warning(
+    static, live, reference_engine
+):
     """A 1-thread flow at 1e-300 B/s over 1e10 B needs a step that
     overflows to inf. The reference loop raises the starvation error
     for a dynamic phase and returns ``elapsed=inf`` for a static one;
@@ -402,15 +407,16 @@ def test_overflowing_step_matches_reference_without_warning(static, live):
     plans = [Plan(f"cell{c}", [phase] * 2) for c in range(3)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        reference = reference_engine(RESOURCES)
         if static:
-            check_against_reference(RESOURCES, plans)
-            assert reference(RESOURCES, plans[0]).elapsed == float("inf")
+            check_against_reference(reference_engine, RESOURCES, plans)
+            assert reference.run(plans[0]).elapsed == float("inf")
             return
         with pytest.raises(SimulationError) as want:
-            reference(RESOURCES, plans[0])
-        engine = Engine(RESOURCES, record_events=False)
+            reference.run(plans[0])
+        engine = Engine(RESOURCES)
         with pytest.raises(SimulationError) as got:
-            engine.run(plans[0])
+            batch.run_batch(engine, plans[:1])
         assert str(got.value) == str(want.value)
         with pytest.raises(SimulationError, match="starvation"):
             batch.run_batch(engine, plans)

@@ -26,7 +26,7 @@ from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.modes import UsageMode
 from repro.errors import ConfigError
 from repro.experiments.runner import sort_variant_seconds
-from repro.simknl import engine
+from repro.simknl import batch, engine
 from repro.simknl.engine import Engine, Phase
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
@@ -185,7 +185,7 @@ def test_lazy_plan_builds_phases_only_when_read(memo):
     plan = mlm_sort_plan(node, MLMSortConfig(6_500_000_000, mega))
     assert plan._blocks is None
     assert plan.num_phases == 4 * 7 + 1
-    result = Engine(node.resources(), record_events=False).run(plan)
+    result = batch.run_batch(Engine(node.resources()), [plan])[0]
     assert plan._blocks is None
     names = [p.name for p in plan.phases]
     assert names == [
@@ -197,9 +197,8 @@ def test_lazy_plan_builds_phases_only_when_read(memo):
     copy_in = [p.flows[0].bytes_total for p in plan.phases[1::4]]
     assert copy_in == [8.0 * mega] * 6 + [4.0 * mega]
     assert plan.phases[-1].flows[0].bytes_total == 6_500_000_000 * 8.0
-    events = Engine(node.resources(), record_events=True).run(plan).events
-    assert events[1][1] == "mega0/copy-in:copy-in done"
-    assert events[-2][1] == "mega6/merge:mega6/merge done"
+    assert plan.phases[1].flows[0].name == "copy-in"
+    assert plan.phases[-2].flows[0].name == "mega6/merge"
 
 
 def test_appending_detaches_the_template(memo):

@@ -95,7 +95,7 @@ def _random_plan(rng) -> Plan:
     return plan
 
 
-def test_memoized_engine_matches_reference():
+def test_memoized_engine_matches_reference(reference_engine):
     resources = [
         Resource("ddr", 90 * GB),
         Resource("mcdram", 400 * GB),
@@ -103,10 +103,10 @@ def test_memoized_engine_matches_reference():
     rng = np.random.default_rng(123)
     for trial in range(60):
         seed = int(rng.integers(0, 2**31))
-        memo = Engine(resources, memoize_rates=True).run(
+        memo = Engine(resources).run(
             _random_plan(np.random.default_rng(seed))
         )
-        ref = Engine(resources, memoize_rates=False).run(
+        ref = reference_engine(resources).run(
             _random_plan(np.random.default_rng(seed))
         )
         assert memo.elapsed == ref.elapsed, trial
@@ -120,7 +120,7 @@ def test_memoized_engine_matches_reference():
 def test_memo_cache_reused_across_runs(monkeypatch):
     monkeypatch.setattr(engine_mod, "_RATE_MEMO", {})
     resources = [Resource("ddr", 90 * GB)]
-    eng = Engine(resources, memoize_rates=True)
+    eng = Engine(resources)
     plan = Plan("memo").add(
         Phase("p", [Flow("f", 8, 1.0 * GB, {"ddr": 1.0}, 10 * GB)])
     )
@@ -176,7 +176,9 @@ def test_engines_over_equal_resources_share_solves(monkeypatch):
     assert second.traffic == first.traffic
 
 
-def test_engines_with_different_capacities_do_not_share(monkeypatch):
+def test_engines_with_different_capacities_do_not_share(
+    monkeypatch, reference_engine
+):
     calls = _count_solves(monkeypatch)
     plan = _two_flow_plan()
     fast = Engine([Resource("ddr", 90 * GB), Resource("mcdram", 400 * GB)])
@@ -186,6 +188,6 @@ def test_engines_with_different_capacities_do_not_share(monkeypatch):
     calls.clear()
     slow_result = slow.run(plan)
     assert len(calls) == solved  # every solve is redone
-    ref = Engine(slow.resources.values(), memoize_rates=False).run(plan)
+    ref = reference_engine(slow.resources.values()).run(plan)
     assert slow_result.elapsed == ref.elapsed
     assert slow_result.traffic == ref.traffic

@@ -17,7 +17,6 @@ import pytest
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner
 from repro.simknl import batch
-from repro.simknl.engine import Engine
 from repro.telemetry import telemetry_session
 
 
@@ -59,7 +58,8 @@ def test_session_takes_plain_path_and_sees_reference_telemetry(
     rows, snapshot, events = _run(name, monkeypatch, session=True)
     assert rows == plain_rows  # the session did not change the path
     with monkeypatch.context() as m:
-        m.setattr(Engine, "_tensor_eligible", lambda self: False)
+        # A declined tensor leaves every plan to Engine.run.
+        m.setattr(batch, "run_lowered", lambda *args: None)
         m.setattr(batch, "evaluate_cells", _direct_every_cell)
         ref_rows, ref_snapshot, ref_events = _run(name, m, session=True)
     assert ref_rows == 0
