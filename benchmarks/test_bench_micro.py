@@ -1,19 +1,11 @@
 """Micro-benchmarks of the library's hot paths.
 
 These measure the *Python implementation itself* (not the simulated
-KNL): the water-filling allocator, the line-level cache simulator, the
-vectorized merge, introsort, and the functional MLM-sort.
+KNL): the water-filling allocator and the line-level cache simulator.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.algorithms.merge_bench import merge_halves
-from repro.algorithms.mlm_sort import mlm_sort
-from repro.algorithms.multiway_merge import merge_two, multiway_merge
-from repro.algorithms.serial_sort import introsort
 from repro.simknl.cache import DirectMappedCache
 from repro.simknl.flows import Flow, Resource, allocate_rates
 from repro.units import GB
@@ -42,95 +34,3 @@ def test_bench_cache_sim(benchmark):
 
     misses = benchmark(sweep)
     assert misses == (1 << 18) // 64
-
-
-def test_bench_merge_two(benchmark):
-    rng = np.random.default_rng(0)
-    a = np.sort(rng.integers(0, 1 << 30, 200_000, dtype=np.int64))
-    b = np.sort(rng.integers(0, 1 << 30, 200_000, dtype=np.int64))
-    out = benchmark(merge_two, a, b)
-    assert len(out) == 400_000
-
-
-def test_bench_multiway_merge(benchmark):
-    rng = np.random.default_rng(1)
-    runs = [
-        np.sort(rng.integers(0, 1 << 30, 50_000, dtype=np.int64))
-        for _ in range(16)
-    ]
-    out = benchmark(multiway_merge, runs)
-    assert len(out) == 800_000
-
-
-def test_bench_losertree_merge(benchmark):
-    """Galloping loser-tree drain over clustered runs.
-
-    Runs with mostly-disjoint value ranges are the megachunk shape
-    MLM-sort's final merge sees (each chunk covers one slice of the
-    key space); the galloping drain moves whole leading blocks per
-    tournament round instead of popping elements one at a time.
-    """
-    rng = np.random.default_rng(7)
-    runs = []
-    for i in range(8):
-        base = i * (1 << 30)
-        runs.append(
-            np.sort(
-                rng.integers(
-                    base, base + (1 << 29), 50_000 + 500 * i, dtype=np.int64
-                )
-            )
-        )
-    total = sum(len(r) for r in runs)
-    out = benchmark.pedantic(
-        lambda: multiway_merge(runs, strategy="losertree"),
-        rounds=5,
-        iterations=1,
-    )
-    assert len(out) == total
-    assert np.all(np.diff(out) >= 0)
-
-
-def test_bench_introsort(benchmark):
-    rng = np.random.default_rng(2)
-    base = rng.integers(0, 1 << 20, 2_000, dtype=np.int64)
-    out = benchmark.pedantic(
-        lambda: introsort(base.copy()), rounds=5, iterations=1
-    )
-    assert np.all(np.diff(out) >= 0)
-
-
-def test_bench_functional_mlm_sort(benchmark):
-    rng = np.random.default_rng(3)
-    arr = rng.integers(0, 1 << 40, 500_000, dtype=np.int64)
-    out = benchmark(mlm_sort, arr, 100_000, 8)
-    assert len(out) == len(arr)
-
-
-def test_bench_merge_halves_kernel(benchmark):
-    rng = np.random.default_rng(4)
-    arr = rng.integers(0, 1 << 30, 300_000, dtype=np.int64)
-    out = benchmark(merge_halves, arr)
-    assert np.all(np.diff(out) >= 0)
-
-
-def test_bench_funnelsort(benchmark):
-    rng = np.random.default_rng(5)
-    arr = rng.integers(0, 1 << 40, 100_000, dtype=np.int64)
-    from repro.algorithms.funnelsort import funnelsort
-
-    out = benchmark(funnelsort, arr)
-    assert np.all(np.diff(out) >= 0)
-
-
-def test_bench_external_sort(benchmark, tmp_path):
-    rng = np.random.default_rng(6)
-    arr = rng.integers(0, 1 << 40, 50_000, dtype=np.int64)
-    from repro.algorithms.external_sort import external_sort
-
-    out = benchmark.pedantic(
-        lambda: external_sort(arr, 8192, workdir=str(tmp_path)),
-        rounds=3,
-        iterations=1,
-    )
-    assert np.all(np.diff(out) >= 0)

@@ -1,30 +1,13 @@
 #!/usr/bin/env python3
 """Sort a data set larger than near memory with MLM-sort.
 
-Shows both faces of the library:
-
-* **functional** — MLM-sort actually sorting a NumPy array at laptop
-  scale, validated against ``np.sort``;
-* **timed** — the same algorithm at the paper's 2-billion-element
-  scale on the simulated KNL, comparing all five Table-1 variants.
+Times the five Table-1 sort variants at the paper's 2-billion-element
+scale on the simulated KNL, for random and reverse-sorted input.
 
 Run: ``python examples/out_of_core_sort.py``
 """
 
-import numpy as np
-
-from repro.algorithms.mlm_sort import mlm_sort
 from repro.experiments.runner import VARIANTS, sort_variant_seconds
-
-
-def functional_demo() -> None:
-    print("== functional: sorting 2M elements with MLM-sort ==")
-    n = 2_000_000
-    arr = np.random.default_rng(42).integers(0, 4 * n, n, dtype=np.int64)
-    out = mlm_sort(arr, megachunk_elements=500_000, threads=8)
-    assert np.array_equal(out, np.sort(arr)), "sorted output mismatch"
-    print(f"sorted {len(out):,} elements; head: {out[:5]} ... tail: {out[-5:]}")
-    print("matches np.sort: True\n")
 
 
 def timed_demo() -> None:
@@ -39,5 +22,4 @@ def timed_demo() -> None:
 
 
 if __name__ == "__main__":
-    functional_demo()
     timed_demo()

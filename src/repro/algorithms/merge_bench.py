@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.algorithms.multiway_merge import merge_two
 from repro.core.buffering import BufferedPipeline, PipelineResult
 from repro.core.chunking import Chunker
 from repro.core.kernel import StreamKernel
@@ -25,23 +22,12 @@ from repro.threads.pool import PoolSet
 from repro.units import GB, GiB, INT64
 
 
-def merge_halves(portion: np.ndarray) -> np.ndarray:
-    """One repeat of the benchmark's compute: split the portion in two
-    and merge the (sorted) halves."""
-    if portion.ndim != 1:
-        raise ConfigError("expects a one-dimensional array")
-    mid = len(portion) // 2
-    a = np.sort(portion[:mid], kind="stable")
-    b = np.sort(portion[mid:], kind="stable")
-    return merge_two(a, b)
-
-
 def merge_bench_kernel(repeats: int) -> StreamKernel:
     """The benchmark's compute stage as a kernel: ``repeats`` streaming
     passes, each a halve-and-merge."""
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    return StreamKernel(passes=repeats, name=f"merge-x{repeats}", fn=merge_halves)
+    return StreamKernel(passes=repeats, name=f"merge-x{repeats}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""MLM-sort and its variants (Section 4), functional and timed.
+"""MLM-sort and its variants (Section 4) as timed plans.
 
 MLM-sort divides the input into MCDRAM-sized *megachunks*; within a
 megachunk each thread serial-sorts one maximal chunk, a parallel
@@ -22,18 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel, sort_levels
-from repro.algorithms.multiway_merge import multiway_merge
 from repro.algorithms.parallel_sort import (
     _cache_stream_multipliers,
     _sort_stage,
     _stage_bands,
-    gnu_parallel_sort,
 )
-from repro.algorithms.serial_sort import serial_sort
 from repro.core.chunking import Chunker
 from repro.core.kernel import Kernel
 from repro.core.modes import UsageMode, validate_node_mode
@@ -44,60 +39,6 @@ from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.threads.pool import PoolSet
 from repro.units import INT64
-
-
-# ---------------------------------------------------------------------------
-# Functional implementations
-# ---------------------------------------------------------------------------
-
-
-def _sort_megachunk(mega: np.ndarray, threads: int) -> np.ndarray:
-    """Sort one megachunk: per-thread serial sorts + multiway merge."""
-    k = min(threads, len(mega))
-    bounds = [len(mega) * t // k for t in range(k + 1)]
-    runs = [serial_sort(mega[bounds[t] : bounds[t + 1]]) for t in range(k)]
-    tel = _tm.current()
-    if tel.enabled:
-        tel.metrics.counter(_tn.SORT_MEGACHUNKS_TOTAL).inc()
-        tel.metrics.histogram(_tn.SORT_MERGE_FAN_IN).observe(len(runs))
-        tel.events.emit(_tn.EVENT_SORT_MERGE, fan_in=len(runs))
-    return multiway_merge(runs)
-
-
-def mlm_sort(
-    arr: np.ndarray, megachunk_elements: int, threads: int = 4
-) -> np.ndarray:
-    """Functional MLM-sort. Returns a new sorted array.
-
-    Parameters
-    ----------
-    arr:
-        One-dimensional input.
-    megachunk_elements:
-        Megachunk size in elements (the near-memory budget).
-    threads:
-        Serial-sort chunks per megachunk (one per thread).
-    """
-    if arr.ndim != 1:
-        raise ConfigError("expects a one-dimensional array")
-    if megachunk_elements < 1:
-        raise ConfigError("megachunk_elements must be >= 1")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    n = len(arr)
-    if n == 0:
-        return arr.copy()
-    chunker = Chunker.from_elements(
-        n, min(megachunk_elements, n), element_size=arr.itemsize
-    )
-    megachunks = [
-        _sort_megachunk(mega, threads) for mega in chunker.split_array(arr)
-    ]
-    tel = _tm.current()
-    if tel.enabled and len(megachunks) > 1:
-        tel.metrics.histogram(_tn.SORT_MERGE_FAN_IN).observe(len(megachunks))
-        tel.events.emit(_tn.EVENT_SORT_MERGE, fan_in=len(megachunks))
-    return multiway_merge(megachunks)
 
 
 class MegachunkSortKernel(Kernel):
@@ -127,36 +68,6 @@ class MegachunkSortKernel(Kernel):
         return (
             sort_levels(m, self.cost, order=self.order, gnu=False) + 1.0
         ) / 2.0
-
-    def apply(self, chunk: np.ndarray) -> np.ndarray:
-        return _sort_megachunk(chunk, self.threads)
-
-
-def basic_chunked_sort(
-    arr: np.ndarray, chunk_elements: int, threads: int = 4
-) -> np.ndarray:
-    """Functional Bender-style basic chunked sort.
-
-    Each chunk is sorted with the *parallel* GNU-style sort (contrast
-    MLM-sort's serial per-thread sorts), then a multiway merge
-    finishes.
-    """
-    if arr.ndim != 1:
-        raise ConfigError("expects a one-dimensional array")
-    if len(arr) == 0:
-        return arr.copy()
-    chunker = Chunker.from_elements(
-        len(arr), min(chunk_elements, len(arr)), element_size=arr.itemsize
-    )
-    runs = [
-        gnu_parallel_sort(c, threads=threads) for c in chunker.split_array(arr)
-    ]
-    return multiway_merge(runs)
-
-
-# ---------------------------------------------------------------------------
-# Timed plans
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -420,9 +331,6 @@ class ParallelSortKernel(Kernel):
         return (
             sort_levels(m, self.cost, order=self.order, gnu=True) + 1.0
         ) / 2.0
-
-    def apply(self, chunk: np.ndarray) -> np.ndarray:
-        return gnu_parallel_sort(chunk, threads=min(self.threads, 8))
 
 
 def basic_chunked_sort_plan(

@@ -2,35 +2,29 @@
 
 Section 2.1 of the paper conjectures that cache-oblivious versions of
 its simple cache-aware algorithms "might eventually perform as well
-without requiring tuning per machine" (citing funnelsort). We provide
-a lazy-funnelsort-family algorithm in both forms:
-
-* :func:`oblivious_mergesort` — functional recursive binary mergesort
-  (the canonical cache-oblivious sort skeleton: no machine parameters
-  anywhere);
-* :func:`oblivious_sort_plan` — its timed counterpart. The recursion
-  means a level's working set halves with depth, so under a
-  cache-backed mode the deep levels are automatically cache-resident
-  — the *same* active-set effect MLM-implicit exploits, obtained with
-  zero tuning. The price: no level skips, so the full ``log2 n`` level
-  count is paid (MLM-sort's serial introsort shares constants across
-  chunks).
+without requiring tuning per machine" (citing funnelsort).
+:func:`oblivious_sort_plan` times a parallel recursive binary
+mergesort, the canonical cache-oblivious sort skeleton: no machine
+parameters anywhere. The recursion means a level's working set halves
+with depth, so under a cache-backed mode the deep levels are
+automatically cache-resident — the *same* active-set effect
+MLM-implicit exploits, obtained with zero tuning. The price: no level
+skips, so the full ``log2 n`` level count is paid (MLM-sort's serial
+introsort shares constants across chunks).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel
-from repro.algorithms.multiway_merge import merge_two
 from repro.algorithms.parallel_sort import _sort_phases
 from repro.core.modes import UsageMode, validate_node_mode
 from repro.simknl.engine import Plan
 from repro.simknl.node import KNLNode
 from repro.units import INT64
 
-#: Recursion base case: sort tiny blocks directly.
+#: Recursion base case: tiny blocks are sorted directly, so the plan
+#: charges ``log2(m / BASE_CASE)`` merge levels per block.
 BASE_CASE = 32
 
 #: Constant-factor penalty of naive binary merging versus in-place
@@ -38,19 +32,6 @@ BASE_CASE = 32
 #: funnelsort literature (Brodal et al.) needed careful engineering to
 #: close exactly this gap against tuned quicksorts.
 OBLIVIOUS_OVERHEAD = 1.35
-
-
-def oblivious_mergesort(arr: np.ndarray) -> np.ndarray:
-    """Functional cache-oblivious binary mergesort (returns new array)."""
-    if arr.ndim != 1:
-        raise ConfigError("expects a one-dimensional array")
-    n = len(arr)
-    if n <= BASE_CASE:
-        return np.sort(arr, kind="stable")
-    mid = n // 2
-    left = oblivious_mergesort(arr[:mid])
-    right = oblivious_mergesort(arr[mid:])
-    return merge_two(left, right)
 
 
 def oblivious_sort_plan(

@@ -1,10 +1,9 @@
-"""GNU-parallel-sort equivalent: functional and timed.
+"""GNU-parallel-sort equivalent as a timed plan.
 
 ``__gnu_parallel::sort`` is a multiway mergesort: each of ``p``
 threads sorts an ``n/p`` block serially, then a parallel multiway
 merge with exact splitting combines the blocks through a temporary
-buffer. :func:`gnu_parallel_sort` implements exactly that structure on
-NumPy arrays; :func:`gnu_sort_plan` emits the corresponding timed flow
+buffer. :func:`gnu_sort_plan` emits that structure as a timed flow
 plan for the simulated node, in DDR (the paper's "GNU-flat") or
 hardware cache mode ("GNU-cache").
 
@@ -13,38 +12,13 @@ The GNU baseline of Table 1 (flat and cache modes).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel, sort_levels
-from repro.algorithms.multiway_merge import parallel_multiway_merge
-from repro.algorithms.serial_sort import serial_sort
 from repro.core.modes import UsageMode, dc_cache_split, validate_node_mode
 from repro.simknl.engine import Phase, Plan, plan_template
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode, KNLNodeConfig
 from repro.units import INT64
-
-
-def gnu_parallel_sort(
-    arr: np.ndarray, threads: int = 4
-) -> np.ndarray:
-    """Functional GNU-style multiway mergesort.
-
-    Splits into ``threads`` blocks, serial-sorts each, then multiway
-    merges with exact splitting. Returns a new sorted array.
-    """
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if arr.ndim != 1:
-        raise ConfigError("expects a one-dimensional array")
-    n = len(arr)
-    if n == 0:
-        return arr.copy()
-    threads = min(threads, n)
-    bounds = [n * t // threads for t in range(threads + 1)]
-    runs = [serial_sort(arr[bounds[t] : bounds[t + 1]]) for t in range(threads)]
-    return parallel_multiway_merge(runs, threads=threads)
 
 
 def _cache_stream_multipliers(

@@ -10,8 +10,6 @@ over the device latencies), matching Table 2's 4.8 and 6.78 GB/s.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.simknl.engine import Phase, Plan
 from repro.simknl.flows import Flow
@@ -66,40 +64,3 @@ def micro_rate_plans(node: KNLNode) -> tuple[Plan, Plan, float]:
     copy_plan = Plan(name="phase", phases=[Phase("phase", [copy_flow])])
     comp_plan = Plan(name="phase", phases=[Phase("phase", [comp_flow])])
     return copy_plan, comp_plan, nbytes
-
-
-def host_stream(n: int = 5_000_000, dtype=np.float64) -> dict[str, float]:
-    """Run the four STREAM kernels on the *host* with NumPy and return
-    achieved bandwidths in bytes/s.
-
-    Not used by any experiment (the paper's numbers come from the
-    simulated node); provided so examples can contrast the host's
-    memory system with the simulated KNL.
-    """
-    import time
-
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    a = np.zeros(n, dtype=dtype)
-    b = np.random.default_rng(0).random(n).astype(dtype)
-    c = np.random.default_rng(1).random(n).astype(dtype)
-    s = 3.0
-    item = np.dtype(dtype).itemsize
-    out: dict[str, float] = {}
-
-    def timed(label: str, nbytes: float, fn) -> None:
-        t0 = time.perf_counter()
-        fn()
-        dt = time.perf_counter() - t0
-        out[label] = nbytes / max(dt, 1e-9)
-
-    timed("copy", 2 * n * item, lambda: np.copyto(a, b))
-    timed("scale", 2 * n * item, lambda: np.multiply(b, s, out=a))
-    timed("add", 3 * n * item, lambda: np.add(b, c, out=a))
-
-    def triad():
-        np.multiply(c, s, out=a)
-        np.add(a, b, out=a)
-
-    timed("triad", 3 * n * item, triad)
-    return out

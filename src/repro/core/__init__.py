@@ -6,7 +6,7 @@ This package implements the kernel-redesign methodology of Section 3:
   sized chunks (and MLM-sort's "megachunks");
 * :mod:`repro.core.kernel` — the user-facing kernel abstraction
   (a compute stage characterized by streaming passes and a write
-  fraction, optionally with a functional NumPy implementation);
+  fraction);
 * :mod:`repro.core.modes` — the four usage modes (flat, hybrid,
   implicit cache, hardware cache) and how each turns logical kernel
   traffic into physical device traffic;
@@ -19,7 +19,7 @@ the node with :meth:`repro.threads.pool.PoolSet.split`.
 """
 
 from repro.core.chunking import Chunk, Chunker
-from repro.core.kernel import FunctionKernel, Kernel, StreamKernel
+from repro.core.kernel import Kernel, StreamKernel
 from repro.core.modes import UsageMode, required_memory_mode, mode_label
 from repro.core.buffering import BufferedPipeline, PipelineResult
 
@@ -28,7 +28,6 @@ __all__ = [
     "Chunker",
     "Kernel",
     "StreamKernel",
-    "FunctionKernel",
     "UsageMode",
     "required_memory_mode",
     "mode_label",

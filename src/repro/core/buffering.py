@@ -366,15 +366,3 @@ class BufferedPipeline:
             num_chunks=self.chunker.num_chunks,
             buffers_bytes=reserved,
         )
-
-    def run_functional(self, array) -> "list":
-        """Apply the kernel to a real array, chunk by chunk.
-
-        The functional twin of :meth:`run`: the same chunk geometry
-        drives real :meth:`Kernel.apply` calls on array views, so
-        tests and examples can validate a kernel's semantics with the
-        exact boundaries the timed plan charges for. Returns the list
-        of per-chunk outputs (kernels may change chunk lengths, e.g. a
-        filter, so outputs are not stitched automatically).
-        """
-        return [self.kernel.apply(c) for c in self.chunker.split_array(array)]

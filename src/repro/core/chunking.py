@@ -2,18 +2,14 @@
 
 "Chunking" migrates one near-memory-sized piece of the data at a time
 into MCDRAM, computes on it, and writes it back (Section 3). The
-:class:`Chunker` produces the chunk geometry; it is shared by the timed
-plan builders (which only need byte counts) and the functional
-algorithm implementations (which slice real NumPy arrays with the same
-boundaries).
+:class:`Chunker` produces the chunk geometry: the byte count of every
+chunk, which is all the timed plan builders need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.units import INT64
@@ -58,7 +54,7 @@ class Chunker:
         Nominal chunk size; the last chunk holds the remainder.
     element_size:
         Element granularity — chunk boundaries are aligned down to a
-        multiple of this so functional slicing never splits elements.
+        multiple of this so no chunk splits an element.
     """
 
     def __init__(
@@ -118,8 +114,7 @@ class Chunker:
         return list(self.iter_chunks())
 
     def iter_chunks(self) -> Iterator[Chunk]:
-        """Iterate chunks lazily (large data sets have few, but the
-        generator form keeps geometry and slicing in lockstep)."""
+        """Iterate chunks lazily."""
         index = 0
         offset = 0
         while offset < self.total_bytes:
@@ -131,28 +126,6 @@ class Chunker:
     def chunk_elements(self) -> int:
         """Elements per full chunk."""
         return self.chunk_bytes // self.element_size
-
-    def split_array(self, array: np.ndarray) -> list[np.ndarray]:
-        """Slice ``array`` into views matching the chunk geometry.
-
-        The array's total byte size must equal ``total_bytes``.
-        """
-        if array.nbytes != self.total_bytes:
-            raise ConfigError(
-                f"array has {array.nbytes} bytes, chunker expects "
-                f"{self.total_bytes}"
-            )
-        if array.itemsize != self.element_size:
-            raise ConfigError(
-                f"array itemsize {array.itemsize} != element_size "
-                f"{self.element_size}"
-            )
-        out = []
-        for c in self.iter_chunks():
-            start = c.offset // self.element_size
-            stop = c.end // self.element_size
-            out.append(array[start:stop])
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

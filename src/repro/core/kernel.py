@@ -1,20 +1,16 @@
 """Kernel abstraction: the compute stage of a chunked algorithm.
 
 A kernel is characterized, for timing purposes, by how many streaming
-passes it makes over a chunk and what fraction of the chunk it writes;
-for correctness purposes it may also carry a functional NumPy
-implementation. The merge benchmark of Section 5 is a
-:class:`StreamKernel` with ``passes == repeats``; MLM-sort's serial
-sort stage is a recursive kernel whose pass structure the algorithms
-package derives from the chunk size.
+passes it makes over a chunk and what fraction of the chunk it writes.
+The merge benchmark of Section 5 is a :class:`StreamKernel` with
+``passes == repeats``; MLM-sort's serial sort stage is a recursive
+kernel whose pass structure the algorithms package derives from the
+chunk size.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable
-
-import numpy as np
 
 from repro.errors import ConfigError
 
@@ -35,11 +31,6 @@ class Kernel(abc.ABC):
         read-modify-write kernels like sort and merge)."""
         return 1.0
 
-    def apply(self, chunk: np.ndarray) -> np.ndarray:
-        """Functional implementation; kernels used only for timing may
-        leave this unimplemented."""
-        raise NotImplementedError(f"kernel {self.name!r} is timing-only")
-
     def logical_bytes(self, chunk_bytes: float) -> float:
         """Logical traffic of the compute stage: ``2 * B * passes``
         (the paper's Eq. 4 numerator), counting read+write per pass."""
@@ -58,8 +49,6 @@ class StreamKernel(Kernel):
         ``repeats``).
     name:
         Display name.
-    fn:
-        Optional functional implementation applied once per pass.
     write_fraction:
         Dirty fraction per pass.
     """
@@ -68,7 +57,6 @@ class StreamKernel(Kernel):
         self,
         passes: float,
         name: str = "stream",
-        fn: Callable[[np.ndarray], np.ndarray] | None = None,
         write_fraction: float = 1.0,
     ) -> None:
         if passes < 0:
@@ -77,7 +65,6 @@ class StreamKernel(Kernel):
             raise ConfigError("write_fraction must be in [0, 1]")
         self._passes = float(passes)
         self.name = name
-        self._fn = fn
         self._write_fraction = write_fraction
 
     def passes(self, chunk_bytes: float) -> float:
@@ -86,39 +73,3 @@ class StreamKernel(Kernel):
     @property
     def write_fraction(self) -> float:
         return self._write_fraction
-
-    def apply(self, chunk: np.ndarray) -> np.ndarray:
-        if self._fn is None:
-            return super().apply(chunk)
-        out = chunk
-        for _ in range(int(round(self._passes))):
-            out = self._fn(out)
-        return out
-
-
-class FunctionKernel(Kernel):
-    """Wrap an arbitrary array function as a single-pass kernel."""
-
-    def __init__(
-        self,
-        fn: Callable[[np.ndarray], np.ndarray],
-        name: str = "fn",
-        passes: float = 1.0,
-        write_fraction: float = 1.0,
-    ) -> None:
-        if passes < 0:
-            raise ConfigError("passes must be non-negative")
-        self._fn = fn
-        self.name = name
-        self._passes = float(passes)
-        self._write_fraction = write_fraction
-
-    def passes(self, chunk_bytes: float) -> float:
-        return self._passes
-
-    @property
-    def write_fraction(self) -> float:
-        return self._write_fraction
-
-    def apply(self, chunk: np.ndarray) -> np.ndarray:
-        return self._fn(chunk)

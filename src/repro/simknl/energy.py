@@ -31,7 +31,6 @@ DEFAULT_ENERGY_PER_BYTE = {
     "mcdram": 5e-12 * 8,
     "ddr": 15e-12 * 8,
     "nvm": 60e-12 * 8,
-    "mesh": 1e-12 * 8,
 }
 
 #: Idle (background/refresh) power in watts charged for the run's

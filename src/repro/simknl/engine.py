@@ -452,7 +452,7 @@ class Engine:
     Parameters
     ----------
     resources:
-        The shared bandwidth resources (devices, NoC, ...).
+        The shared bandwidth resources (memory devices, disk, ...).
     """
 
     def __init__(self, resources: Iterable[Resource]) -> None:

@@ -1,7 +1,7 @@
 """Max-min fair bandwidth allocation over shared memory resources.
 
 A *resource* is anything with a byte/s capacity: the DDR4 channels, the
-MCDRAM stacks, or the on-die mesh. A *flow* is a pool of threads
+MCDRAM stacks, or an NVM or disk device. A *flow* is a pool of threads
 streaming data through one or more resources — for example the paper's
 copy-in pool reads DDR and writes MCDRAM, so a copy-in flow traverses
 both devices.

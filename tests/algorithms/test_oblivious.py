@@ -1,52 +1,13 @@
-"""Tests for the cache-oblivious mergesort comparison point."""
+"""Tests for the timed cache-oblivious mergesort comparison point."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from repro.algorithms.oblivious import (
-    BASE_CASE,
-    oblivious_mergesort,
-    oblivious_sort_plan,
-)
+from repro.algorithms.oblivious import oblivious_sort_plan
 from repro.core.modes import UsageMode
 from repro.errors import ConfigError
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
-
-
-class TestFunctional:
-    def test_sorts_random(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(-1000, 1000, 2000, dtype=np.int64)
-        assert np.array_equal(oblivious_mergesort(a), np.sort(a))
-
-    def test_base_case(self):
-        a = np.array([3, 1, 2], dtype=np.int64)
-        assert len(a) <= BASE_CASE
-        assert np.array_equal(oblivious_mergesort(a), [1, 2, 3])
-
-    def test_empty(self):
-        assert len(oblivious_mergesort(np.array([], dtype=np.int64))) == 0
-
-    def test_rejects_2d(self):
-        with pytest.raises(ConfigError):
-            oblivious_mergesort(np.zeros((2, 2)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    arr=arrays(
-        dtype=np.int64,
-        shape=st.integers(min_value=0, max_value=500),
-        elements=st.integers(min_value=-(10**9), max_value=10**9),
-    )
-)
-def test_oblivious_matches_numpy(arr):
-    assert np.array_equal(oblivious_mergesort(arr), np.sort(arr))
 
 
 class TestTimed:

@@ -1,22 +1,16 @@
-"""Functional and timed tests for the GNU baseline and MLM-sort."""
+"""Timed tests for the GNU baseline and MLM-sort."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from repro.algorithms.costs import SortCostModel
 from repro.algorithms.mlm_sort import (
     MLMSortConfig,
-    basic_chunked_sort,
     basic_chunked_sort_plan,
-    mlm_sort,
     mlm_sort_plan,
 )
-from repro.algorithms.parallel_sort import gnu_parallel_sort, gnu_sort_plan
+from repro.algorithms.parallel_sort import gnu_sort_plan
 from repro.core.modes import UsageMode
 from repro.errors import ConfigError
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
@@ -29,105 +23,6 @@ def flat_node():
 def cache_node():
     return KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
 
-
-# ---- functional -----------------------------------------------------------
-
-
-class TestGnuParallelSortFunctional:
-    def test_sorts_random(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(-500, 500, 3000, dtype=np.int64)
-        assert np.array_equal(gnu_parallel_sort(a, threads=5), np.sort(a))
-
-    def test_empty(self):
-        a = np.array([], dtype=np.int64)
-        assert len(gnu_parallel_sort(a)) == 0
-
-    def test_threads_exceed_elements(self):
-        a = np.array([3, 1], dtype=np.int64)
-        assert np.array_equal(gnu_parallel_sort(a, threads=16), [1, 3])
-
-    def test_input_unmodified(self):
-        a = np.array([3, 1, 2], dtype=np.int64)
-        gnu_parallel_sort(a, threads=2)
-        assert np.array_equal(a, [3, 1, 2])
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigError):
-            gnu_parallel_sort(np.array([1]), threads=0)
-        with pytest.raises(ConfigError):
-            gnu_parallel_sort(np.zeros((2, 2)))
-
-
-class TestMlmSortFunctional:
-    def test_sorts_random(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 10**6, 5000, dtype=np.int64)
-        out = mlm_sort(a, megachunk_elements=1234, threads=4)
-        assert np.array_equal(out, np.sort(a))
-
-    def test_megachunk_equals_n_implicit_style(self):
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, 100, 2000, dtype=np.int64)
-        assert np.array_equal(mlm_sort(a, len(a), threads=8), np.sort(a))
-
-    def test_megachunk_larger_than_n(self):
-        a = np.array([5, 1, 3], dtype=np.int64)
-        assert np.array_equal(mlm_sort(a, 10**9, threads=2), [1, 3, 5])
-
-    def test_single_thread(self):
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 50, 500, dtype=np.int64)
-        assert np.array_equal(mlm_sort(a, 100, threads=1), np.sort(a))
-
-    def test_empty(self):
-        assert len(mlm_sort(np.array([], dtype=np.int64), 10)) == 0
-
-    def test_invalid(self):
-        with pytest.raises(ConfigError):
-            mlm_sort(np.array([1]), 0)
-        with pytest.raises(ConfigError):
-            mlm_sort(np.array([1]), 1, threads=0)
-
-
-class TestBasicChunkedFunctional:
-    def test_sorts(self):
-        rng = np.random.default_rng(4)
-        a = rng.integers(-100, 100, 3000, dtype=np.int64)
-        assert np.array_equal(basic_chunked_sort(a, 700, threads=3), np.sort(a))
-
-    def test_empty(self):
-        assert len(basic_chunked_sort(np.array([], dtype=np.int64), 10)) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    arr=arrays(
-        dtype=np.int64,
-        shape=st.integers(min_value=0, max_value=400),
-        elements=st.integers(min_value=-(10**6), max_value=10**6),
-    ),
-    mega=st.integers(min_value=1, max_value=500),
-    threads=st.integers(min_value=1, max_value=8),
-)
-def test_mlm_sort_property(arr, mega, threads):
-    assert np.array_equal(mlm_sort(arr, mega, threads), np.sort(arr))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    arr=arrays(
-        dtype=np.int64,
-        shape=st.integers(min_value=0, max_value=400),
-        elements=st.integers(min_value=-(10**6), max_value=10**6),
-    ),
-    threads=st.integers(min_value=1, max_value=8),
-)
-def test_gnu_sort_property(arr, threads):
-    assert np.array_equal(gnu_parallel_sort(arr, threads), np.sort(arr))
-
-
-# ---- timed ----------------------------------------------------------------
 
 N2 = 2_000_000_000
 MEGA = 1_000_000_000

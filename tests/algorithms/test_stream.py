@@ -5,11 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.stream import (
-    host_stream,
-    micro_rate_plans,
-    stream_triad_plan,
-)
+from repro.algorithms.stream import micro_rate_plans, stream_triad_plan
 from repro.errors import ConfigError
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.units import GB
@@ -87,14 +83,3 @@ class TestMeasureParams:
         assert p["MCDRAM_max"] == pytest.approx(400 * GB, rel=0.01)
         assert p["S_copy"] == pytest.approx(4.8 * GB, rel=0.05)
         assert p["S_comp"] == pytest.approx(6.78 * GB, rel=0.05)
-
-
-class TestHostStream:
-    def test_returns_four_kernels(self):
-        out = host_stream(n=100_000)
-        assert set(out) == {"copy", "scale", "add", "triad"}
-        assert all(v > 0 for v in out.values())
-
-    def test_invalid_n(self):
-        with pytest.raises(ConfigError):
-            host_stream(n=0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,34 +74,6 @@ class TestChunker:
             Chunker(total_bytes=81, chunk_bytes=8, element_size=8)
 
 
-class TestSplitArray:
-    def test_views_match_geometry(self):
-        arr = np.arange(100, dtype=np.int64)
-        ch = Chunker(total_bytes=800, chunk_bytes=240)
-        parts = ch.split_array(arr)
-        assert [len(p) for p in parts] == [30, 30, 30, 10]
-        assert np.concatenate(parts).tolist() == arr.tolist()
-
-    def test_views_not_copies(self):
-        arr = np.arange(10, dtype=np.int64)
-        ch = Chunker(total_bytes=80, chunk_bytes=40)
-        parts = ch.split_array(arr)
-        parts[0][0] = 99
-        assert arr[0] == 99
-
-    def test_size_mismatch_rejected(self):
-        arr = np.arange(10, dtype=np.int64)
-        ch = Chunker(total_bytes=88, chunk_bytes=40)
-        with pytest.raises(ConfigError):
-            ch.split_array(arr)
-
-    def test_itemsize_mismatch_rejected(self):
-        arr = np.arange(20, dtype=np.int32)
-        ch = Chunker(total_bytes=80, chunk_bytes=40, element_size=8)
-        with pytest.raises(ConfigError):
-            ch.split_array(arr)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=10_000),
@@ -123,15 +94,3 @@ def test_chunks_partition_invariant(n, chunk):
         assert a.end == b.offset
         assert a.nbytes >= b.nbytes or a.nbytes == ch.chunk_bytes
     assert total == n * 8
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=2000),
-    chunk_elems=st.integers(min_value=1, max_value=2500),
-)
-def test_split_array_roundtrip(n, chunk_elems):
-    arr = np.arange(n, dtype=np.int64)
-    ch = Chunker.from_elements(n, chunk_elems)
-    parts = ch.split_array(arr)
-    assert np.array_equal(np.concatenate(parts), arr)

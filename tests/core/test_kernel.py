@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kernel import FunctionKernel, Kernel, StreamKernel
+from repro.core.kernel import Kernel, StreamKernel
 from repro.errors import ConfigError
 
 
@@ -42,33 +42,6 @@ class TestStreamKernel:
         with pytest.raises(ConfigError):
             StreamKernel(passes=1, write_fraction=1.5)
 
-    def test_timing_only_apply_raises(self):
-        with pytest.raises(NotImplementedError):
-            StreamKernel(passes=1).apply(np.zeros(4))
-
-    def test_functional_apply_repeats(self):
-        k = StreamKernel(passes=3, fn=lambda a: a + 1)
-        out = k.apply(np.zeros(4))
-        assert np.array_equal(out, np.full(4, 3.0))
-
-
-class TestFunctionKernel:
-    def test_apply(self):
-        k = FunctionKernel(np.sort, name="sort")
-        arr = np.array([3, 1, 2])
-        assert np.array_equal(k.apply(arr), [1, 2, 3])
-
-    def test_passes_parameter(self):
-        k = FunctionKernel(np.sort, passes=2.5)
-        assert k.logical_bytes(10.0) == pytest.approx(50.0)
-
-    def test_negative_passes_rejected(self):
-        with pytest.raises(ConfigError):
-            FunctionKernel(np.sort, passes=-1)
-
-    def test_name(self):
-        assert FunctionKernel(np.sort, name="x").name == "x"
-
 
 class TestKernelABC:
     def test_custom_subclass(self):
@@ -81,5 +54,3 @@ class TestKernelABC:
         k = LogKernel()
         assert k.passes(1024) == pytest.approx(10.0)
         assert k.logical_bytes(1024) == pytest.approx(2 * 1024 * 10.0)
-        with pytest.raises(NotImplementedError):
-            k.apply(np.zeros(1))

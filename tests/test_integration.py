@@ -1,8 +1,8 @@
 """End-to-end integration tests across subsystems.
 
 Each scenario exercises several packages together the way a downstream
-user would: heap + pipeline + energy, functional + timed twins
-sharing chunk geometry, CLI over every driver, and public API surface.
+user would: heap + pipeline + energy, CLI over every driver, and
+public API surface.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ import pkgutil
 import sys
 import warnings
 
-import numpy as np
 import pytest
 
 import repro
-from repro.core import BufferedPipeline, Chunker, FunctionKernel, StreamKernel
+from repro.core import BufferedPipeline, Chunker, StreamKernel
 from repro.core.modes import UsageMode
 from repro.memkind import MEMKIND_HBW, Heap
 from repro.model.optimizer import optimal_copy_threads
@@ -91,48 +90,6 @@ class TestHeapPipelineTraceEnergy:
         rep = EnergyModel().report(result.run)
         assert rep.total_joules > 0
         assert rep.dynamic_joules["mcdram"] > rep.dynamic_joules["ddr"]
-
-
-class TestFunctionalTimedTwins:
-    def test_same_geometry_both_paths(self):
-        """The chunk boundaries charging simulated time are the same
-        boundaries slicing the real array."""
-        node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
-        n = 4096
-        arr = np.random.default_rng(0).integers(0, 99, n, dtype=np.int64)
-        chunker = Chunker.from_elements(n, 1000)
-        kernel = FunctionKernel(np.sort, name="sort-chunk")
-        pipe = BufferedPipeline(
-            node,
-            UsageMode.IMPLICIT,
-            PoolSet.compute_only(node),
-            chunker,
-            kernel,
-        )
-        outputs = pipe.run_functional(arr)
-        assert len(outputs) == chunker.num_chunks == 5
-        for out in outputs:
-            assert np.all(np.diff(out) >= 0)
-        # Timed twin runs the same chunk count.
-        res = pipe.run()
-        assert res.num_chunks == len(outputs)
-
-    def test_merge_bench_functional_kernel_through_pipeline(self):
-        from repro.algorithms.merge_bench import merge_bench_kernel
-
-        node = KNLNode(KNLNodeConfig(mode=MemoryMode.CACHE))
-        arr = np.random.default_rng(1).integers(0, 999, 2048, dtype=np.int64)
-        chunker = Chunker.from_elements(2048, 512)
-        pipe = BufferedPipeline(
-            node,
-            UsageMode.IMPLICIT,
-            PoolSet.compute_only(node),
-            chunker,
-            merge_bench_kernel(3),
-        )
-        outs = pipe.run_functional(arr)
-        for out in outs:
-            assert np.all(np.diff(out) >= 0)
 
 
 class TestCliAllDrivers:
