@@ -21,6 +21,7 @@ implement it behind ``MLMSortConfig.buffered_megachunks``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import ConfigError
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel, sort_levels
@@ -32,7 +33,7 @@ from repro.algorithms.parallel_sort import (
 from repro.core.chunking import Chunker
 from repro.core.kernel import Kernel
 from repro.core.modes import UsageMode, validate_node_mode
-from repro.simknl.engine import Phase, Plan, plan_template
+from repro.simknl.engine import Phase, Plan, PlanTemplate, plan_template
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode, KNLNodeConfig
 from repro.telemetry import names as _tn
@@ -205,102 +206,139 @@ def _mlm_steps(
     return steps
 
 
+def mlm_sort_planner(
+    node: KNLNode,
+    mode: UsageMode,
+    order: str,
+    threads: int,
+    cost: SortCostModel | None = None,
+    element_size: int = INT64,
+    buffered_megachunks: bool = False,
+    copy_in_threads: int = 4,
+) -> Callable[[int, int], Plan]:
+    """The group builder of MLM-sort / MLM-implicit / MLM-ddr plans:
+    ``plan(n, megachunk_elements)``, the other settings as in (and
+    checked by) :class:`MLMSortConfig`.
+
+    A plan is its template (:func:`_mlm_steps`, built once per process)
+    and bytes row, both made of scalars: megachunk sizes and counts,
+    sort levels, the cache split and cache-stream multipliers. While it
+    lives the planner holds each megachunk size's scalars and each
+    template it looked up.
+    """
+    cost = cost or DEFAULT_COST
+    explicit = mode in (UsageMode.FLAT, UsageMode.HYBRID)
+    buffered = explicit and buffered_megachunks
+    copy_threads = copy_in_threads if buffered else 0
+    compute_threads = threads - copy_threads
+    capped = explicit and not buffered_megachunks
+    budget = node.addressable_mcdram
+    scalars: dict[float, tuple] = {}
+    templates: dict[tuple, PlanTemplate] = {}
+    label = f"mlm-{mode.value}/{order}/n="
+
+    def block(mb: float) -> tuple:
+        """A ``mb``-byte megachunk's ``(stage, band bytes, merge)``."""
+        if mb not in scalars:
+            m_elems = max(1.0, mb / element_size / compute_threads)
+            levels = sort_levels(m_elems, cost, order=order, gnu=False)
+            stage, band_bytes = _sort_stage(node, mode, mb, levels, cost, mb)
+            merge = _merge_multipliers(node, mode, mb, cost)
+            scalars[mb] = (stage, band_bytes, tuple(merge.items()))
+        return scalars[mb]
+
+    def plan(n: int, megachunk_elements: int) -> Plan:
+        if n < 1:
+            raise ConfigError("n must be >= 1")
+        if megachunk_elements < 1:
+            raise ConfigError("megachunk_elements must be >= 1")
+        nbytes = float(n * element_size)
+        chunker = Chunker.from_elements(
+            n, min(megachunk_elements, n), element_size=element_size
+        )
+        n_mega = chunker.num_chunks
+        tel = _tm.current()
+        if tel.enabled:
+            tel.metrics.counter(_tn.SORT_MEGACHUNKS_TOTAL).inc(n_mega)
+        # Equal full megachunks are one repeated block. Buffered, the
+        # first megachunk (blocking copy-in) and the ones whose
+        # successor is partial or absent differ, so they stand alone.
+        full = chunker.full_chunks
+        steady = (1, max(1, full - 1)) if buffered else (0, full)
+        spans = [(0, steady[0]), steady]
+        spans += [(i, i + 1) for i in range(steady[1], n_mega)]
+        shape = []
+        blocks = []
+        row: list[float] = []
+        repeats = []
+        for start, stop in spans:
+            if stop <= start:
+                continue
+            mb = float(chunker.nbytes(start))
+            stage, band_bytes, merge = block(mb)
+            copy_in = explicit and (not buffered or start == 0)
+            next_copy_in = buffered and start + 1 < n_mega
+            shape.append((mb, copy_in, next_copy_in))
+            blocks.append((copy_in, stage, next_copy_in, merge))
+            if cost.chunk_overhead_s > 0:
+                row.append(cost.chunk_overhead_s)
+            if copy_in:
+                row.append(mb)
+            row.append(band_bytes[0])
+            if next_copy_in:
+                row.append(float(chunker.nbytes(start + 1)))
+            row.extend(band_bytes[1:])
+            row.append(mb)
+            repeats.append(stop - start)
+        final = None
+        if n_mega > 1:
+            if mode is UsageMode.IMPLICIT:
+                res = _cache_stream_multipliers(node, nbytes, cost)
+            else:
+                res = {"ddr": 2.0}
+            final = tuple(res.items())
+            row.append(nbytes)
+            repeats.append(1)
+        row.extend(repeats)
+        # Within the planner, the megachunk sizes and flags stand for
+        # the blocks: no node config, cost model or mode is hashed.
+        key = (tuple(shape), final)
+        if key not in templates:
+            templates[key] = plan_template(
+                _mlm_steps,
+                node.config,
+                mode,
+                threads,
+                compute_threads,
+                copy_threads,
+                cost,
+                tuple(blocks),
+                final,
+            )
+        # After the template, whose build checks the node's boot mode
+        # first; the megachunk size is checked per cell.
+        if capped and chunker.chunk_bytes > budget:
+            raise ConfigError(
+                f"megachunk of {chunker.chunk_bytes} bytes exceeds "
+                f"addressable MCDRAM ({budget:.0f})"
+            )
+        return Plan.from_template(templates[key], row, f"{label}{n}")
+
+    return plan
+
+
 def mlm_sort_plan(
     node: KNLNode,
     config: MLMSortConfig,
     cost: SortCostModel | None = None,
 ) -> Plan:
-    """Timed flow plan for MLM-sort / MLM-implicit / MLM-ddr.
-
-    Per call this computes only the scalars — megachunk sizes and
-    counts, sort levels, the cache split and the cache-stream
-    multipliers. They form the plan's bytes row and the key of its
-    template (:func:`_mlm_steps`), which is built once per process.
-    """
-    cfg = config
-    cost = cost or DEFAULT_COST
-    nbytes = float(cfg.n * cfg.element_size)
-    chunker = Chunker.from_elements(
-        cfg.n,
-        min(cfg.megachunk_elements, cfg.n),
-        element_size=cfg.element_size,
-    )
-    explicit = cfg.mode in (UsageMode.FLAT, UsageMode.HYBRID)
-    buffered = explicit and cfg.buffered_megachunks
-    compute_threads = cfg.threads
-    copy_threads = 0
-    if buffered:
-        copy_threads = cfg.copy_in_threads
-        compute_threads = cfg.threads - copy_threads
-
-    n_mega = chunker.num_chunks
-    tel = _tm.current()
-    if tel.enabled:
-        tel.metrics.counter(_tn.SORT_MEGACHUNKS_TOTAL).inc(n_mega)
-    # Equal full megachunks are one repeated block. Buffered, the first
-    # megachunk (blocking copy-in) and the ones whose successor is
-    # partial or absent differ, so they stand alone.
-    full = chunker.full_chunks
-    steady = (1, max(1, full - 1)) if buffered else (0, full)
-    spans = [(0, steady[0]), steady]
-    spans += [(i, i + 1) for i in range(steady[1], n_mega)]
-    blocks = []
-    row: list[float] = []
-    repeats = []
-    for start, stop in spans:
-        if stop <= start:
-            continue
-        mb = float(chunker.nbytes(start))
-        m_elems = max(1.0, mb / cfg.element_size / compute_threads)
-        levels = sort_levels(m_elems, cost, order=cfg.order, gnu=False)
-        stage, band_bytes = _sort_stage(node, cfg.mode, mb, levels, cost, mb)
-        copy_in = explicit and (not buffered or start == 0)
-        next_copy_in = buffered and start + 1 < n_mega
-        merge = _merge_multipliers(node, cfg.mode, mb, cost)
-        blocks.append((copy_in, stage, next_copy_in, tuple(merge.items())))
-        if cost.chunk_overhead_s > 0:
-            row.append(cost.chunk_overhead_s)
-        if copy_in:
-            row.append(mb)
-        row.append(band_bytes[0])
-        if next_copy_in:
-            row.append(float(chunker.nbytes(start + 1)))
-        row.extend(band_bytes[1:])
-        row.append(mb)
-        repeats.append(stop - start)
-    final = None
-    if n_mega > 1:
-        if cfg.mode is UsageMode.IMPLICIT:
-            res = _cache_stream_multipliers(node, nbytes, cost)
-        else:
-            res = {"ddr": 2.0}
-        final = tuple(res.items())
-        row.append(nbytes)
-        repeats.append(1)
-    row.extend(repeats)
-    template = plan_template(
-        _mlm_steps,
-        node.config,
-        cfg.mode,
-        cfg.threads,
-        compute_threads,
-        copy_threads,
-        cost,
-        tuple(blocks),
-        final,
-    )
-    # After the template, whose build checks the node's boot mode
-    # first; the megachunk size is checked per cell.
-    if explicit and not cfg.buffered_megachunks:
-        budget = node.addressable_mcdram
-        if chunker.chunk_bytes > budget:
-            raise ConfigError(
-                f"megachunk of {chunker.chunk_bytes} bytes exceeds "
-                f"addressable MCDRAM ({budget:.0f})"
-            )
-    return Plan.from_template(
-        template, row, f"mlm-{cfg.mode.value}/{cfg.order}/n={cfg.n}"
-    )
+    """Timed flow plan for MLM-sort / MLM-implicit / MLM-ddr: the
+    one-cell case of :func:`mlm_sort_planner`."""
+    c = config
+    return mlm_sort_planner(
+        node, c.mode, c.order, c.threads, cost, c.element_size,
+        c.buffered_megachunks, c.copy_in_threads,
+    )(c.n, c.megachunk_elements)
 
 
 class ParallelSortKernel(Kernel):

@@ -12,6 +12,8 @@ The GNU baseline of Table 1 (flat and cache modes).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import ConfigError
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel, sort_levels
 from repro.core.modes import UsageMode, dc_cache_split, validate_node_mode
@@ -148,6 +150,65 @@ def _gnu_steps(
     return steps
 
 
+def gnu_sort_planner(
+    node: KNLNode,
+    order: str = "random",
+    mode: UsageMode = UsageMode.DDR,
+    threads: int = 256,
+    cost: SortCostModel | None = None,
+    element_size: int = INT64,
+) -> Callable[[int], Plan]:
+    """The group builder of GNU parallel sort baseline plans: ``plan(n)``.
+
+    ``mode`` must be ``DDR`` (GNU-flat: data and temp in DDR) or
+    ``CACHE`` (GNU-cache: same code, MCDRAM as hardware cache).
+
+    Per distinct ``n`` this computes the sort levels, the cache split
+    and the cache-stream multipliers, and looks up the template
+    (:func:`_gnu_steps`) they key, built once per process; while it
+    lives the planner holds them and each plan's bytes row.
+    """
+    if mode not in (UsageMode.DDR, UsageMode.CACHE):
+        raise ConfigError("GNU baseline runs in DDR or CACHE usage modes")
+    if threads < 1:
+        raise ConfigError("n and threads must be positive")
+    cost = cost or DEFAULT_COST
+    scalars: dict[int, tuple] = {}
+    label = f"gnu-{mode.value}/{order}/n="
+
+    def plan(n: int) -> Plan:
+        if n not in scalars:
+            if n < 1:
+                raise ConfigError("n and threads must be positive")
+            nbytes = float(n * element_size)
+            m = max(1.0, n / threads)
+            levels = sort_levels(m, cost, order=order, gnu=True)
+            # GNU keeps data + temp live, doubling the cache working set.
+            ws = nbytes * cost.gnu_working_set_factor
+            stage, row = _sort_stage(node, mode, nbytes, levels, cost, ws)
+            # Multiway merge into temp, then copy back — both full sweeps.
+            if mode is UsageMode.CACHE:
+                merge_res = _cache_stream_multipliers(node, ws, cost)
+            else:
+                merge_res = {"ddr": 2.0}
+            template = plan_template(
+                _gnu_steps,
+                node.config,
+                mode,
+                threads,
+                cost,
+                stage,
+                tuple(merge_res.items()),
+            )
+            row += [nbytes, nbytes]
+            row += [1] * len(row)  # one live flow per block, each block once
+            scalars[n] = (template, row)
+        template, row = scalars[n]
+        return Plan.from_template(template, list(row), f"{label}{n}")
+
+    return plan
+
+
 def gnu_sort_plan(
     node: KNLNode,
     n: int,
@@ -157,40 +218,6 @@ def gnu_sort_plan(
     cost: SortCostModel | None = None,
     element_size: int = INT64,
 ) -> Plan:
-    """Timed plan for the GNU parallel sort baseline.
-
-    ``mode`` must be ``DDR`` (GNU-flat: data and temp in DDR) or
-    ``CACHE`` (GNU-cache: same code, MCDRAM as hardware cache).
-
-    Per call this computes the sort levels, the cache split and the
-    cache-stream multipliers; the plan is lazy, over the template
-    (:func:`_gnu_steps`) they key, built once per process.
-    """
-    if mode not in (UsageMode.DDR, UsageMode.CACHE):
-        raise ConfigError("GNU baseline runs in DDR or CACHE usage modes")
-    if n < 1 or threads < 1:
-        raise ConfigError("n and threads must be positive")
-    cost = cost or DEFAULT_COST
-    nbytes = float(n * element_size)
-    m = max(1.0, n / threads)
-    levels = sort_levels(m, cost, order=order, gnu=True)
-    # GNU keeps data + temp live, doubling the cache working set.
-    ws = nbytes * cost.gnu_working_set_factor
-    stage, row = _sort_stage(node, mode, nbytes, levels, cost, ws)
-    # Multiway merge into temp, then copy back — both full sweeps.
-    if mode is UsageMode.CACHE:
-        merge_res = _cache_stream_multipliers(node, ws, cost)
-    else:
-        merge_res = {"ddr": 2.0}
-    template = plan_template(
-        _gnu_steps,
-        node.config,
-        mode,
-        threads,
-        cost,
-        stage,
-        tuple(merge_res.items()),
-    )
-    row += [nbytes, nbytes]
-    row += [1] * len(row)  # one live flow per block, each block once
-    return Plan.from_template(template, row, f"gnu-{mode.value}/{order}/n={n}")
+    """Timed plan for the GNU parallel sort baseline: the one-cell case
+    of :func:`gnu_sort_planner`."""
+    return gnu_sort_planner(node, order, mode, threads, cost, element_size)(n)

@@ -12,7 +12,7 @@ fast path;
 replay, the engine-free re-render mode behind ``repro-knl replay``.
 
 Drivers reach the engine only through :func:`sweep_map` over
-:func:`~repro.simknl.batch.plan_cell` cells, so a cell that another
+:func:`~repro.simknl.batch.plan_group` cells, so a cell that another
 driver already ran in the process comes from the memo.
 """
 
@@ -30,11 +30,12 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError, StoreMissError
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel
-from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
-from repro.algorithms.parallel_sort import gnu_sort_plan
+from repro.algorithms.mlm_sort import mlm_sort_planner
+from repro.algorithms.parallel_sort import gnu_sort_planner
 from repro.core.modes import UsageMode
 from repro.experiments.store import ResultStore, default_store, get_store
-from repro.simknl.batch import PlanBatch, plan_cell
+from repro.simknl.batch import PlanBatch, plan_group
+from repro.simknl.engine import Plan
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
@@ -300,8 +301,8 @@ def sweep_map(
     computed once — across drivers in the same process via the memo,
     and across processes and CI runs via the store. Cells that repeat
     *within* one call are deduplicated before evaluation. Pending
-    cells of a :func:`~repro.simknl.batch.plan_cell` are evaluated
-    together on the cross-cell tensor path
+    cells of a :func:`~repro.simknl.batch.plan_group` cell are built
+    and evaluated together on the cross-cell tensor path
     (:func:`~repro.simknl.batch.evaluate_cells`), bit-identical to
     per-cell calls; any other function runs as serial ``fn(*cell)``
     calls. The memo is
@@ -364,8 +365,8 @@ def sweep_map(
         indices = list(pending.values())
         build = getattr(fn, "plan_batch", None)
         if build is not None:
-            # Cross-cell tensor fast path: a plan cell's builder lowers
-            # every pending cell to plans, evaluated in-process with a
+            # Cross-cell tensor fast path: one call of a plan cell's
+            # builder lowers every pending cell to plans, evaluated with a
             # handful of NumPy ops, bit-identical to per-cell ``fn``
             # calls (:mod:`repro.simknl.batch`). Replay sweeps never
             # reach this branch — they are handled above.
@@ -408,6 +409,27 @@ def paper_megachunk(n: int) -> int:
     return 1_500_000_000 if n >= 6_000_000_000 else 1_000_000_000
 
 
+def _variant_planner(
+    variant: str, order: str, cost: SortCostModel | None, threads: int = 256
+) -> tuple[KNLNode, Callable[[int, int | None], Plan]]:
+    """The node and the ``plan(n, megachunk)`` group builder behind one
+    Table-1 variant, input order and cost model."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; one of {VARIANTS}")
+    cost = cost or DEFAULT_COST
+    node = node_for_variant(variant)
+    if variant in ("GNU-flat", "GNU-cache"):
+        mode = UsageMode.DDR if variant == "GNU-flat" else UsageMode.CACHE
+        gnu = gnu_sort_planner(node, order, mode, threads, cost)
+        return node, lambda n, megachunk: gnu(n)
+    if variant == "MLM-implicit":
+        mlm = mlm_sort_planner(node, UsageMode.IMPLICIT, order, threads, cost)
+        return node, lambda n, megachunk: mlm(n, n)
+    mode = UsageMode.FLAT if variant == "MLM-sort" else UsageMode.DDR
+    mlm = mlm_sort_planner(node, mode, order, threads, cost)
+    return node, lambda n, megachunk: mlm(n, megachunk or paper_megachunk(n))
+
+
 def _sort_variant_plan(
     variant: str,
     n: int,
@@ -415,43 +437,39 @@ def _sort_variant_plan(
     cost: SortCostModel | None = None,
     megachunk: int | None = None,
     threads: int = 256,
-):
+) -> tuple[KNLNode, Plan]:
     """The ``(node, plan)`` pair behind one Table-1 variant cell."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; one of {VARIANTS}")
-    cost = cost or DEFAULT_COST
-    node = node_for_variant(variant)
-    if variant == "GNU-flat":
-        plan = gnu_sort_plan(node, n, order, UsageMode.DDR, threads, cost)
-    elif variant == "GNU-cache":
-        plan = gnu_sort_plan(node, n, order, UsageMode.CACHE, threads, cost)
-    else:
-        if variant == "MLM-implicit":
-            mode, mega = UsageMode.IMPLICIT, n
-        elif variant == "MLM-sort":
-            mode, mega = UsageMode.FLAT, megachunk or paper_megachunk(n)
-        else:  # MLM-ddr
-            mode, mega = UsageMode.DDR, megachunk or paper_megachunk(n)
-        cfg = MLMSortConfig(
-            n=n, megachunk_elements=mega, mode=mode, order=order, threads=threads
-        )
-        plan = mlm_sort_plan(node, cfg, cost)
-    return node, plan
+    node, plan = _variant_planner(variant, order, cost, threads)
+    return node, plan(n, megachunk)
 
 
-@plan_cell
-def sort_variant_seconds(
+def _variant_cell(
     variant: str,
     n: int,
     order: str,
     cost: SortCostModel | None = None,
     megachunk: int | None = None,
-) -> PlanBatch:
+) -> tuple:
+    """A sort-variant cell's arguments, defaults filled in."""
+    return variant, n, order, cost, megachunk
+
+
+@plan_group
+def sort_variant_seconds(cells: Sequence[tuple]) -> list[PlanBatch]:
     """Simulated execution time of one variant, in seconds (figure6 and
-    table1 sweep this shared key space)."""
-    node, plan = _sort_variant_plan(variant, n, order, cost, megachunk)
-    return PlanBatch(
-        resources=tuple(node.resources()),
-        plans=(plan,),
-        finish=lambda runs: runs[0].elapsed,
-    )
+    table1 sweep this shared key space), per cell ``(variant, n,
+    order, cost=None, megachunk=None)``. Cells of one variant, order
+    and cost model (by identity, not hashed) share a planner.
+    """
+    planners: dict[tuple, tuple] = {}
+    batches = []
+    for cell in cells:
+        variant, n, order, cost, megachunk = _variant_cell(*cell)
+        key = (variant, order, id(cost))
+        if key not in planners:
+            node, plan = _variant_planner(variant, order, cost)
+            planners[key] = (node.resources(), plan)
+        resources, plan = planners[key]
+        plans = (plan(n, megachunk),)
+        batches.append(PlanBatch(resources, plans, lambda r: r[0].elapsed))
+    return batches

@@ -41,13 +41,18 @@ plan. Telemetry never does: every run, on either path, is recorded
 afterwards from its :class:`RunResult` by
 :func:`~repro.simknl.engine.observe`.
 
-:func:`plan_cell` turns a builder that lowers one sweep cell to a
-:class:`PlanBatch` (plans plus a ``finish`` post-processor) into the
-cell function itself: called directly it runs the plans one by one
-through :func:`run_batch`, and ``experiments.runner.sweep_map``
-hands all of a sweep's pending cells to :func:`evaluate_cells`
-instead. The builder is each cell's only definition, and plan cells
-in ``sweep_map`` are the only way the experiment drivers reach the
+:func:`plan_group` turns a group builder, which lowers a list of sweep
+cells to one :class:`PlanBatch` each (plans plus a ``finish``
+post-processor), into the cell function itself; :func:`plan_cell` does
+the same for a builder of one cell. Called directly, a cell is a group
+of one whose plans run one by one through :func:`run_batch`;
+``experiments.runner.sweep_map`` hands all of a sweep's pending cells
+to one :func:`evaluate_cells` call instead, which runs each distinct
+plan once. A group builder may share work between the cells of one
+call (the sort-variant builder computes each megachunk size's scalars
+and looks up each template once) but keeps nothing across calls. The
+builder is each cell's only definition, and plan cells in
+``sweep_map`` are the only way the experiment drivers reach the
 engine.
 """
 
@@ -72,6 +77,7 @@ __all__ = [
     "lower_plans",
     "lower_template",
     "plan_cell",
+    "plan_group",
     "run_batch",
     "run_lowered",
 ]
@@ -474,21 +480,24 @@ class PlanBatch:
     finish: Callable[[list[RunResult]], Any]
 
 
-def plan_cell(build: Callable[..., PlanBatch]) -> Callable[..., Any]:
-    """Make a :class:`PlanBatch` builder the one definition of a cell.
+def plan_group(
+    build: Callable[[Sequence[tuple]], list[PlanBatch]],
+) -> Callable[..., Any]:
+    """Make a group builder the one definition of a cell.
 
-    Called directly, the returned cell runs ``build(*args, **kw)``'s
-    plans one by one through :func:`run_batch` (exactly what
+    ``build(cells)`` returns one :class:`PlanBatch` per argument tuple,
+    in order. Called directly, the returned cell is a group of one: it
+    runs its plans one by one through :func:`run_batch` (exactly what
     :meth:`~repro.simknl.node.KNLNode.run` does) and returns ``finish``
     of the runs. ``sweep_map`` instead reads ``cell.plan_batch`` (the
-    builder) and evaluates all pending cells together with
-    :func:`evaluate_cells`. The cell keeps the builder's
-    name and ``__qualname__``, its memo and store key.
+    builder) and evaluates all pending cells with :func:`evaluate_cells`.
+    The cell keeps the builder's name and ``__qualname__``, its memo and
+    store key.
     """
 
     @functools.wraps(build)
-    def cell(*args: Any, **kwargs: Any) -> Any:
-        batch = build(*args, **kwargs)
+    def cell(*args: Any) -> Any:
+        (batch,) = build([args])
         engine = Engine(batch.resources)
         return batch.finish([run_batch(engine, [p])[0] for p in batch.plans])
 
@@ -496,32 +505,42 @@ def plan_cell(build: Callable[..., PlanBatch]) -> Callable[..., Any]:
     return cell
 
 
+def plan_cell(build: Callable[..., PlanBatch]) -> Callable[..., Any]:
+    """:func:`plan_group` for a builder of one cell, ``build(*args)``."""
+    group = plan_group(lambda cells: [build(*cell) for cell in cells])
+    return functools.update_wrapper(group, build)
+
+
 def evaluate_cells(
-    build: Callable[..., PlanBatch], cells: Sequence[tuple]
+    build: Callable[[Sequence[tuple]], list[PlanBatch]],
+    cells: Sequence[tuple],
 ) -> list[Any]:
     """Evaluate sweep cells via cross-cell tensor batching.
 
-    Builds every cell's :class:`PlanBatch`, groups all resulting plans
-    by ``(resource tuple, plan template)``, evaluates each group with
+    Builds every cell's :class:`PlanBatch` with one ``build(cells)``
+    call, groups all resulting plans by ``(resource tuple, plan
+    template)``, evaluates each group's distinct rows with
     :func:`run_batch` on a shared per-resource-tuple engine, and feeds
     each cell's results to its ``finish``. Returns the results in cell
-    order, bit-identical to calling the :func:`plan_cell` per cell.
-    Templates group by identity, so a lazy plan's nested structure is
-    never hashed; a plan without one groups by its
-    :meth:`~repro.simknl.engine.Plan.structure`.
+    order, bit-identical to calling the :func:`plan_group` cell per
+    cell: a row's run does not depend on the other rows, so plans with
+    equal rows share one :class:`RunResult`. Templates group by
+    identity, so a lazy plan's nested structure is never hashed; a plan
+    without one groups by its :meth:`~repro.simknl.engine.Plan.structure`.
 
     The grouped evaluation runs with telemetry off; every cell's runs
     are then observed in cell order, as serial cell calls would record
     them. Observing in group order would reorder the events and change
     the float sums of the traffic counters.
     """
-    built = [build(*cell) for cell in cells]
+    built = build(cells)
     engines: dict[tuple, Engine] = {}
     # Cells on one booted node share its resource tuple, so each
     # distinct tuple object is keyed once, not once per cell. ``built``
     # keeps every tuple alive, so no id is reused during the loop.
     by_tuple: dict[int, Engine] = {}
-    groups: dict[tuple, list[tuple[int, int, Plan]]] = {}
+    # (engine, template) -> row -> (plan, the (cell, slot)s that run it)
+    groups: dict[tuple, dict[tuple, tuple[Plan, list]]] = {}
     cell_runs: list[list[RunResult | None]] = []
     for bi, item in enumerate(built):
         engine = by_tuple.get(id(item.resources))
@@ -534,13 +553,18 @@ def evaluate_cells(
         cell_runs.append([None] * len(item.plans))
         for slot, plan in enumerate(item.plans):
             key = (engine, plan.template or plan.structure())
-            groups.setdefault(key, []).append((bi, slot, plan))
+            rows = groups.setdefault(key, {})
+            row = tuple(plan.row)
+            if row not in rows:
+                rows[row] = (plan, [])
+            rows[row][1].append((bi, slot))
 
     with telemetry_session(Telemetry(enabled=False)):
-        for (engine, _), entries in groups.items():
-            outs = run_batch(engine, [p for _, _, p in entries])
-            for (bi, slot, _), out in zip(entries, outs):
-                cell_runs[bi][slot] = out
+        for (engine, _), rows in groups.items():
+            outs = run_batch(engine, [plan for plan, _ in rows.values()])
+            for (_, slots), out in zip(rows.values(), outs):
+                for bi, slot in slots:
+                    cell_runs[bi][slot] = out
 
     results = []
     for item, runs in zip(built, cell_runs):

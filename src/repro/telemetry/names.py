@@ -81,15 +81,7 @@ ALLOC_HIGH_WATER_BYTES = "alloc.high_water_bytes"
 POOL_THREADS = "pool.threads"
 
 # --- sorting algorithms (algorithms.mlm_sort) -----------------------------
-# Only SORT_MEGACHUNKS_TOTAL has an emitter. The spill and merge names
-# (and EVENT_SORT_SPILL / EVENT_SORT_MERGE) were emitted by the
-# functional sorts, which are deleted; they stay cataloged because
-# tests/telemetry/test_catalog_doc.py pins the catalog at >= 28 metrics
-# and >= 7 events.
 
-SORT_SPILL_BYTES_TOTAL = "sort.spill_bytes_total"
-SORT_SPILL_FILES_TOTAL = "sort.spill_files_total"
-SORT_MERGE_FAN_IN = "sort.merge_fan_in"
 SORT_MEGACHUNKS_TOTAL = "sort.megachunks_total"
 
 # --- sweep runner (experiments.runner) -----------------------------------
@@ -187,18 +179,6 @@ _METRIC_SPECS = [
         labels=("role",),
     ),
     MetricSpec(
-        SORT_SPILL_BYTES_TOTAL, "counter", "bytes",
-        "Bytes spilled to run files by the external sort.",
-    ),
-    MetricSpec(
-        SORT_SPILL_FILES_TOTAL, "counter", "files",
-        "Run files written by the external sort.",
-    ),
-    MetricSpec(
-        SORT_MERGE_FAN_IN, "histogram", "runs",
-        "Distribution of multiway-merge fan-in (runs merged at once).",
-    ),
-    MetricSpec(
         SORT_MEGACHUNKS_TOTAL, "counter", "chunks",
         "Megachunks processed by MLM-sort variants.",
     ),
@@ -248,8 +228,6 @@ EVENT_RUN_END = "run.end"
 EVENT_PHASE_START = "phase.start"
 EVENT_PHASE_END = "phase.end"
 EVENT_ALLOC_FALLBACK = "alloc.fallback"
-EVENT_SORT_SPILL = "sort.spill"
-EVENT_SORT_MERGE = "sort.merge"
 
 _EVENT_SPECS = [
     EventSpec(
@@ -270,13 +248,6 @@ _EVENT_SPECS = [
         EVENT_ALLOC_FALLBACK,
         "An allocation was degraded to its fallback device.",
         ("target", "fallback", "bytes"),
-    ),
-    EventSpec(
-        EVENT_SORT_SPILL, "The external sort wrote a run file.",
-        ("file", "bytes"),
-    ),
-    EventSpec(
-        EVENT_SORT_MERGE, "A multiway merge started.", ("fan_in",),
     ),
 ]
 

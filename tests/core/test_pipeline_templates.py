@@ -253,7 +253,8 @@ def test_figure8_grid_gives_one_template_per_copy_thread_count(memo):
     templates: dict[int, set[int]] = {}
     for r in DEFAULT_REPEATS:
         for p in DEFAULT_COPY_THREADS:
-            (plan,) = _figure8_cell.plan_batch(r, p, 256).plans
+            (batch,) = _figure8_cell.plan_batch([(r, p, 256)])
+            (plan,) = batch.plans
             templates.setdefault(p, set()).add(id(plan.template))
     assert all(len(ids) == 1 for ids in templates.values())
     assert len(set().union(*templates.values())) == 6

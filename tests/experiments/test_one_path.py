@@ -88,9 +88,9 @@ def test_table1_serves_shared_sort_variant_cells(monkeypatch, fresh_memo):
     built: list[tuple] = []
     real = sort_variant_seconds.plan_batch
 
-    def spy(*cell):
-        built.append(cell)
-        return real(*cell)
+    def spy(cells):
+        built.extend(cells)
+        return real(cells)
 
     monkeypatch.setattr(sort_variant_seconds, "plan_batch", spy)
     saved = {name: alone[name] - _engine_runs(name) for name in alone}

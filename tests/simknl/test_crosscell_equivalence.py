@@ -28,6 +28,7 @@ from repro.simknl.batch import (
     PlanBatch,
     evaluate_cells,
     lower_plans,
+    plan_cell,
     run_batch,
     run_lowered,
 )
@@ -321,7 +322,7 @@ def test_evaluate_cells_groups_by_structure():
         (8, float(3 * GiB)),
     ]
     with mock.patch.object(batch, "run_batch", wraps=batch.run_batch) as spy:
-        results = evaluate_cells(_spec_cell, cells)
+        results = evaluate_cells(plan_cell(_spec_cell).plan_batch, cells)
     assert [len(c.args[1]) for c in spy.call_args_list] == [3, 1]
     for (threads, nbytes), got in zip(cells, results):
         ref = reference_runs(

@@ -283,7 +283,7 @@ def test_mixed_mlm_sweep_matches_reference(monkeypatch, reference_engine):
         return run_batch(engine, plans)
 
     monkeypatch.setattr(batch, "run_batch", spy)
-    got = batch.evaluate_cells(build, cells)
+    got = batch.evaluate_cells(batch.plan_cell(build).plan_batch, cells)
     assert sum(sizes) == len(cells) and max(sizes) > 1
     reference = reference_engine(resources)
     for cell, result in zip(cells, got):

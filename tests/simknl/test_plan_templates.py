@@ -160,8 +160,7 @@ def test_seed1_grid_has_one_template_per_structure_group(memo, seed1_grid):
     assert len(seed1_grid) == 4000
     by_structure: dict[tuple, set[int]] = {}
     by_template: dict[tuple, set[tuple]] = {}
-    for cell in seed1_grid:
-        item = sort_variant_seconds.plan_batch(*cell)
+    for item in sort_variant_seconds.plan_batch(seed1_grid):
         engine_key = tuple((r.name, r.capacity) for r in item.resources)
         (plan,) = item.plans
         by_structure.setdefault((engine_key, plan.structure()), set()).add(

@@ -5,15 +5,18 @@ The engine records every run after the fact, from its plan and
 cells in cell order. So for every driver an active session takes the
 same tensor path as a plain run, and its metrics snapshot and event log
 are the same as when every run is forced onto the per-phase reference
-loop.
+loop. The CLI's ``--metrics`` and ``--events`` bytes of three sweep
+drivers are pinned as literal digests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner
 from repro.simknl import batch
@@ -44,9 +47,9 @@ def _run(name: str, monkeypatch, session: bool) -> tuple:
 
 
 def _direct_every_cell(build, cells):
-    """Evaluate each cell through its direct :func:`plan_cell` path,
+    """Evaluate each cell through its direct :func:`plan_group` path,
     which runs and records its plans one by one."""
-    cell = batch.plan_cell(build)
+    cell = batch.plan_group(build)
     return [cell(*c) for c in cells]
 
 
@@ -65,3 +68,39 @@ def test_session_takes_plain_path_and_sees_reference_telemetry(
     assert ref_rows == 0
     assert snapshot == ref_snapshot
     assert events == ref_events
+
+
+class TestPinnedTelemetry:
+    """Telemetry bytes are literal digests. They lock
+    ``sort.megachunks_total`` (counted per cell build), the engine
+    counters and the order in which each sweep's runs are observed,
+    whatever the sweep shares between its cells."""
+
+    @pytest.mark.parametrize(
+        "artifact, metrics, events",
+        [
+            ("table1",
+             "74126c49f4f7d04ceb35810c64b9b6b7f1892a3a83c47626d8f4012fe225fa56",
+             "98edbc4e4be87833f608d1f2628f401f3008637283e6bb3adcbdbce1a3f83353"),
+            ("figure7",
+             "d0b59d5e33713bb17eb40a524333cd020beee54480448b56039e0982ea503af5",
+             "c853c26c7e1ec2777af5eaa06d26a5460e3d3b0b49609d42a2349f9a35cc4f24"),
+            ("ablation",
+             "6b79a4cdcab089b9de216e2a2928714ab7ed9ed9d19f9c2514d377bb660ce72f",
+             "74dea2edc9fc3a511dfdde592e9473406cc2f0cd9773a1c25a31739ab3ccc777"),
+        ],
+    )
+    def test_cli_telemetry_bytes(
+        self, artifact, metrics, events, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(runner, "_SWEEP_MEMO", {})
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        m_path, e_path = tmp_path / "m.json", tmp_path / "e.json"
+        argv = [artifact, "--metrics", str(m_path), "--events", str(e_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        got = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (m_path, e_path)
+        )
+        assert got == (metrics, events)
