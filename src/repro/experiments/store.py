@@ -29,11 +29,18 @@ Durability and safety properties:
   observes a half-written entry and two processes racing to write the
   same key (deterministic cells produce identical bytes) both land a
   complete file.
-* **Corruption tolerance.** A load that fails to parse, fails its
-  schema/key/function checks, or fails value decoding is *skipped and
-  reported* (``store.corrupt_total``, :attr:`StoreStats.corrupt`, one
-  warning per store instance) — never raised. The entry is treated as
-  a miss and the next write replaces it.
+* **Corruption tolerance.** A load that cannot read the entry (an
+  I/O error, or a directory at its path), is not valid UTF-8, fails
+  to parse, fails its schema/key/function checks, or fails value
+  decoding is *skipped and reported* (``store.corrupt_total``,
+  :attr:`StoreStats.corrupt`, one warning per store instance) — never
+  raised. The entry is treated as a miss and the next write replaces
+  it.
+* **Cheap hits.** :meth:`ResultStore.get` and :meth:`ResultStore.probe`
+  share one reader: it opens the entry as a raw descriptor, reads it
+  to EOF, decodes strict UTF-8, validates, and (for ``get`` only)
+  touches the mtime through the same descriptor — a few syscalls per
+  entry and no text-mode file object.
 * **Bounded size.** The store holds at most ``max_entries`` entries
   (``REPRO_STORE_MAX_ENTRIES``, default 65536). Hits refresh an
   entry's mtime, and :meth:`ResultStore.gc` evicts
@@ -78,6 +85,10 @@ DEFAULT_MAX_ENTRIES = 65536
 #: Tag key marking a tuple in the JSON value encoding.
 _TUPLE_TAG = "__tuple__"
 
+#: ``os.read`` size when loading an entry; entries are a few hundred
+#: bytes, so one read plus the EOF read is the usual cost.
+_READ_SIZE = 8192
+
 #: Per-process serial for temp-file names: the PID alone is not unique
 #: enough — two *threads* writing the same key would share a temp path
 #: and one ``os.replace`` would steal the other's file.
@@ -114,7 +125,7 @@ def _decode_value(value: Any) -> Any:
     if isinstance(value, list):
         return [_decode_value(v) for v in value]
     if isinstance(value, dict):
-        if set(value) == {_TUPLE_TAG}:
+        if len(value) == 1 and _TUPLE_TAG in value:
             return tuple(_decode_value(v) for v in value[_TUPLE_TAG])
         return {k: _decode_value(v) for k, v in value.items()}
     return value
@@ -157,7 +168,13 @@ class ResultStore:
     ) -> None:
         if max_entries is None:
             raw = os.environ.get("REPRO_STORE_MAX_ENTRIES")
-            max_entries = int(raw) if raw else DEFAULT_MAX_ENTRIES
+            try:
+                max_entries = int(raw) if raw else DEFAULT_MAX_ENTRIES
+            except ValueError:
+                raise ConfigError(
+                    "REPRO_STORE_MAX_ENTRIES must be an integer, "
+                    f"got {raw!r}"
+                ) from None
         if max_entries < 1:
             raise ConfigError(
                 f"store max_entries must be >= 1, got {max_entries}"
@@ -211,12 +228,7 @@ class ResultStore:
         return self._bytes
 
     def _path(self, key: str) -> str:
-        return os.path.join(self._dirname, key[:2], key + ".json")
-
-    @staticmethod
-    def _read(path: str) -> str:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        return f"{self._dirname}/{key[:2]}/{key}.json"
 
     def _report_corrupt(self, path: str, why: str) -> None:
         self.stats.corrupt += 1
@@ -230,7 +242,7 @@ class ResultStore:
                 f"{os.path.basename(path)} ({why}); further corrupt "
                 "entries in this store are counted silently (see "
                 "store.corrupt_total / StoreStats.corrupt)",
-                stacklevel=4,
+                stacklevel=5,
             )
 
     def _set_bytes_gauge(self) -> None:
@@ -244,7 +256,7 @@ class ResultStore:
     def _validate_entry(raw: str, key: str, fn: str | None) -> Any:
         """Parse and validate one entry's text, returning its value.
 
-        The single validating loader behind both :meth:`get` and
+        The single validation behind both :meth:`get` and
         :meth:`probe` — schema stamp, key echo, producing-function
         qualname, and value decoding all have to pass, or the entry
         reads as corrupt. Raises :class:`ValueError` (or
@@ -265,6 +277,48 @@ class ResultStore:
             raise ValueError("no value field")
         return _decode_value(entry["value"])
 
+    def _load(
+        self, key: str, fn: str | None, touch: bool
+    ) -> tuple[bool, Any]:
+        """Read, validate and (with ``touch``) LRU-touch one entry.
+
+        The one reader behind :meth:`get` and :meth:`probe`. The entry
+        is opened as a raw descriptor, read to EOF, decoded as strict
+        UTF-8 and checked by :meth:`_validate_entry`; a valid entry is
+        touched through that same descriptor. Returns ``(found,
+        value)``. An absent entry reads ``(False, None)``; so does an
+        unreadable (e.g. a directory at the entry path), undecodable
+        or invalid one, which is also reported corrupt.
+        """
+        path = self._path(key)
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except (FileNotFoundError, NotADirectoryError):
+            return False, None
+        except OSError as exc:
+            self._report_corrupt(path, f"unreadable: {exc}")
+            return False, None
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+            value = self._validate_entry(b"".join(chunks).decode(), key, fn)
+        except OSError as exc:
+            self._report_corrupt(path, f"unreadable: {exc}")
+            return False, None
+        except (ValueError, TypeError, KeyError) as exc:
+            self._report_corrupt(path, str(exc))
+            return False, None
+        else:
+            if touch:
+                try:
+                    os.utime(fd)  # LRU touch
+                except OSError:
+                    pass  # not ours to touch; the value is still good
+            return True, value
+        finally:
+            os.close(fd)
+
     def get(self, key: str, fn: str | None = None) -> tuple[bool, Any]:
         """Look up one entry; returns ``(found, value)``.
 
@@ -274,26 +328,10 @@ class ResultStore:
         refreshes the entry's mtime, which is the LRU clock
         :meth:`gc` evicts by.
         """
-        path = self._path(key)
-        try:
-            raw = self._read(path)
-        except (FileNotFoundError, NotADirectoryError):
+        found, value = self._load(key, fn, True)
+        if not found:
             self._miss()
             return False, None
-        except OSError as exc:
-            self._report_corrupt(path, f"unreadable: {exc}")
-            self._miss()
-            return False, None
-        try:
-            value = self._validate_entry(raw, key, fn)
-        except (ValueError, TypeError, KeyError) as exc:
-            self._report_corrupt(path, str(exc))
-            self._miss()
-            return False, None
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass  # concurrently evicted; the value is still good
         self.stats.hits += 1
         tel = _tm.current()
         if tel.enabled:
@@ -303,7 +341,7 @@ class ResultStore:
     def probe(self, key: str, fn: str | None = None) -> bool:
         """Whether ``key`` holds a *loadable* entry (validating probe).
 
-        Runs the same parse + schema/key/function validation as
+        Runs the same read + schema/key/function validation as
         :meth:`get` but records no hit or miss and never touches the
         entry's mtime — probing whether a backfill is needed must not
         promote the entry in the LRU order or skew the cache
@@ -314,20 +352,7 @@ class ResultStore:
         in-memory memo hit was truncated or written by a different
         cell function.
         """
-        path = self._path(key)
-        try:
-            raw = self._read(path)
-        except (FileNotFoundError, NotADirectoryError):
-            return False
-        except OSError as exc:
-            self._report_corrupt(path, f"unreadable: {exc}")
-            return False
-        try:
-            self._validate_entry(raw, key, fn)
-        except (ValueError, TypeError, KeyError) as exc:
-            self._report_corrupt(path, str(exc))
-            return False
-        return True
+        return self._load(key, fn, False)[0]
 
     def _miss(self) -> None:
         self.stats.misses += 1

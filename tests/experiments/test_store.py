@@ -210,6 +210,56 @@ class TestCorruption:
         assert CALLS == [(1, 2)]  # skipped the bad entry, recomputed
         assert store.get(key, fn=_cell.__qualname__) == (True, out[0])
 
+    @staticmethod
+    def _unreadable(store, key, kind):
+        """Put undecodable bytes or a directory at ``key``'s path."""
+        path = Path(store._path(key))
+        if kind == "non-utf8":
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"\xff\xfe{}")
+        else:
+            path.mkdir(parents=True)
+        return path
+
+    @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+    def test_unreadable_entry_reads_as_corrupt(self, tmp_path, kind):
+        store = ResultStore(tmp_path)
+        self._unreadable(store, "KEY", kind)
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert store.get("KEY", fn="f") == (False, None)
+        assert store.probe("KEY", fn="f") is False
+        assert store.stats.corrupt == 2
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+
+    def test_sweep_map_rewrites_undecodable_entry(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = config_hash((_cell.__qualname__, (1, 2)))
+        path = self._unreadable(store, key, "non-utf8")
+        CALLS.clear()
+        with pytest.warns(UserWarning, match="corrupt"):
+            out = sweep_map(_cell, [(1, 2)], memo={}, store=store)
+        assert CALLS == [(1, 2)]
+        assert json.loads(path.read_bytes())["key"] == key  # rewritten
+        assert store.get(key, fn=_cell.__qualname__) == (True, out[0])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"garbage",
+            b"\xff\xfe{}",
+            b'{"schema": 1, "key": "KEY", "fn": "other", "value": 1}',
+        ],
+    )
+    def test_get_leaves_corrupt_entry_mtime(self, tmp_path, data):
+        store = ResultStore(tmp_path)
+        path = Path(store._path("KEY"))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(data)
+        os.utime(path, (1000, 1000))
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert store.get("KEY", fn="f") == (False, None)
+        assert path.stat().st_mtime == 1000
+
 
 class TestGC:
     def test_put_enforces_bound(self, tmp_path):
@@ -255,6 +305,12 @@ class TestGC:
         monkeypatch.setenv("REPRO_STORE_MAX_ENTRIES", "2")
         store = ResultStore(tmp_path)
         assert store.max_entries == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    def test_env_bound_must_be_an_integer(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_STORE_MAX_ENTRIES", raw)
+        with pytest.raises(ConfigError, match="REPRO_STORE_MAX_ENTRIES"):
+            ResultStore(tmp_path)
 
 
 class TestConcurrency:
@@ -572,6 +628,28 @@ class TestCli:
         assert snap["store.hits_total"]["series"][0]["value"] > 0
         # Zero engine invocations: no engine metric was ever touched.
         assert not any(name.startswith("engine.") for name in snap)
+
+    def test_undecodable_entry_recomputed_then_replayed(self, tmp_path):
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        cold_csv = tmp_path / "cold.csv"
+        again_csv = tmp_path / "again.csv"
+        warm_csv = tmp_path / "warm.csv"
+        assert main(
+            ["figure7", "--store", str(store), "--csv", str(cold_csv)]
+        ) == 0
+        _entry_files(store)[0].write_bytes(b"\xff\xfe{}")
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert main(
+                ["figure7", "--store", str(store), "--csv", str(again_csv)]
+            ) == 0
+        assert main(
+            ["replay", "figure7", "--store", str(store), "--csv",
+             str(warm_csv)]
+        ) == 0
+        assert again_csv.read_bytes() == cold_csv.read_bytes()
+        assert warm_csv.read_bytes() == cold_csv.read_bytes()
 
     def test_replay_cold_store_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import main
