@@ -7,7 +7,7 @@ Top-level convenience exports; see the subpackages for the full API:
 * :mod:`repro.core` — chunking / buffering / usage modes;
 * :mod:`repro.model` — the Section 3.2 analytic model;
 * :mod:`repro.algorithms` — sorts, merges, benchmarks;
-* :mod:`repro.memkind`, :mod:`repro.threads`;
+* :mod:`repro.threads` — the copy/compute thread pools;
 * :mod:`repro.experiments` — table/figure drivers.
 """
 

@@ -8,10 +8,11 @@ the engine executes a phase of concurrent flows. In the implicit and
 cache usage modes there are no copy flows — the hardware cache moves
 the data — and in DDR mode the chunk simply streams in place.
 
-The pipeline *actually allocates* its buffers through the memkind
-heap, so the capacity constraints the paper discusses (three buffers
-must fit in addressable MCDRAM; hybrid mode shrinks the maximum chunk)
-surface as allocation failures rather than silent fictions.
+Before building a plan the pipeline checks its buffers against the
+node's addressable MCDRAM, so the capacity constraints the paper
+discusses (three buffers must fit in addressable MCDRAM; hybrid mode
+shrinks the maximum chunk) surface as a
+:class:`~repro.errors.CapacityError` rather than silent fictions.
 
 Pipelines of one configuration differ only in their chunk sizes and
 counts, so :meth:`BufferedPipeline.build_plan` emits a lazy plan: a
@@ -29,16 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import CapacityError, AllocationError
+from repro.errors import CapacityError
 from repro.core.chunking import Chunker
 from repro.core.kernel import Kernel
 from repro.core.modes import UsageMode, compute_multipliers, validate_node_mode
-from repro.memkind.allocator import Allocation, Heap
-from repro.memkind.kinds import MEMKIND_HBW
 from repro.model.params import ModelParams
 from repro.simknl.engine import Phase, Plan, RunResult, plan_template
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
+from repro.telemetry import names as _tn
+from repro.telemetry import runtime as _tm
 from repro.threads.pool import PoolSet
 
 
@@ -224,7 +225,6 @@ class BufferedPipeline:
             if per_thread_compute_rate is not None
             else self.params.s_comp
         )
-        self._buffers: list[Allocation] = []
 
     # ---- buffer management ----------------------------------------------
 
@@ -235,34 +235,36 @@ class BufferedPipeline:
             return 3 if self.buffered else 1
         return 0
 
-    def allocate_buffers(self, heap: Heap) -> float:
-        """Reserve the MCDRAM buffers via the memkind heap.
+    def _reserve_buffers(self) -> float:
+        """Check the MCDRAM buffers against addressable MCDRAM.
 
-        Returns the total bytes reserved. Raises
-        :class:`~repro.errors.CapacityError` when the buffers do not
-        fit in addressable MCDRAM — the paper's chunk-size limit.
+        Returns the total bytes the buffers take. Raises
+        :class:`~repro.errors.CapacityError` when they do not fit —
+        the paper's chunk-size limit. Under an active telemetry session
+        the reservation and its release are counted in the ``alloc.*``
+        series on ``device=mcdram``.
         """
         count = self.required_buffers()
         if count == 0:
             return 0.0
-        try:
-            for _ in range(count):
-                self._buffers.append(
-                    heap.allocate(self.chunker.chunk_bytes, MEMKIND_HBW)
-                )
-        except AllocationError as exc:
-            self.release_buffers(heap)
+        chunk_bytes = self.chunker.chunk_bytes
+        nbytes = count * chunk_bytes
+        if nbytes > int(self.node.addressable_mcdram):
             raise CapacityError(
-                f"{count} buffers of {self.chunker.chunk_bytes} bytes do "
-                f"not fit in addressable MCDRAM "
-                f"({self.node.addressable_mcdram:.0f} bytes): {exc}"
-            ) from exc
-        return float(count * self.chunker.chunk_bytes)
-
-    def release_buffers(self, heap: Heap) -> None:
-        """Free any buffers still held."""
-        while self._buffers:
-            heap.free(self._buffers.pop())
+                f"{count} buffers of {chunk_bytes} bytes do not fit in "
+                f"addressable MCDRAM "
+                f"({self.node.addressable_mcdram:.0f} bytes)"
+            )
+        tel = _tm.current()
+        if tel.enabled:
+            m = tel.metrics
+            m.counter(_tn.ALLOC_REQUESTS_TOTAL).inc(count, device="mcdram")
+            m.counter(_tn.ALLOC_BYTES_TOTAL).inc(nbytes, device="mcdram")
+            m.gauge(_tn.ALLOC_HIGH_WATER_BYTES).set_max(
+                nbytes, device="mcdram"
+            )
+            m.counter(_tn.ALLOC_FREES_TOTAL).inc(count, device="mcdram")
+        return float(nbytes)
 
     # ---- plan construction -------------------------------------------------
 
@@ -335,32 +337,22 @@ class BufferedPipeline:
             template, row, f"{self.kernel.name}/{self.mode.value}"
         )
 
-    def prepare(self, heap: Heap | None = None) -> Plan:
+    def prepare(self) -> Plan:
         """Build the plan without executing it, with :meth:`run`'s exact
-        buffer accounting: buffers are allocated — surfacing the same
-        :class:`~repro.errors.CapacityError` an over-committed
-        configuration raises — and released again. The cross-cell sweep
+        buffer check: an over-committed configuration raises the same
+        :class:`~repro.errors.CapacityError`. The cross-cell sweep
         lowering (:mod:`repro.simknl.batch`) uses this to collect many
         cells' plans before one tensor evaluation.
         """
-        own_heap = heap or Heap(self.node)
-        self.allocate_buffers(own_heap)
-        try:
-            return self.build_plan()
-        finally:
-            self.release_buffers(own_heap)
+        self._reserve_buffers()
+        return self.build_plan()
 
-    def run(self, heap: Heap | None = None) -> PipelineResult:
-        """Allocate buffers, execute the plan, release buffers."""
-        own_heap = heap or Heap(self.node)
-        reserved = self.allocate_buffers(own_heap)
-        try:
-            plan = self.build_plan()
-            result = self.node.run(plan)
-        finally:
-            self.release_buffers(own_heap)
+    def run(self) -> PipelineResult:
+        """Check the buffers, then build and execute the plan."""
+        reserved = self._reserve_buffers()
+        plan = self.build_plan()
         return PipelineResult(
-            run=result,
+            run=self.node.run(plan),
             plan=plan,
             mode=self.mode,
             num_chunks=self.chunker.num_chunks,

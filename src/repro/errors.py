@@ -19,10 +19,6 @@ class CapacityError(ReproError):
     """An allocation or plan exceeds a device's capacity."""
 
 
-class AllocationError(ReproError):
-    """The simulated allocator could not satisfy a request."""
-
-
 class PlanError(ReproError):
     """A timing plan is malformed (empty phase, negative bytes, ...)."""
 

@@ -26,6 +26,7 @@ import re
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from marshal import dumps as _marshal
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError, StoreMissError
@@ -219,33 +220,50 @@ def replay_session(
         _REPLAY.reset(token)
 
 
-def _cell_keys(name: str, cells: Sequence[tuple]) -> list[str]:
+def _cell_keys(
+    name: str, cells: Sequence[tuple]
+) -> tuple[list[str], dict[str, int]]:
     """Per-cell ``config_hash((name, cell))``, hashed once per unique cell.
 
     Sweeps legitimately repeat cells (e.g. a baseline column present in
     every row) and the hash's JSON canonicalization — which also runs
     the address-bearing-repr validation on every payload field — is the
     expensive part, so duplicates reuse the first occurrence's digest.
-    Unhashable cell payloads simply skip the dedup and hash directly.
+
+    Duplicates are found on a type-exact form of the cell, not on tuple
+    equality: ``(1,)``, ``(1.0,)`` and ``(True,)`` are equal tuples but
+    different configurations, with different digests and results. The
+    form is the cell's ``marshal`` bytes, which encode each value with
+    its exact type (and ``-0.0`` apart from ``0.0``) at C speed; a cell
+    holding a type marshal refuses (a dataclass, an enum) uses its
+    ``repr``, the same text the hash canonicalizes such fields through.
+
+    Also returns each digest's first cell index, in first-occurrence
+    order.
     """
-    digests: dict[tuple, str] = {}
+    digests: dict[bytes | str, str] = {}
     keys: list[str] = []
+    firsts: dict[str, int] = {}
+    # Bound once: the loop body runs per cell, duplicates included.
+    lookup, append = digests.get, keys.append
     for cell in cells:
         try:
-            key = digests.get(cell)
-            if key is None:
-                key = digests[cell] = config_hash((name, cell))
-        except TypeError:
-            key = config_hash((name, cell))
-        keys.append(key)
-    return keys
+            exact: bytes | str = _marshal(cell, 2)
+        except ValueError:
+            exact = repr(cell)
+        key = lookup(exact)
+        if key is None:
+            key = digests[exact] = config_hash((name, cell))
+            firsts.setdefault(key, len(keys))
+        append(key)
+    return keys, firsts
 
 
 def _replay_lookup(
     store: ResultStore, name: str, cells: Sequence[tuple]
 ) -> list[Any]:
     """Resolve every cell from the store or fail listing the misses."""
-    keys = _cell_keys(name, cells)
+    keys, _ = _cell_keys(name, cells)
     results: list[Any] = [None] * len(cells)
     missing: list[str] = []
     for i, key in enumerate(keys):
@@ -326,14 +344,16 @@ def sweep_map(
     tier2 = get_store(store) if store is not None else default_store()
     if memo is None:
         memo = _SWEEP_MEMO
-    keys = _cell_keys(name, cells)
-    results: list[Any] = [memo.get(k) for k in keys]
-    # Deduplicate by key: two identical cells in one call must compute
-    # once, not twice. ``pending`` maps each missing key to the first
-    # cell index that needs it.
+    keys, firsts = _cell_keys(name, cells)
+    # Values by key: memo hits now, then store hits and computed cells.
+    # ``pending`` maps each missing key to the first cell index that
+    # needs it, so two identical cells in one call compute once.
+    values: dict[str, Any] = {}
     pending: dict[str, int] = {}
-    for i, k in enumerate(keys):
-        if k not in memo and k not in pending:
+    for k, i in firsts.items():
+        if k in memo:
+            values[k] = memo[k]
+        else:
             pending[k] = i
     if tier2 is not None:
         # Backfill: a cell this process already memoized may predate
@@ -342,16 +362,9 @@ def sweep_map(
         # store replay-complete. The probe validates the entry, not
         # just its path: a corrupt or foreign-function file behind a
         # memo hit must be rewritten, or replay fails on a warm store.
-        backfilled: set[str] = set()
-        for k in keys:
-            if k in memo and k not in backfilled:
-                backfilled.add(k)
-                if not tier2.probe(k, fn=name):
-                    tier2.put(k, memo[k], fn=name)
-    # Values for the memo's misses, by key: store hits, then computed
-    # cells. ``results`` is filled from it in one pass at the end.
-    resolved: dict[str, Any] = {}
-    if pending and tier2 is not None:
+        for k, value in values.items():
+            if not tier2.probe(k, fn=name):
+                tier2.put(k, value, fn=name)
         # Second tier: resolve what the in-memory memo lacks from the
         # on-disk store, warming the memo for the rest of the process.
         for k in list(pending):
@@ -359,7 +372,7 @@ def sweep_map(
             if found:
                 del pending[k]
                 _memo_insert(memo, k, value)
-                resolved[k] = value
+                values[k] = value
     if pending:
         pending_keys = list(pending)
         indices = list(pending.values())
@@ -378,15 +391,11 @@ def sweep_map(
         # Warm both tiers. The memo drops (visibly) at its cap; the
         # store enforces its own LRU bound.
         for k, value in zip(pending_keys, computed):
-            resolved[k] = value
+            values[k] = value
             _memo_insert(memo, k, value)
             if tier2 is not None:
                 tier2.put(k, value, fn=name)
-    if resolved:
-        for i, k in enumerate(keys):
-            if k in resolved:
-                results[i] = resolved[k]
-    return results
+    return [values[k] for k in keys]
 
 
 #: The two node configurations the variants boot. Configs are frozen,

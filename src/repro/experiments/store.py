@@ -35,7 +35,8 @@ Durability and safety properties:
   decoding is *skipped and reported* (``store.corrupt_total``,
   :attr:`StoreStats.corrupt`, one warning per store instance) — never
   raised. The entry is treated as a miss and the next write replaces
-  it.
+  it. A write that cannot publish the entry because a directory sits
+  at its path is skipped and reported the same way.
 * **Cheap hits.** :meth:`ResultStore.get` and :meth:`ResultStore.probe`
   share one reader: it opens the entry as a raw descriptor, reads it
   to EOF, decodes strict UTF-8, validates, and (for ``get`` only)
@@ -230,7 +231,9 @@ class ResultStore:
     def _path(self, key: str) -> str:
         return f"{self._dirname}/{key[:2]}/{key}.json"
 
-    def _report_corrupt(self, path: str, why: str) -> None:
+    def _report_corrupt(
+        self, path: str, why: str, stacklevel: int = 5
+    ) -> None:
         self.stats.corrupt += 1
         tel = _tm.current()
         if tel.enabled:
@@ -242,7 +245,7 @@ class ResultStore:
                 f"{os.path.basename(path)} ({why}); further corrupt "
                 "entries in this store are counted silently (see "
                 "store.corrupt_total / StoreStats.corrupt)",
-                stacklevel=5,
+                stacklevel=stacklevel,
             )
 
     def _set_bytes_gauge(self) -> None:
@@ -363,12 +366,15 @@ class ResultStore:
     # ---- write -------------------------------------------------------------
 
     def put(self, key: str, value: Any, fn: str = "") -> bool:
-        """Persist one entry atomically; returns False if unstorable.
+        """Persist one entry atomically; returns False if not stored.
 
         The entry is serialized to a temp file in its shard directory
         and published with :func:`os.replace`, so concurrent readers
         and writers never see partial entries. Exceeding
-        ``max_entries`` triggers an LRU :meth:`gc`.
+        ``max_entries`` triggers an LRU :meth:`gc`. A value the store
+        cannot encode is not stored. Neither is an entry whose path
+        holds a directory (or whose shard path holds a file): it is
+        reported corrupt, under the same warn-once rule as reads.
         """
         try:
             encoded = _encode_value(value)
@@ -385,20 +391,25 @@ class ResultStore:
         data = json.dumps(entry, separators=(",", ":")) + "\n"
         path = self._path(key)
         shard = os.path.dirname(path)
-        os.makedirs(shard, exist_ok=True)
         tmp = os.path.join(
             shard, f".{key}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
         )
         try:
+            os.makedirs(shard, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as f:
                 f.write(data)
             existed = os.path.exists(path)
             os.replace(tmp, path)
-        except OSError:
+        except OSError as exc:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
+            if isinstance(exc, (IsADirectoryError, FileExistsError)):
+                # A directory at the entry path, or a file at its shard
+                # path: the entry cannot be written, so skip it.
+                self._report_corrupt(path, f"unwritable: {exc}", 4)
+                return False
             raise
         if not existed:
             self._count = (self._count or 0) + 1

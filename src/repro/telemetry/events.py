@@ -4,8 +4,8 @@ Events are typed records: a name from the catalog
 (:data:`repro.telemetry.names.EVENTS`), a simulated-time timestamp, a
 global sequence number, and free-form attributes. The log keeps a
 monotonic watermark (:attr:`EventLog.now`): the engine advances it as
-simulated time passes, and layers without their own clock (the heap)
-stamp events at the current watermark. Successive
+simulated time passes, and a layer without its own clock would stamp
+events at the current watermark. Successive
 engine runs therefore share one global, strictly ordered timeline —
 what the Perfetto exporter turns into track annotations.
 

@@ -22,8 +22,8 @@ Naming conventions (see docs/OBSERVABILITY.md for the rationale):
   ``class``) with small, closed value sets.
 
 Telemetry is reproduction infrastructure spanning all paper sections;
-names group by layer, from the Section 3 engine down to the memkind
-heap of the paper's flat mode.
+names group by layer, from the Section 3 engine down to the flat-mode
+pipeline buffers and the result store.
 """
 
 from __future__ import annotations
@@ -67,13 +67,14 @@ CACHE_EVICTIONS_TOTAL = "cache.evictions_total"
 CACHE_WRITEBACKS_TOTAL = "cache.writebacks_total"
 CACHE_FLUSHES_TOTAL = "cache.flushes_total"
 
-# --- memkind heap (memkind.allocator) --------------------------------------
+# --- pipeline buffers in MCDRAM (core.buffering) ---------------------------
+# Help texts are part of every ``--metrics`` snapshot, and the pinned
+# telemetry digests lock those bytes: reword these four only together
+# with the digests.
 
 ALLOC_REQUESTS_TOTAL = "alloc.requests_total"
 ALLOC_BYTES_TOTAL = "alloc.bytes_total"
 ALLOC_FREES_TOTAL = "alloc.frees_total"
-ALLOC_FAILURES_TOTAL = "alloc.failures_total"
-ALLOC_FALLBACKS_TOTAL = "alloc.fallbacks_total"
 ALLOC_HIGH_WATER_BYTES = "alloc.high_water_bytes"
 
 # --- thread pools (threads.pool) -------------------------------------------
@@ -157,17 +158,6 @@ _METRIC_SPECS = [
         labels=("device",),
     ),
     MetricSpec(
-        ALLOC_FAILURES_TOTAL, "counter", "events",
-        "Allocations a device region could not satisfy (before any "
-        "fallback).",
-        labels=("device",),
-    ),
-    MetricSpec(
-        ALLOC_FALLBACKS_TOTAL, "counter", "events",
-        "Allocations degraded to the fallback device (the "
-        "HBW_PREFERRED discipline).",
-    ),
-    MetricSpec(
         ALLOC_HIGH_WATER_BYTES, "gauge", "bytes",
         "High-water mark of allocated bytes per device.",
         labels=("device",),
@@ -227,7 +217,6 @@ EVENT_RUN_START = "run.start"
 EVENT_RUN_END = "run.end"
 EVENT_PHASE_START = "phase.start"
 EVENT_PHASE_END = "phase.end"
-EVENT_ALLOC_FALLBACK = "alloc.fallback"
 
 _EVENT_SPECS = [
     EventSpec(
@@ -243,11 +232,6 @@ _EVENT_SPECS = [
     EventSpec(
         EVENT_PHASE_END, "A phase completed.",
         ("plan", "phase", "index", "seconds"),
-    ),
-    EventSpec(
-        EVENT_ALLOC_FALLBACK,
-        "An allocation was degraded to its fallback device.",
-        ("target", "fallback", "bytes"),
     ),
 ]
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.buffering import BufferedPipeline
 from repro.core.chunking import Chunker
 from repro.core.kernel import StreamKernel
 from repro.core.modes import UsageMode
 from repro.errors import CapacityError, ConfigError
-from repro.memkind.allocator import Heap
 from repro.model.analytic import predict
 from repro.model.params import ModelParams
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
@@ -119,20 +122,52 @@ class TestBuffers:
         res = pipe.run()
         assert res.buffers_bytes == 15 * GiB
 
-    def test_buffers_released_after_run(self):
-        node = flat_node()
-        heap = Heap(node)
-        pipe = make_pipeline(node, UsageMode.FLAT, total=4 * GiB, chunk=GiB)
-        pipe.run(heap)
-        assert heap.usage()["mcdram"] == 0
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize(
+        "mode, fraction, addressable",
+        [
+            (MemoryMode.FLAT, 0.5, 12 * GiB),
+            (MemoryMode.HYBRID, 0.25, 9 * GiB),
+            (MemoryMode.HYBRID, 0.5, 6 * GiB),
+        ],
+    )
+    def test_buffers_fill_addressable_mcdram_exactly(
+        self, mode, fraction, addressable, buffered
+    ):
+        """Buffers that fill addressable MCDRAM to the byte fit; one
+        byte more per buffer raises, from prepare() and run() alike."""
+        node = KNLNode(
+            KNLNodeConfig(
+                mode=mode,
+                mcdram_capacity=12 * GiB,
+                hybrid_cache_fraction=fraction,
+            )
+        )
+        assert node.addressable_mcdram == addressable
+        usage = UsageMode(mode.value)
+        count = 3 if buffered else 1
+        chunk = addressable // count
+        assert count * chunk == addressable
 
-    def test_buffers_released_on_failure(self):
-        node = flat_node()
-        heap = Heap(node)
-        pipe = make_pipeline(node, UsageMode.FLAT, chunk=6 * GiB, total=6 * GiB)
-        with pytest.raises(CapacityError):
-            pipe.run(heap)
-        assert heap.usage().get("mcdram", 0) == 0
+        def pipeline(chunk_bytes):
+            pools = PoolSet.split(node, compute=246, copy_in=5)
+            return BufferedPipeline(
+                node,
+                usage,
+                pools,
+                Chunker(4 * chunk_bytes, chunk_bytes, element_size=1),
+                StreamKernel(passes=2),
+                buffered=buffered,
+            )
+
+        fits = pipeline(chunk)
+        assert fits.required_buffers() == count
+        fits.prepare()
+        assert fits.run().buffers_bytes == addressable
+        over = pipeline(chunk + 1)
+        for call in (over.prepare, over.run):
+            with pytest.raises(CapacityError, match="do not fit"):
+                call()
 
 
 class TestTimingAgainstModel:
@@ -150,6 +185,46 @@ class TestTimingAgainstModel:
         res = pipe.run()
         model = predict(ModelParams(), 254, 1, 1, passes=1).t_total
         assert res.elapsed == pytest.approx(model, rel=0.15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.integers(min_value=1, max_value=127),
+        passes=st.one_of(
+            st.just(0.0),
+            st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0, 64.0, 128.0]),
+            st.floats(min_value=0.25, max_value=128.0),
+        ),
+        chunk=st.integers(min_value=1, max_value=512 * 1024).map(
+            lambda n: n * 8 * 1024
+        ),
+        full_chunks=st.integers(min_value=4, max_value=14),
+        tail=st.floats(min_value=0.0, max_value=0.99),
+    )
+    def test_steady_step_is_eq1(self, p, passes, chunk, full_chunks, tail):
+        """Every steady step of a flat-mode pipeline (symmetric pools
+        of ``p`` copy threads, 256 threads in all) takes Eq. 1's
+        ``t_total`` for one chunk, to within a few ulp — over the
+        whole symmetric-pool range, with or without a ragged final
+        chunk. Fill and drain steps are not covered."""
+        total = full_chunks * chunk + int(tail * chunk) // 8 * 8
+        node = flat_node()
+        pipe = BufferedPipeline(
+            node,
+            UsageMode.FLAT,
+            PoolSet.split(node, compute=256 - 2 * p, copy_in=p),
+            Chunker(total, chunk),
+            StreamKernel(passes=passes),
+            ModelParams(),
+        )
+        # Steps 2 .. full_chunks - 1 copy in, compute and copy out
+        # three full chunks.
+        steady = pipe.run().run.phase_times[2:full_chunks]
+        eq1 = predict(
+            ModelParams().with_data_size(chunk), 256 - 2 * p, p, p, passes
+        ).t_total
+        assert len(steady) == full_chunks - 2
+        for t in steady:
+            assert abs(t - eq1) <= 4 * math.ulp(eq1)
 
     def test_more_passes_takes_longer(self):
         t = [

@@ -242,6 +242,32 @@ class TestCorruption:
         assert json.loads(path.read_bytes())["key"] == key  # rewritten
         assert store.get(key, fn=_cell.__qualname__) == (True, out[0])
 
+    @pytest.mark.parametrize("blocked", ["entry", "shard"])
+    def test_sweep_map_skips_unwritable_entry(self, tmp_path, blocked):
+        """A directory at the entry path (or a file at its shard path)
+        cannot be written: the write is skipped and counted corrupt,
+        and the run goes on with the computed value."""
+        store = ResultStore(tmp_path)
+        key = config_hash((_cell.__qualname__, (1, 2)))
+        path = Path(store._path(key))
+        if blocked == "entry":
+            path.mkdir(parents=True)
+        else:
+            path.parent.parent.mkdir(parents=True, exist_ok=True)
+            path.parent.write_text("not a shard")
+        expected = [_cell(1, 2)]
+        CALLS.clear()
+        with pytest.warns(UserWarning, match="corrupt") as caught:
+            out = sweep_map(_cell, [(1, 2)], memo={}, store=store)
+        assert out == expected
+        assert len(caught) == 1  # warned once
+        assert caught[0].filename == __file__
+        assert CALLS == [(1, 2)]
+        assert store.stats.writes == 0
+        assert store.stats.corrupt == (2 if blocked == "entry" else 1)
+        assert store.put(key, [1], fn="f") is False
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize(
         "data",
         [

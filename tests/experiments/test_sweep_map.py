@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.errors import ConfigError
@@ -14,6 +16,15 @@ CALLS: list[tuple] = []
 def _cell(a: int, b: int) -> int:
     CALLS.append((a, b))
     return a * 10 + b
+
+
+def _repr_cell(x) -> str:
+    return repr(x)
+
+
+@dataclass(frozen=True)
+class _Size:
+    nbytes: float
 
 
 class TestConfigHash:
@@ -141,3 +152,26 @@ class TestSweepMap:
             out = sweep_map(_cell, [(4, 4)], memo=memo)
         assert out == [44]
         assert CALLS == []  # a session takes the plain run's memo hit
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(1,), (1.0,), (True,)],
+            [(0.0,), (-0.0,), (0,), (False,)],
+            [((1, 2),), ((1.0, 2),)],
+            [(_Size(16),), (_Size(16.0),)],
+        ],
+        ids=["int-float-bool", "signed-zeros", "nested", "dataclass-field"],
+    )
+    def test_equal_cells_of_other_types_are_other_cells(self, cells):
+        """Cells equal as tuples but of other types are other
+        configurations: each gets its own key and its own result."""
+        from repro.experiments import runner
+
+        direct = [_repr_cell(*cell) for cell in cells]
+        assert len(set(direct)) == len(cells)
+        assert sweep_map(_repr_cell, cells, memo={}) == direct
+        keys, _ = runner._cell_keys("f", cells)
+        assert keys == [config_hash(("f", cell)) for cell in cells]
+        assert len(set(keys)) == len(cells)
+

@@ -12,14 +12,11 @@ import json
 
 from repro.cli import main
 from repro.experiments import runner
-from repro.memkind.allocator import Heap
-from repro.memkind.kinds import MEMKIND_HBW_PREFERRED
 from repro.simknl.cache import DirectMappedCache
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.telemetry import names as tn
 from repro.telemetry import telemetry_session
 from repro.threads.pool import PoolSet
-from repro.units import GiB
 
 
 class TestCliAcceptance:
@@ -73,26 +70,6 @@ class TestCacheInstrumentation:
         assert sum(v for _, v in misses.series()) == 2
         assert m.counter(tn.CACHE_WRITEBACKS_TOTAL).value() >= 1
         assert m.counter(tn.CACHE_FLUSHES_TOTAL).value() == 1
-
-
-class TestAllocatorInstrumentation:
-    def test_preferred_fallback_counted_and_evented(self):
-        node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-        with telemetry_session() as tel:
-            heap = Heap(node)
-            big = heap.allocate(int(15 * GiB), MEMKIND_HBW_PREFERRED)
-            spill = heap.allocate(int(4 * GiB), MEMKIND_HBW_PREFERRED)
-            heap.free(spill)
-            heap.free(big)
-        m = tel.metrics
-        assert m.counter(tn.ALLOC_FALLBACKS_TOTAL).value() == 1
-        assert m.counter(tn.ALLOC_REQUESTS_TOTAL).value(device="ddr") == 1
-        assert m.gauge(tn.ALLOC_HIGH_WATER_BYTES).value(
-            device="mcdram"
-        ) == 15 * GiB
-        fallbacks = tel.events.of(tn.EVENT_ALLOC_FALLBACK)
-        assert len(fallbacks) == 1
-        assert fallbacks[0].attrs["fallback"] == "ddr"
 
 
 class TestPoolInstrumentation:

@@ -5,7 +5,7 @@ The engine records every run after the fact, from its plan and
 cells in cell order. So for every driver an active session takes the
 same tensor path as a plain run, and its metrics snapshot and event log
 are the same as when every run is forced onto the per-phase reference
-loop. The CLI's ``--metrics`` and ``--events`` bytes of three sweep
+loop. The CLI's ``--metrics`` and ``--events`` bytes of five sweep
 drivers are pinned as literal digests.
 """
 
@@ -74,7 +74,9 @@ class TestPinnedTelemetry:
     """Telemetry bytes are literal digests. They lock
     ``sort.megachunks_total`` (counted per cell build), the engine
     counters and the order in which each sweep's runs are observed,
-    whatever the sweep shares between its cells."""
+    whatever the sweep shares between its cells. ``figure8`` and
+    ``pareto`` also lock the ``alloc.*`` series of the pipelines'
+    MCDRAM buffer check."""
 
     @pytest.mark.parametrize(
         "artifact, metrics, events",
@@ -88,6 +90,12 @@ class TestPinnedTelemetry:
             ("ablation",
              "6b79a4cdcab089b9de216e2a2928714ab7ed9ed9d19f9c2514d377bb660ce72f",
              "74dea2edc9fc3a511dfdde592e9473406cc2f0cd9773a1c25a31739ab3ccc777"),
+            ("figure8",
+             "c51471e3afd283e88af1707096f550d9d72609dcaf07d795c58fa379b96130ae",
+             "c3e5daf7da93ec468969df8fe2ba54ac0957578181c1eb83252d622f65250854"),
+            ("pareto",
+             "575348f68b8e51af9936486d157af19676a0e07e5eb2f883977aea71daecee6b",
+             "3104aabbdd70bfc66045286f984ee389cdd23ef27577d2880ae1bf1d35a61c51"),
         ],
     )
     def test_cli_telemetry_bytes(

@@ -1,7 +1,7 @@
 """End-to-end integration tests across subsystems.
 
 Each scenario exercises several packages together the way a downstream
-user would: heap + pipeline + energy, CLI over every driver, and
+user would: thread split + pipeline + energy, CLI over every driver, and
 public API surface.
 """
 
@@ -16,7 +16,6 @@ import pytest
 import repro
 from repro.core import BufferedPipeline, Chunker, StreamKernel
 from repro.core.modes import UsageMode
-from repro.memkind import MEMKIND_HBW, Heap
 from repro.model.optimizer import optimal_copy_threads
 from repro.model.params import ModelParams
 from repro.simknl.energy import EnergyModel
@@ -50,20 +49,17 @@ class TestPublicApi:
 
 
 class TestHeapPipelineTraceEnergy:
-    """One kernel through the model's thread split, heap, pipeline,
-    and energy."""
+    """One kernel through the model's thread split, the pipeline's
+    MCDRAM buffer check, the pipeline and energy."""
 
     @pytest.fixture(scope="class")
     def artifacts(self):
         node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
-        heap = Heap(node)
         data = int(12 * GiB)
         kernel = StreamKernel(passes=4, name="integration")
         params = ModelParams().with_data_size(data)
-        # A competing long-lived allocation shrinks the heap, so the
-        # chunk is sized below the 1/3-of-MCDRAM triple-buffer maximum
-        # (the paper's "other data should remain in MCDRAM" scenario).
-        resident = heap.allocate(int(1 * GiB), MEMKIND_HBW)
+        # The chunk is sized below the 1/3-of-MCDRAM triple-buffer
+        # maximum, leaving room for other data in MCDRAM.
         chunk = int(4 * GiB)
         assert chunk < node.addressable_mcdram // 3
         best = optimal_copy_threads(
@@ -77,16 +73,12 @@ class TestHeapPipelineTraceEnergy:
         pipe = BufferedPipeline(
             node, UsageMode.FLAT, pools, Chunker(data, chunk), kernel, params
         )
-        result = pipe.run(heap)
-        heap.free(resident)
-        return node, heap, pipe, result
-
-    def test_heap_fully_released(self, artifacts):
-        _, heap, _, _ = artifacts
-        assert heap.usage()["mcdram"] == 0
+        result = pipe.run()
+        assert result.buffers_bytes == 3 * chunk
+        return node, pipe, result
 
     def test_energy_report(self, artifacts):
-        _, _, _, result = artifacts
+        _, _, result = artifacts
         rep = EnergyModel().report(result.run)
         assert rep.total_joules > 0
         assert rep.dynamic_joules["mcdram"] > rep.dynamic_joules["ddr"]
