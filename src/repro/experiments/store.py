@@ -30,24 +30,22 @@ Durability and safety properties:
   same key (deterministic cells produce identical bytes) both land a
   complete file.
 * **Corruption tolerance.** A load that cannot read the entry (an
-  I/O error, or a directory at its path), is not valid UTF-8, fails
-  to parse, fails its schema/key/function checks, or fails value
-  decoding is *skipped and reported* (``store.corrupt_total``,
-  :attr:`StoreStats.corrupt`, one warning per store instance) — never
-  raised. The entry is treated as a miss and the next write replaces
-  it. A write that cannot publish the entry because a directory sits
-  at its path is skipped and reported the same way.
-* **Cheap hits.** :meth:`ResultStore.get` and :meth:`ResultStore.probe`
-  share one reader: it opens the entry as a raw descriptor, reads it
-  to EOF, decodes strict UTF-8, validates, and (for ``get`` only)
-  touches the mtime through the same descriptor — a few syscalls per
-  entry and no text-mode file object.
-* **Bounded size.** The store holds at most ``max_entries`` entries
-  (``REPRO_STORE_MAX_ENTRIES``, default 65536). Hits refresh an
-  entry's mtime, and :meth:`ResultStore.gc` evicts
-  least-recently-used entries once the bound is exceeded — LRU in the
-  same spirit as the in-memory tier's cap, but visible
-  (``store.evictions_total``).
+  I/O error, a directory at its path, or a file at its shard path),
+  is not valid UTF-8, fails to parse, fails its schema/key/function
+  checks, or fails value decoding is *skipped and reported*
+  (``store.corrupt_total``, :attr:`StoreStats.corrupt`, one warning
+  per store instance) — never raised. The entry is treated as a miss
+  and the next write replaces it. A write blocked by a directory at
+  the entry path or a file at the shard path is skipped and reported
+  the same way.
+* **Read-only hits.** :meth:`ResultStore.get` and
+  :meth:`ResultStore.probe` share one reader: it opens the entry as a
+  raw descriptor, reads it to EOF, decodes strict UTF-8 and validates
+  — a few syscalls per entry, no text-mode file object, and nothing
+  written back.
+
+The store is unbounded: a full ``repro-knl all`` run writes 143 entries
+(17 KB of JSON, ~1 MB on disk). Delete the directory to reclaim it.
 
 Only JSON-representable results (floats, ints, bools, strings,
 ``None``, and lists/tuples/str-keyed dicts of those) are persisted;
@@ -56,10 +54,9 @@ round-trip bit-identically through ``repr``-based JSON serialization.
 A cell returning anything else is computed normally and simply never
 cached on disk.
 
-Telemetry: the ``store.*`` metric family (hits/misses/writes/
-evictions/corrupt counters and a bytes gauge) is emitted while a
-session is active; :attr:`ResultStore.stats` keeps the same counts
-unconditionally.
+Telemetry: the ``store.*`` counters (hits/misses/writes/corrupt) are
+emitted while a session is active; :attr:`ResultStore.stats` keeps the
+same counts unconditionally.
 """
 
 from __future__ import annotations
@@ -72,7 +69,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ConfigError, StoreError
+from repro.errors import StoreError
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 
@@ -80,8 +77,6 @@ from repro.telemetry import runtime as _tm
 SCHEMA_VERSION = 1
 #: On-disk layout version directory; bump when the file layout changes.
 LAYOUT = "v1"
-#: Default entry bound (matches the in-memory memo's cap).
-DEFAULT_MAX_ENTRIES = 65536
 
 #: Tag key marking a tuple in the JSON value encoding.
 _TUPLE_TAG = "__tuple__"
@@ -144,7 +139,6 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    evictions: int = 0
     corrupt: int = 0
     unstorable: int = 0
 
@@ -158,75 +152,17 @@ class ResultStore:
         Directory holding the store (created if missing). The same
         directory can be shared by concurrent writers — writes are
         atomic and deterministic cells produce identical entries.
-    max_entries:
-        LRU bound on stored entries, enforced by :meth:`gc` after each
-        write. ``None`` falls back to ``REPRO_STORE_MAX_ENTRIES`` or
-        :data:`DEFAULT_MAX_ENTRIES`.
     """
 
-    def __init__(
-        self, root: str | os.PathLike, max_entries: int | None = None
-    ) -> None:
-        if max_entries is None:
-            raw = os.environ.get("REPRO_STORE_MAX_ENTRIES")
-            try:
-                max_entries = int(raw) if raw else DEFAULT_MAX_ENTRIES
-            except ValueError:
-                raise ConfigError(
-                    "REPRO_STORE_MAX_ENTRIES must be an integer, "
-                    f"got {raw!r}"
-                ) from None
-        if max_entries < 1:
-            raise ConfigError(
-                f"store max_entries must be >= 1, got {max_entries}"
-            )
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self.max_entries = max_entries
         self.stats = StoreStats()
-        self._dir = self.root / LAYOUT
-        self._dir.mkdir(parents=True, exist_ok=True)
-        #: ``_dir`` as a string: entry paths are joined as strings on
-        #: the per-cell get/probe/put path, which ``Path`` objects slow.
-        self._dirname = os.fspath(self._dir)
-        self._count: int | None = None  # lazily scanned
-        self._bytes = 0
+        #: The layout directory as a string: entry paths are joined as
+        #: strings on the per-cell get/probe/put path, which ``Path``
+        #: objects slow.
+        self._dirname = os.fspath(self.root / LAYOUT)
+        os.makedirs(self._dirname, exist_ok=True)
         self._warned_corrupt = False
-
-    # ---- bookkeeping -------------------------------------------------------
-
-    def _entry_paths(self) -> list[Path]:
-        return [
-            p
-            for shard in sorted(self._dir.iterdir())
-            if shard.is_dir()
-            for p in sorted(shard.glob("*.json"))
-        ]
-
-    def _ensure_scanned(self) -> None:
-        """Count pre-existing entries once, on first write/GC."""
-        if self._count is not None:
-            return
-        count = 0
-        total = 0
-        for path in self._entry_paths():
-            try:
-                total += path.stat().st_size
-                count += 1
-            except OSError:
-                continue  # concurrently evicted
-        self._count = count
-        self._bytes = total
-
-    def entries(self) -> int:
-        """Number of entries currently in the store."""
-        self._ensure_scanned()
-        assert self._count is not None
-        return self._count
-
-    def nbytes(self) -> int:
-        """Approximate total size of stored entries, in bytes."""
-        self._ensure_scanned()
-        return self._bytes
 
     def _path(self, key: str) -> str:
         return f"{self._dirname}/{key[:2]}/{key}.json"
@@ -247,11 +183,6 @@ class ResultStore:
                 "store.corrupt_total / StoreStats.corrupt)",
                 stacklevel=stacklevel,
             )
-
-    def _set_bytes_gauge(self) -> None:
-        tel = _tm.current()
-        if tel.enabled:
-            tel.metrics.gauge(_tn.STORE_BYTES).set(self._bytes)
 
     # ---- lookup ------------------------------------------------------------
 
@@ -280,23 +211,20 @@ class ResultStore:
             raise ValueError("no value field")
         return _decode_value(entry["value"])
 
-    def _load(
-        self, key: str, fn: str | None, touch: bool
-    ) -> tuple[bool, Any]:
-        """Read, validate and (with ``touch``) LRU-touch one entry.
+    def _load(self, key: str, fn: str | None) -> tuple[bool, Any]:
+        """Read and validate one entry; returns ``(found, value)``.
 
         The one reader behind :meth:`get` and :meth:`probe`. The entry
         is opened as a raw descriptor, read to EOF, decoded as strict
-        UTF-8 and checked by :meth:`_validate_entry`; a valid entry is
-        touched through that same descriptor. Returns ``(found,
-        value)``. An absent entry reads ``(False, None)``; so does an
-        unreadable (e.g. a directory at the entry path), undecodable
-        or invalid one, which is also reported corrupt.
+        UTF-8 and checked by :meth:`_validate_entry`. An absent entry
+        reads ``(False, None)``; so does an unreadable (a directory at
+        the entry path, or a file at its shard path), undecodable or
+        invalid one, which is also reported corrupt.
         """
         path = self._path(key)
         try:
             fd = os.open(path, os.O_RDONLY)
-        except (FileNotFoundError, NotADirectoryError):
+        except FileNotFoundError:
             return False, None
         except OSError as exc:
             self._report_corrupt(path, f"unreadable: {exc}")
@@ -313,11 +241,6 @@ class ResultStore:
             self._report_corrupt(path, str(exc))
             return False, None
         else:
-            if touch:
-                try:
-                    os.utime(fd)  # LRU touch
-                except OSError:
-                    pass  # not ours to touch; the value is still good
             return True, value
         finally:
             os.close(fd)
@@ -327,11 +250,9 @@ class ResultStore:
 
         ``fn``, when given, must match the qualname recorded at write
         time — a hash collision across functions (or a store shared by
-        incompatible code) reads as corruption, not as a hit. A hit
-        refreshes the entry's mtime, which is the LRU clock
-        :meth:`gc` evicts by.
+        incompatible code) reads as corruption, not as a hit.
         """
-        found, value = self._load(key, fn, True)
+        found, value = self._load(key, fn)
         if not found:
             self._miss()
             return False, None
@@ -345,17 +266,16 @@ class ResultStore:
         """Whether ``key`` holds a *loadable* entry (validating probe).
 
         Runs the same read + schema/key/function validation as
-        :meth:`get` but records no hit or miss and never touches the
-        entry's mtime — probing whether a backfill is needed must not
-        promote the entry in the LRU order or skew the cache
-        statistics. A present-but-corrupt entry returns ``False`` (and
+        :meth:`get` but records no hit or miss — probing whether a
+        backfill is needed must not skew the cache statistics. A
+        present-but-corrupt entry returns ``False`` (and
         is counted by ``store.corrupt_total``), so callers rewrite it:
         this is what keeps a warm :func:`~repro.experiments.runner.sweep_map`
         run replay-complete even when an on-disk entry behind an
         in-memory memo hit was truncated or written by a different
         cell function.
         """
-        return self._load(key, fn, False)[0]
+        return self._load(key, fn)[0]
 
     def _miss(self) -> None:
         self.stats.misses += 1
@@ -370,8 +290,7 @@ class ResultStore:
 
         The entry is serialized to a temp file in its shard directory
         and published with :func:`os.replace`, so concurrent readers
-        and writers never see partial entries. Exceeding
-        ``max_entries`` triggers an LRU :meth:`gc`. A value the store
+        and writers never see partial entries. A value the store
         cannot encode is not stored. Neither is an entry whose path
         holds a directory (or whose shard path holds a file): it is
         reported corrupt, under the same warn-once rule as reads.
@@ -381,7 +300,6 @@ class ResultStore:
         except _Unstorable:
             self.stats.unstorable += 1
             return False
-        self._ensure_scanned()
         entry = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -398,7 +316,6 @@ class ResultStore:
             os.makedirs(shard, exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as f:
                 f.write(data)
-            existed = os.path.exists(path)
             os.replace(tmp, path)
         except OSError as exc:
             try:
@@ -411,56 +328,11 @@ class ResultStore:
                 self._report_corrupt(path, f"unwritable: {exc}", 4)
                 return False
             raise
-        if not existed:
-            self._count = (self._count or 0) + 1
-        self._bytes += len(data)
         self.stats.writes += 1
         tel = _tm.current()
         if tel.enabled:
             tel.metrics.counter(_tn.STORE_WRITES_TOTAL).inc()
-        if self._count is not None and self._count > self.max_entries:
-            self.gc()
-        self._set_bytes_gauge()
         return True
-
-    # ---- garbage collection ------------------------------------------------
-
-    def gc(self) -> int:
-        """Evict least-recently-used entries down to ``max_entries``.
-
-        Returns the number of entries evicted. Safe under concurrent
-        writers: a file another process already removed is simply
-        skipped. The scan re-derives the authoritative entry count, so
-        drift from concurrent writers corrects itself here.
-        """
-        aged: list[tuple[float, int, Path]] = []
-        for path in self._entry_paths():
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            aged.append((st.st_mtime, st.st_size, path))
-        self._count = len(aged)
-        self._bytes = sum(size for _, size, _ in aged)
-        excess = len(aged) - self.max_entries
-        if excess <= 0:
-            return 0
-        aged.sort()  # oldest mtime first; path breaks ties stably
-        evicted = 0
-        for _, size, path in aged[:excess]:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            evicted += 1
-            self._count -= 1
-            self._bytes -= size
-        self.stats.evictions += evicted
-        tel = _tm.current()
-        if tel.enabled:
-            tel.metrics.counter(_tn.STORE_EVICTIONS_TOTAL).inc(evicted)
-        self._set_bytes_gauge()
-        return evicted
 
 
 #: Stores opened by path, one instance per resolved root.

@@ -85,18 +85,12 @@ POOL_THREADS = "pool.threads"
 
 SORT_MEGACHUNKS_TOTAL = "sort.megachunks_total"
 
-# --- sweep runner (experiments.runner) -----------------------------------
-
-SWEEP_MEMO_EVICTED_TOTAL = "sweep.memo_evicted_total"
-
 # --- experiment result store (experiments.store) ---------------------------
 
 STORE_HITS_TOTAL = "store.hits_total"
 STORE_MISSES_TOTAL = "store.misses_total"
 STORE_WRITES_TOTAL = "store.writes_total"
-STORE_EVICTIONS_TOTAL = "store.evictions_total"
 STORE_CORRUPT_TOTAL = "store.corrupt_total"
-STORE_BYTES = "store.bytes"
 
 _METRIC_SPECS = [
     MetricSpec(
@@ -144,22 +138,25 @@ _METRIC_SPECS = [
     ),
     MetricSpec(
         ALLOC_REQUESTS_TOTAL, "counter", "calls",
-        "Heap allocations that returned blocks on a device.",
+        "Pipeline buffers that passed the MCDRAM capacity check, per "
+        "device.",
         labels=("device",),
     ),
     MetricSpec(
         ALLOC_BYTES_TOTAL, "counter", "bytes",
-        "Bytes allocated per device.",
+        "Bytes of pipeline buffers checked against addressable MCDRAM, "
+        "per device.",
         labels=("device",),
     ),
     MetricSpec(
         ALLOC_FREES_TOTAL, "counter", "calls",
-        "Blocks returned to a device's free list.",
+        "Pipeline buffers released once their plan is built, per "
+        "device.",
         labels=("device",),
     ),
     MetricSpec(
         ALLOC_HIGH_WATER_BYTES, "gauge", "bytes",
-        "High-water mark of allocated bytes per device.",
+        "Largest buffer bytes one pipeline reserved, per device.",
         labels=("device",),
     ),
     MetricSpec(
@@ -171,11 +168,6 @@ _METRIC_SPECS = [
     MetricSpec(
         SORT_MEGACHUNKS_TOTAL, "counter", "chunks",
         "Megachunks processed by MLM-sort variants.",
-    ),
-    MetricSpec(
-        SWEEP_MEMO_EVICTED_TOTAL, "counter", "entries",
-        "Sweep results dropped instead of cached because the in-memory "
-        "memo hit its capacity bound.",
     ),
     MetricSpec(
         STORE_HITS_TOTAL, "counter", "lookups",
@@ -192,19 +184,10 @@ _METRIC_SPECS = [
         "Result entries persisted to the on-disk store.",
     ),
     MetricSpec(
-        STORE_EVICTIONS_TOTAL, "counter", "entries",
-        "Entries evicted by the store's LRU garbage collector to "
-        "enforce its max_entries bound.",
-    ),
-    MetricSpec(
         STORE_CORRUPT_TOTAL, "counter", "entries",
-        "Store entries skipped as corrupt (unparseable, wrong schema, "
-        "or key/function mismatch); each reads as a miss.",
-    ),
-    MetricSpec(
-        STORE_BYTES, "gauge", "bytes",
-        "Approximate total size of the result store's entries on "
-        "disk.",
+        "Store entries skipped as corrupt (unreadable, not UTF-8, "
+        "unparseable, wrong schema, or key/function mismatch); each "
+        "reads as a miss. Writes blocked at the entry path count too.",
     ),
 ]
 

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigError, StoreError, StoreMissError
-from repro.experiments import runner
+from repro.errors import StoreError, StoreMissError
 from repro.experiments.runner import config_hash, replay_session, sweep_map
 from repro.experiments.store import (
     ResultStore,
@@ -99,7 +98,7 @@ class TestValueRoundTrip:
         store = ResultStore(tmp_path)
         assert store.put("k" * 16, value, fn="f") is False
         assert store.stats.unstorable == 1
-        assert store.entries() == 0
+        assert not _entry_files(tmp_path)
 
 
 class TestResultStore:
@@ -133,25 +132,6 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         store.put("ab" * 8, 1, fn="writer")
         assert store.get("ab" * 8) == (True, 1)
-
-    def test_nbytes_tracks_entries(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.nbytes() == 0
-        store.put("ab" * 8, [1.0] * 50, fn="f")
-        assert store.nbytes() == (
-            tmp_path / "v1" / "ab" / ("ab" * 8 + ".json")
-        ).stat().st_size
-        assert store.entries() == 1
-
-    def test_rejects_bad_max_entries(self, tmp_path):
-        with pytest.raises(ConfigError, match="max_entries"):
-            ResultStore(tmp_path, max_entries=0)
-
-    def test_pre_existing_entries_scanned(self, tmp_path):
-        ResultStore(tmp_path).put("ab" * 8, 1, fn="f")
-        again = ResultStore(tmp_path)
-        assert again.entries() == 1
-        assert again.get("ab" * 8, fn="f") == (True, 1)
 
 
 class TestCorruption:
@@ -264,7 +244,7 @@ class TestCorruption:
         assert caught[0].filename == __file__
         assert CALLS == [(1, 2)]
         assert store.stats.writes == 0
-        assert store.stats.corrupt == (2 if blocked == "entry" else 1)
+        assert store.stats.corrupt == 2  # the probe read, then the put
         assert store.put(key, [1], fn="f") is False
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -277,6 +257,8 @@ class TestCorruption:
         ],
     )
     def test_get_leaves_corrupt_entry_mtime(self, tmp_path, data):
+        """A read writes nothing back: neither a corrupt read nor the
+        hit on the entry that replaces it moves the entry's mtime."""
         store = ResultStore(tmp_path)
         path = Path(store._path("KEY"))
         path.parent.mkdir(parents=True)
@@ -285,58 +267,10 @@ class TestCorruption:
         with pytest.warns(UserWarning, match="corrupt"):
             assert store.get("KEY", fn="f") == (False, None)
         assert path.stat().st_mtime == 1000
-
-
-class TestGC:
-    def test_put_enforces_bound(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=3)
-        for i in range(6):
-            store.put(f"{i:04x}" * 4, i, fn="f")
-        assert store.entries() == 3
-        assert store.stats.evictions == 3
-
-    def test_evicts_oldest_mtime_first(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=10)
-        keys = [f"{i:04x}" * 4 for i in range(5)]
-        for i, key in enumerate(keys):
-            store.put(key, i, fn="f")
-            os.utime(store._path(key), (1000 + i, 1000 + i))
-        store.max_entries = 3
-        assert store.gc() == 2
-        assert store.entries() == 3
-        assert not Path(store._path(keys[0])).exists()
-        assert not Path(store._path(keys[1])).exists()
-        for key in keys[2:]:
-            assert Path(store._path(key)).exists()
-
-    def test_hit_refreshes_lru_clock(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=10)
-        keys = [f"{i:04x}" * 4 for i in range(3)]
-        for i, key in enumerate(keys):
-            store.put(key, i, fn="f")
-            os.utime(store._path(key), (1000 + i, 1000 + i))
-        store.get(keys[0], fn="f")  # touch the oldest
-        store.max_entries = 2
-        store.gc()
-        assert Path(store._path(keys[0])).exists()  # survived: recently used
-        assert not Path(store._path(keys[1])).exists()
-
-    def test_gc_noop_under_bound(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=10)
-        store.put("ab" * 8, 1, fn="f")
-        assert store.gc() == 0
-        assert store.entries() == 1
-
-    def test_env_default_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_MAX_ENTRIES", "2")
-        store = ResultStore(tmp_path)
-        assert store.max_entries == 2
-
-    @pytest.mark.parametrize("raw", ["abc", "1.5"])
-    def test_env_bound_must_be_an_integer(self, tmp_path, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_STORE_MAX_ENTRIES", raw)
-        with pytest.raises(ConfigError, match="REPRO_STORE_MAX_ENTRIES"):
-            ResultStore(tmp_path)
+        assert store.put("KEY", 1, fn="f")
+        os.utime(path, (1000, 1000))
+        assert store.get("KEY", fn="f") == (True, 1)
+        assert path.stat().st_mtime == 1000
 
 
 class TestConcurrency:
@@ -354,19 +288,10 @@ class TestConcurrency:
         for t in threads:
             t.join()
         reader = ResultStore(tmp_path)
-        assert reader.entries() == len(keys)
+        assert len(_entry_files(tmp_path)) == len(keys)
         for i, key in enumerate(keys):
             assert reader.get(key, fn="f") == (True, [i, i / 7.0])
         assert reader.stats.corrupt == 0
-
-    def test_gc_tolerates_concurrent_removal(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=10)
-        for i in range(4):
-            store.put(f"{i:04x}" * 4, i, fn="f")
-        Path(store._path("0000" * 4)).unlink()  # another process evicted it
-        store.max_entries = 2
-        store.gc()
-        assert store.entries() == 2
 
     def test_cross_process_warm_hit_bit_identity(self, tmp_path):
         """A store warmed in another process serves identical values."""
@@ -490,11 +415,11 @@ class TestSweepMapTiers:
         assert CALLS == []  # the instrumented run warmed the store
 
     def test_store_telemetry_counters(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=2)
+        store = ResultStore(tmp_path)
         with _tm.telemetry_session() as tel:
             store.get("aa" * 8)  # miss
             for i in range(3):
-                store.put(f"{i:04x}" * 4, i, fn="f")  # 3 writes, 1 gc
+                store.put(f"{i:04x}" * 4, i, fn="f")  # 3 writes
             store.get("0002" * 4, fn="f")  # hit
             counters = {
                 name: tel.metrics.counter(name).value()
@@ -502,32 +427,13 @@ class TestSweepMapTiers:
                     _tn.STORE_HITS_TOTAL,
                     _tn.STORE_MISSES_TOTAL,
                     _tn.STORE_WRITES_TOTAL,
-                    _tn.STORE_EVICTIONS_TOTAL,
                 )
             }
-            nbytes = tel.metrics.gauge(_tn.STORE_BYTES).value()
         assert counters == {
             _tn.STORE_HITS_TOTAL: 1,
             _tn.STORE_MISSES_TOTAL: 1,
             _tn.STORE_WRITES_TOTAL: 3,
-            _tn.STORE_EVICTIONS_TOTAL: 1,
         }
-        assert nbytes == store.nbytes() > 0
-
-    def test_memo_cap_warns_once_and_counts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner, "_SWEEP_MEMO_MAX", 1)
-        monkeypatch.setattr(runner, "_MEMO_CAP_WARNED", False)
-        with _tm.telemetry_session() as tel:
-            with pytest.warns(UserWarning, match="memo reached its cap"):
-                sweep_map(_cell, [(1, 1), (2, 2), (3, 3)], memo={})
-            evicted = tel.metrics.counter(
-                _tn.SWEEP_MEMO_EVICTED_TOTAL
-            ).value()
-        assert evicted == 2  # first cell cached, two dropped
-        # The warning fired; further drops are silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sweep_map(_cell, [(4, 4), (5, 5)], memo={})
 
 
 class TestReplay:
@@ -596,10 +502,11 @@ class TestValidatingProbe:
         os.utime(path, (1000, 1000))
         assert store.probe("k" * 16, fn="f") is True
         assert store.stats.hits == 0  # not counted as a hit
-        assert path.stat().st_mtime == 1000  # LRU clock untouched
+        assert path.stat().st_mtime == 1000  # nothing written back
         assert store.probe("m" * 16) is False  # absent, not corrupt
         assert store.stats.corrupt == 0
-        assert store.probe("k" * 16, fn="other") is False
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert store.probe("k" * 16, fn="other") is False
         assert store.stats.corrupt == 1
         path.write_text("{garbage")
         assert store.probe("k" * 16, fn="f") is False
@@ -617,7 +524,10 @@ class TestValidatingProbe:
             path.write_text("{corrupt")
         # Every cell is a memo hit; the old existence-only probe
         # skipped the backfill here and left replay broken.
-        again = sweep_map(_probe_cell, cells, memo=memo, store=store_path)
+        with pytest.warns(UserWarning, match="corrupt"):
+            again = sweep_map(
+                _probe_cell, cells, memo=memo, store=store_path
+            )
         assert again == expect
         _probe_cell.calls.clear()
         with replay_session(get_store(store_path)):

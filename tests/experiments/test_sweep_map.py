@@ -122,27 +122,6 @@ class TestSweepMap:
         assert out == [77, 77, 88, 77]
         assert len(CALLS) == 2  # (7, 7) deduplicated within the call
 
-    def test_memo_fills_to_cap_without_overshoot(self, monkeypatch):
-        from repro.experiments import runner
-
-        monkeypatch.setattr(runner, "_SWEEP_MEMO_MAX", 3)
-        memo: dict = {}
-        out = sweep_map(_cell, [(i, i) for i in range(5)], memo=memo)
-        # All five results come back even though only three fit the memo.
-        assert out == [0, 11, 22, 33, 44]
-        assert len(memo) == 3
-
-    def test_full_memo_still_serves_hits(self, monkeypatch):
-        from repro.experiments import runner
-
-        monkeypatch.setattr(runner, "_SWEEP_MEMO_MAX", 1)
-        memo: dict = {}
-        sweep_map(_cell, [(1, 1)], memo=memo)
-        CALLS.clear()
-        assert sweep_map(_cell, [(1, 1), (2, 2)], memo=memo) == [11, 22]
-        assert CALLS == [(2, 2)]  # the cached cell was not recomputed
-        assert len(memo) == 1
-
     def test_telemetry_session_serves_memo_hits(self):
         memo: dict = {}
         sweep_map(_cell, [(4, 4)], memo=memo)

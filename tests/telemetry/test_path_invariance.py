@@ -91,10 +91,10 @@ class TestPinnedTelemetry:
              "6b79a4cdcab089b9de216e2a2928714ab7ed9ed9d19f9c2514d377bb660ce72f",
              "74dea2edc9fc3a511dfdde592e9473406cc2f0cd9773a1c25a31739ab3ccc777"),
             ("figure8",
-             "c51471e3afd283e88af1707096f550d9d72609dcaf07d795c58fa379b96130ae",
+             "d18978d815a5ea8acf5e4ee084189e45319ad0abb945d17bba7c9c37248e56dd",
              "c3e5daf7da93ec468969df8fe2ba54ac0957578181c1eb83252d622f65250854"),
             ("pareto",
-             "575348f68b8e51af9936486d157af19676a0e07e5eb2f883977aea71daecee6b",
+             "e84572e7e730b958637fc5172ce312927d6c4033b5283f8baa4b3964bd0cfb21",
              "3104aabbdd70bfc66045286f984ee389cdd23ef27577d2880ae1bf1d35a61c51"),
         ],
     )
