@@ -328,7 +328,7 @@ class BufferedPipeline:
             _pipeline_steps,
             self.mode,
             buffered,
-            (pools.copy_in.size, pools.compute.size, pools.copy_out.size),
+            (pools.copy_in, pools.compute, pools.copy_out),
             self.params.s_copy,
             self.s_comp,
             tuple(blocks),

@@ -5,7 +5,7 @@ discrete-event, bandwidth-contention performance simulator of a KNL
 (Xeon Phi 7250) compute node with its two-level memory system
 (DDR4 + MCDRAM), the four MCDRAM usage modes studied by the paper
 (flat, hardware cache, hybrid, implicit cache), a line-granularity
-direct-mapped model of the MCDRAM cache, and the tile/mesh topology.
+direct-mapped model of the MCDRAM cache.
 
 The central abstraction is a *flow*: a thread pool streaming bytes
 through one or more bandwidth resources. Phase execution solves a
@@ -18,7 +18,6 @@ from repro.simknl.engine import Engine, Phase, Plan, RunResult
 from repro.simknl.devices import MemoryDevice, ddr4_device, mcdram_device
 from repro.simknl.cache import DirectMappedCache, CacheStats
 from repro.simknl.cache_analytic import StreamingCacheModel, CacheTraffic
-from repro.simknl.topology import KNLTopology, Tile
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "CacheStats",
     "StreamingCacheModel",
     "CacheTraffic",
-    "KNLTopology",
-    "Tile",
     "KNLNode",
     "KNLNodeConfig",
     "MemoryMode",

@@ -52,8 +52,9 @@ plan once. A group builder may share work between the cells of one
 call (the sort-variant builder computes each megachunk size's scalars
 and looks up each template once) but keeps nothing across calls. The
 builder is each cell's only definition, and plan cells in
-``sweep_map`` are the only way the experiment drivers reach the
-engine.
+``sweep_map`` are how the experiment drivers reach the engine. The one
+exception is ``faults``: ``experiments.extensions._fault_cell`` calls
+``Engine.run`` on degraded resources directly.
 """
 
 from __future__ import annotations

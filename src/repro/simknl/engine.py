@@ -51,11 +51,6 @@ _EPS = 1e-12
 #: times. Only rates are cached, never plans or results.
 _RATE_MEMO: dict[tuple, list[float]] = {}
 
-#: Bound on memoized solutions; reached only by adversarial plans
-#: (every phase structurally unique), at which point the memo is
-#: dropped wholesale rather than LRU-tracked.
-_RATE_MEMO_MAX = 4096
-
 
 @dataclass
 class Phase:
@@ -396,10 +391,6 @@ def _repetitions(
 #: never rows, plans or results.
 _TEMPLATE_MEMO: dict[tuple, PlanTemplate] = {}
 
-#: Bound on memoized templates; like ``_RATE_MEMO`` the memo is dropped
-#: wholesale when it is reached.
-_TEMPLATE_MEMO_MAX = 1024
-
 
 def plan_template(
     build: Callable[..., Sequence[TemplateStep]], *key
@@ -415,10 +406,7 @@ def plan_template(
     memo_key = (build, key)
     template = _TEMPLATE_MEMO.get(memo_key)
     if template is None:
-        template = PlanTemplate(build(*key))
-        if len(_TEMPLATE_MEMO) >= _TEMPLATE_MEMO_MAX:
-            _TEMPLATE_MEMO.clear()
-        _TEMPLATE_MEMO[memo_key] = template
+        template = _TEMPLATE_MEMO[memo_key] = PlanTemplate(build(*key))
     return template
 
 
@@ -481,8 +469,6 @@ class Engine:
         cached = memo.get(key)
         if cached is None:
             rates = allocate_rates(live, self.resources)
-            if len(memo) >= _RATE_MEMO_MAX:
-                memo.clear()
             memo[key] = cached = [rates[id(f)] for f in live]
         return cached
 

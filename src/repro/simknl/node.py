@@ -1,4 +1,4 @@
-"""The assembled KNL node: devices + topology + boot-time memory mode.
+"""The assembled KNL node: devices + boot-time memory mode.
 
 The BIOS-selected memory mode determines how the 16 GB of MCDRAM is
 exposed:
@@ -29,7 +29,6 @@ from repro.simknl.devices import MemoryDevice, ddr4_device, mcdram_device
 from repro.simknl.batch import run_batch
 from repro.simknl.engine import Engine, Plan, RunResult
 from repro.simknl.flows import Resource
-from repro.simknl.topology import KNLTopology
 from repro.units import CACHE_LINE, GB, GiB
 
 
@@ -107,8 +106,6 @@ class KNLNode:
     cache_model:
         Analytic model of the MCDRAM cache portion, or None in FLAT
         mode (where no cache exists).
-    topology:
-        Tile/mesh structure consistent with the core count.
     """
 
     def __init__(self, config: KNLNodeConfig | None = None) -> None:
@@ -123,17 +120,6 @@ class KNLNode:
             bandwidth=cfg.mcdram_bandwidth,
             capacity=cfg.mcdram_capacity,
             latency=cfg.mcdram_latency,
-        )
-        cores_per_tile = 2
-        active_tiles = -(-cfg.cores // cores_per_tile)
-        rows = 6
-        self.topology = KNLTopology(
-            rows=rows,
-            cols=-(-active_tiles // rows),
-            active_tiles=active_tiles,
-            cores_per_tile=cores_per_tile,
-            threads_per_core=cfg.threads_per_core,
-            cores=cfg.cores,
         )
         if self.cache_capacity > 0:
             self.cache_model: StreamingCacheModel | None = StreamingCacheModel(
@@ -195,8 +181,6 @@ class KNLNode:
 
 #: Nodes booted by :func:`boot`, one per configuration.
 _BOOTED: dict[KNLNodeConfig, KNLNode] = {}
-#: Bound on :data:`_BOOTED`; the memo is dropped wholesale when full.
-_BOOTED_MAX = 256
 
 
 def boot(config: KNLNodeConfig | None = None) -> KNLNode:
@@ -209,7 +193,5 @@ def boot(config: KNLNodeConfig | None = None) -> KNLNode:
     config = config or KNLNodeConfig()
     node = _BOOTED.get(config)
     if node is None:
-        if len(_BOOTED) >= _BOOTED_MAX:
-            _BOOTED.clear()
         node = _BOOTED[config] = KNLNode(config)
     return node

@@ -1,105 +1,46 @@
 """Thread pools and the compute / copy-in / copy-out split.
 
 The buffered chunking scheme of Section 3 partitions the node's
-hardware threads into up to three disjoint pools. :class:`PoolSet`
-owns that partition, validates it against the node, and builds
-:class:`~repro.simknl.flows.Flow` objects for each pool's role.
+hardware threads into up to three disjoint pools. The model (Eqs. 1-5)
+and the engine read only the pool sizes, so :class:`PoolSet` holds
+three thread counts and validates them against the node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.errors import ConfigError
-from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
 from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
-from repro.threads.affinity import AffinityPolicy, assign_threads
-
-
-@dataclass(frozen=True)
-class ThreadPool:
-    """A named set of hardware threads.
-
-    Attributes
-    ----------
-    name:
-        Role name (``"compute"``, ``"copy-in"``, ``"copy-out"``).
-    threads:
-        Global hardware thread ids, disjoint from other pools.
-    """
-
-    name: str
-    threads: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of threads in the pool."""
-        return len(self.threads)
-
-    def flow(
-        self,
-        per_thread_rate: float,
-        resources: Mapping[str, float],
-        nbytes: float,
-        name: str | None = None,
-    ) -> Flow:
-        """Build a flow with this pool's thread count."""
-        return Flow(
-            name=name or self.name,
-            threads=self.size,
-            per_thread_rate=per_thread_rate,
-            resources=dict(resources),
-            bytes_total=nbytes,
-        )
 
 
 @dataclass
 class PoolSet:
-    """A disjoint partition of node threads into role pools."""
+    """Thread counts of the compute, copy-in and copy-out pools."""
 
-    compute: ThreadPool
-    copy_in: ThreadPool
-    copy_out: ThreadPool
+    compute: int
+    copy_in: int
+    copy_out: int
 
     def __post_init__(self) -> None:
-        pools = (self.compute, self.copy_in, self.copy_out)
-        if len(set().union(*(p.threads for p in pools))) != self.total:
-            # Some id appears twice: walk the pools to name it.
-            seen: set[int] = set()
-            for pool in pools:
-                own: set[int] = set()
-                for t in pool.threads:
-                    if t in own:
-                        raise ConfigError(
-                            f"pool {pool.name!r} repeats thread {t}"
-                        )
-                    own.add(t)
-                overlap = seen.intersection(own)
-                if overlap:
-                    raise ConfigError(
-                        f"pool {pool.name!r} reuses threads "
-                        f"{sorted(overlap)[:5]}"
-                    )
-                seen.update(own)
         tel = _tm.current()
         if tel.enabled:
             gauge = tel.metrics.gauge(_tn.POOL_THREADS)
-            gauge.set(self.compute.size, role="compute")
-            gauge.set(self.copy_in.size, role="copy-in")
-            gauge.set(self.copy_out.size, role="copy-out")
+            gauge.set(self.compute, role="compute")
+            gauge.set(self.copy_in, role="copy-in")
+            gauge.set(self.copy_out, role="copy-out")
 
     @property
     def total(self) -> int:
         """Total threads across all pools."""
-        return self.compute.size + self.copy_in.size + self.copy_out.size
+        return self.compute + self.copy_in + self.copy_out
 
     @property
     def copy_threads(self) -> int:
         """Combined copy-in + copy-out threads (the model's p_in + p_out)."""
-        return self.copy_in.size + self.copy_out.size
+        return self.copy_in + self.copy_out
 
     @classmethod
     def split(
@@ -108,13 +49,11 @@ class PoolSet:
         compute: int,
         copy_in: int,
         copy_out: int | None = None,
-        policy: AffinityPolicy = AffinityPolicy.SCATTER,
     ) -> "PoolSet":
         """Partition the node's threads into the three role pools.
 
         ``copy_out`` defaults to ``copy_in`` (the model's symmetric
-        assumption). The compute pool gets the first slots so it keeps
-        whole cores under SCATTER.
+        assumption).
 
         Raises
         ------
@@ -131,15 +70,7 @@ class PoolSet:
             raise ConfigError(
                 f"{total} threads requested but node has {node.total_threads}"
             )
-        slots = assign_threads(node.topology, total, policy)
-        c = tuple(slots[:compute])
-        ci = tuple(slots[compute : compute + copy_in])
-        co = tuple(slots[compute + copy_in :])
-        return cls(
-            compute=ThreadPool("compute", c),
-            copy_in=ThreadPool("copy-in", ci),
-            copy_out=ThreadPool("copy-out", co),
-        )
+        return cls(compute=compute, copy_in=copy_in, copy_out=copy_out)
 
     @classmethod
     def compute_only(

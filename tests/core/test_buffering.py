@@ -13,7 +13,7 @@ from repro.core.chunking import Chunker
 from repro.core.kernel import StreamKernel
 from repro.core.modes import UsageMode
 from repro.errors import CapacityError, ConfigError
-from repro.model.analytic import predict
+from repro.model.analytic import compute_time, copy_time, predict
 from repro.model.params import ModelParams
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.threads.pool import PoolSet
@@ -205,7 +205,7 @@ class TestTimingAgainstModel:
         of ``p`` copy threads, 256 threads in all) takes Eq. 1's
         ``t_total`` for one chunk, to within a few ulp — over the
         whole symmetric-pool range, with or without a ragged final
-        chunk. Fill and drain steps are not covered."""
+        chunk. Fill and drain steps are the next property's."""
         total = full_chunks * chunk + int(tail * chunk) // 8 * 8
         node = flat_node()
         pipe = BufferedPipeline(
@@ -225,6 +225,58 @@ class TestTimingAgainstModel:
         assert len(steady) == full_chunks - 2
         for t in steady:
             assert abs(t - eq1) <= 4 * math.ulp(eq1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.integers(min_value=1, max_value=127),
+        passes=st.one_of(
+            st.just(0.0),
+            st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0, 64.0, 128.0]),
+            st.floats(min_value=0.25, max_value=128.0),
+        ),
+        chunk=st.integers(min_value=1, max_value=512 * 1024).map(
+            lambda n: n * 8 * 1024
+        ),
+        n=st.integers(min_value=4, max_value=14),
+    )
+    def test_fill_and_drain_steps_are_closed_forms(self, p, passes, chunk, n):
+        """Fill and drain of a flat-mode pipeline of ``n`` full chunks
+        take Eqs. 2 and 4 with the pools that are live in each step,
+        to within a few ulp, so the whole run is fill + Eq. 1 x (n - 2)
+        + drain. ``copy_time`` of half a chunk is one chunk moved in
+        one direction. Steps touching a ragged final chunk are not
+        covered."""
+        pc = 256 - 2 * p
+        node = flat_node()
+        res = BufferedPipeline(
+            node,
+            UsageMode.FLAT,
+            PoolSet.split(node, compute=pc, copy_in=p),
+            Chunker(n * chunk, chunk),
+            StreamKernel(passes=passes),
+            ModelParams(),
+        ).run()
+        half = ModelParams().with_data_size(chunk / 2)
+        full = ModelParams().with_data_size(chunk)
+        copy_in = copy_time(half, p, 0)
+        copy_out = copy_time(half, 0, p)
+        eq1 = predict(full, pc, p, p, passes).t_total
+        closed = [
+            copy_in,
+            max(copy_in, compute_time(full, pc, p, 0, passes)),
+            *[eq1] * (n - 2),
+            max(compute_time(full, pc, 0, p, passes), copy_out),
+            copy_out,
+        ]
+        times = res.run.phase_times
+        assert len(times) == n + 2
+        for step in (0, 1, n, n + 1):
+            t, want = times[step], closed[step]
+            assert abs(t - want) <= 4 * math.ulp(want), step
+        total = 0.0
+        for t in closed:
+            total += t
+        assert abs(res.elapsed - total) <= (n + 2) * 4 * math.ulp(total)
 
     def test_more_passes_takes_longer(self):
         t = [

@@ -29,6 +29,7 @@ from repro.experiments.figure8 import (
 from repro.simknl import engine
 from repro.simknl.batch import run_batch
 from repro.simknl.engine import Engine, Phase, Plan
+from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.threads.pool import PoolSet
 from repro.units import GiB, MiB
@@ -46,12 +47,13 @@ def eager_plan(pipe: BufferedPipeline) -> Plan:
     """The pipeline's plan built phase by phase, as ``build_plan`` did
     before it emitted templates."""
 
-    def copy(pool, nbytes, label):
-        return pool.flow(
+    def copy(threads, nbytes, label):
+        return Flow(
+            name=label,
+            threads=threads,
             per_thread_rate=pipe.params.s_copy,
             resources={"ddr": 1.0, "mcdram": 1.0},
-            nbytes=nbytes,
-            name=label,
+            bytes_total=nbytes,
         )
 
     def compute(chunk_bytes, label):
@@ -63,11 +65,12 @@ def eager_plan(pipe: BufferedPipeline) -> Plan:
             write_fraction=pipe.kernel.write_fraction,
             cold=True,
         )
-        return pipe.pools.compute.flow(
+        return Flow(
+            name=label,
+            threads=pipe.pools.compute,
             per_thread_rate=pipe.s_comp,
             resources=resources,
-            nbytes=pipe.kernel.logical_bytes(chunk_bytes),
-            name=label,
+            bytes_total=pipe.kernel.logical_bytes(chunk_bytes),
         )
 
     chunker = pipe.chunker

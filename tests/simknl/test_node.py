@@ -96,17 +96,6 @@ class TestDevices:
         )
 
 
-class TestTopologyConsistency:
-    def test_topology_thread_count_matches_config(self):
-        n = KNLNode()
-        assert n.topology.num_threads == n.total_threads
-
-    def test_small_node(self):
-        n = KNLNode(KNLNodeConfig(cores=4, threads_per_core=2))
-        assert n.topology.num_cores >= 4
-        assert n.total_threads == 8
-
-
 class TestExecution:
     def test_run_plan(self):
         n = KNLNode()
@@ -126,15 +115,6 @@ class TestBoot:
         assert boot(KNLNodeConfig(mode=MemoryMode.FLAT)) is flat
         assert boot(KNLNodeConfig(mode=MemoryMode.CACHE)) is not flat
         assert boot() is boot(KNLNodeConfig())
-
-    def test_memo_dropped_when_full(self, monkeypatch):
-        monkeypatch.setattr(node_mod, "_BOOTED", {})
-        monkeypatch.setattr(node_mod, "_BOOTED_MAX", 2)
-        first = boot(KNLNodeConfig(cores=2))
-        boot(KNLNodeConfig(cores=4))
-        boot(KNLNodeConfig(cores=6))
-        assert len(node_mod._BOOTED) == 1
-        assert boot(KNLNodeConfig(cores=2)) is not first
 
     def test_resources_built_once(self):
         n = KNLNode()

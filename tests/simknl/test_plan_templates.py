@@ -218,13 +218,3 @@ def test_node_mode_is_checked_at_template_build_and_never_cached(memo):
         with pytest.raises(ConfigError, match="requires BIOS mode"):
             mlm_sort_plan(cache_node(), config)
     assert not memo
-
-
-def test_memo_stays_within_its_bound(memo, monkeypatch):
-    monkeypatch.setattr(engine, "_TEMPLATE_MEMO_MAX", 4)
-    node = flat_node()
-    for threads in range(1, 12):
-        plan = gnu_sort_plan(node, 1_000_000_000, threads=threads)
-        assert len(memo) <= 4
-        assert plan.template in memo.values()
-    assert all(isinstance(t, engine.PlanTemplate) for t in memo.values())
