@@ -3,10 +3,11 @@
 The ``single`` strategy emits the triple-buffered steady state — one
 ``static_rates`` step per inner chunk, identical but for names — as
 one repeated block. ``run_batch`` evaluates a plan with a repeated
-block as a one-row tensor, so per-phase Python overhead is paid once
-per *block* rather than once per *chunk*. These benchmarks time an
-identical plan through ``run_batch`` and the ``Engine.run`` reference
-loop and gate the speedup the tensor path exists to provide.
+block as one row on ``run_rows`` (a batch this small stays off the
+NumPy tensor), so each phase is solved once per *block* rather than
+once per *chunk*. These benchmarks time an identical plan through
+``run_batch`` and the ``Engine.run`` reference loop and gate the
+speedup the fast path exists to provide.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def test_bench_nvm_reference_plan(benchmark, flat_node):
 
 
 def test_batched_at_least_5x_faster(flat_node):
-    """The acceptance bar: tensor evaluation of a chunked NVM plan is
-    at least 5x faster than the per-phase reference loop."""
+    """The acceptance bar: fast-path evaluation of a chunked NVM plan
+    is at least 5x faster than the per-phase reference loop."""
     pipe = _pipeline(flat_node)
     plan = pipe.build_plan("single")
     eng = _engine(pipe)

@@ -342,7 +342,7 @@ class BufferedPipeline:
         buffer check: an over-committed configuration raises the same
         :class:`~repro.errors.CapacityError`. The cross-cell sweep
         lowering (:mod:`repro.simknl.batch`) uses this to collect many
-        cells' plans before one tensor evaluation.
+        cells' plans before one batched evaluation.
         """
         self._reserve_buffers()
         return self.build_plan()

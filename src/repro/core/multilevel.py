@@ -308,7 +308,7 @@ class ThreeLevelPipeline:
         ``single`` and ``double`` emit structurally identical inner
         steps — and the repeated steady-state blocks of ``single`` and
         ``double`` take :func:`~repro.simknl.batch.run_batch`'s one-row
-        tensor path.
+        fast path.
         """
         plan = self.build_plan(strategy)
         return run_batch(self._engine, [plan])[0]

@@ -812,8 +812,8 @@ def _energy_cell(variant: str, n: int) -> PlanBatch:
     """One variant's raw run measurements: ``(elapsed, traffic)``.
 
     The energy conversion happens in the parent via
-    :meth:`~repro.simknl.energy.EnergyModel.report_many`, vectorized
-    across all variants at once.
+    :meth:`~repro.simknl.energy.EnergyModel.report_many` over all
+    variants' runs.
     """
     node, plan = _sort_variant_plan(variant, n, "random")
     return PlanBatch(

@@ -6,9 +6,10 @@ space — usage mode, chunk size, copy-thread split, and a hypothetical
 MCDRAM bandwidth scaling — runs every configuration on the simulated
 node, prices each run with the energy model (faster MCDRAM stacks pay
 proportionally more idle power), and reports the Pareto front over
-(time, joules, EDP). The whole sweep lowers to the cross-cell tensor
+(time, joules, EDP). The whole sweep lowers to the cross-cell fast
 path: every cell is a static- or dynamic-phase pipeline plan, so
-structurally identical cells evaluate as one NumPy batch.
+structurally identical cells evaluate as one batch (a few plans each,
+row by row in plain floats).
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def _pareto_cell(
     """One configuration's raw measurements: ``(elapsed, traffic)``.
 
     Energy conversion happens in the parent (idle power depends on the
-    cell's MCDRAM scaling, and :meth:`EnergyModel.report_many`
-    vectorizes across the sweep).
+    cell's MCDRAM scaling, so :meth:`EnergyModel.report_many` prices
+    each scaling's runs with that scaling's model).
     """
     pipe = _pareto_pipeline(
         mode_value, data_gib, chunk_mib, copy_threads, mcdram_scale
@@ -133,8 +134,8 @@ def run_pareto(
         # DDR never chunks: one whole-data "chunk".
         cells.append(("ddr", data_gib, int(data_gib * GiB) // MiB, 0, scale))
     raw = sweep_map(_pareto_cell, cells, store=store)
-    # Energy pricing: one vectorized report per MCDRAM scaling (idle
-    # power differs per scale).
+    # Energy pricing: one report_many per MCDRAM scaling (idle power
+    # differs per scale).
     reports: dict[int, Any] = {}
     for scale in mcdram_scales:
         idx = [i for i, c in enumerate(cells) if c[4] == scale]

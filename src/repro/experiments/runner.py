@@ -6,7 +6,7 @@ node configuration and timed plan; :class:`ExperimentResult` is the
 uniform record every driver returns; :func:`sweep_map` evaluates a
 sweep's independent cells in order, in-process, with two-tier
 config-hash memoization (in-memory dict first, then the on-disk
-:mod:`~repro.experiments.store` result store) and the cross-cell tensor
+:mod:`~repro.experiments.store` result store) and the cross-cell batched
 fast path;
 :func:`replay_session` switches :func:`sweep_map` into pure-lookup
 replay, the engine-free re-render mode behind ``repro-knl replay``.
@@ -281,7 +281,7 @@ def sweep_map(
     and across processes and CI runs via the store. Cells that repeat
     *within* one call are deduplicated before evaluation. Pending
     cells of a :func:`~repro.simknl.batch.plan_group` cell are built
-    and evaluated together on the cross-cell tensor path
+    and evaluated together on the cross-cell fast path
     (:func:`~repro.simknl.batch.evaluate_cells`), bit-identical to
     per-cell calls; any other function runs as serial ``fn(*cell)``
     calls. Neither tier is bounded: ``repro-knl all`` leaves 183
@@ -336,9 +336,9 @@ def sweep_map(
         indices = list(pending.values())
         build = getattr(fn, "plan_batch", None)
         if build is not None:
-            # Cross-cell tensor fast path: one call of a plan cell's
-            # builder lowers every pending cell to plans, evaluated with a
-            # handful of NumPy ops, bit-identical to per-cell ``fn``
+            # Cross-cell fast path: one call of a plan cell's builder
+            # lowers every pending cell to plans, evaluated per plan
+            # template as one batch, bit-identical to per-cell ``fn``
             # calls (:mod:`repro.simknl.batch`). Replay sweeps never
             # reach this branch — they are handled above.
             from repro.simknl.batch import evaluate_cells

@@ -11,33 +11,44 @@ whether the workload is copy- or compute-bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.model.optimizer import optimal_copy_threads
 from repro.model.params import ModelParams
 
 
-def pareto_front(points) -> np.ndarray:
-    """Boolean mask of the minimization Pareto front of ``points``.
+def pareto_front(points) -> list[bool]:
+    """Mask of the minimization Pareto front of ``points``.
 
-    ``points`` is an ``(n, k)`` array-like of objective vectors, every
-    objective minimized. A point is on the front when no other point is
-    at least as good in every objective and strictly better in one.
-    Duplicates of a front point are all kept (neither strictly
-    dominates the other). One vectorized ``(n, n, k)`` comparison —
-    fine for the few-hundred-point design sweeps this module runs.
+    ``points`` is a non-empty sequence of equal-length, NaN-free
+    objective vectors, every objective minimized. A point is on the
+    front when no other point is at least as good in every objective
+    and strictly better in one. Duplicates of a front point are all
+    kept (neither strictly dominates the other).
+
+    The points are visited in lexicographic order and each is tested
+    only against the front found so far. That is exact: dominance is
+    transitive, so a dominated point has a dominator on the front, and
+    a dominator sorts before the point it dominates.
     """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+    vectors = [tuple(p) for p in points]
+    if not vectors or not vectors[0] or any(
+        len(v) != len(vectors[0]) for v in vectors
+    ):
         raise ConfigError("points must be a non-empty (n, k) array")
-    # dom[i, j]: point j dominates point i.
-    dom = (arr[None, :, :] <= arr[:, None, :]).all(axis=-1) & (
-        arr[None, :, :] < arr[:, None, :]
-    ).any(axis=-1)
-    return ~dom.any(axis=1)
+    mask = [False] * len(vectors)
+    front: list[tuple] = []
+    for i in sorted(range(len(vectors)), key=vectors.__getitem__):
+        v = vectors[i]
+        for f in front:
+            if f != v and all(map(operator.le, f, v)):
+                break  # dominated
+        else:
+            mask[i] = True
+            front.append(v)
+    return mask
 
 
 @dataclass(frozen=True)

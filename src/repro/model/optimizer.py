@@ -11,13 +11,13 @@ returns the argmin — reproducing the "Model" column of Table 3.
 from __future__ import annotations
 
 import functools
+import math
+from itertools import compress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.model.analytic import ModelPrediction
+from repro.model.analytic import ModelPrediction, predict
 from repro.model.params import ModelParams
 
 
@@ -55,98 +55,21 @@ class OptimizerResult:
         return self.best.t_total
 
 
-def predict_sweep(
-    params: ModelParams,
-    p_comp,
-    p_in,
-    p_out=None,
-    passes: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eqs. 1-5 over parallel arrays of thread splits, in one shot.
-
-    Bit-identical elementwise to :func:`repro.model.analytic.predict`:
-    every arithmetic step applies the same operation in the same order
-    to the same IEEE-754 operands, just across whole arrays at once.
-    Returns ``(c_copy, c_comp, t_copy, t_comp, t_total)`` arrays.
-    """
-    p_comp = np.asarray(p_comp, dtype=np.int64)
-    p_in = np.asarray(p_in, dtype=np.int64)
-    p_out = p_in if p_out is None else np.asarray(p_out, dtype=np.int64)
-    if (p_comp < 1).any():
-        raise ConfigError("compute thread counts must be >= 1")
-    if (p_in < 0).any() or (p_out < 0).any():
-        raise ConfigError("copy thread counts must be non-negative")
-    if passes < 0:
-        raise ConfigError("passes must be non-negative")
-    p = p_in + p_out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Eq. 3: saturated threads share DDR; p == 0 means no copying.
-        c_copy = np.where(
-            p == 0,
-            0.0,
-            np.where(
-                p * params.s_copy <= params.ddr_max,
-                params.s_copy,
-                params.ddr_max / p,
-            ),
-        )
-        # Eq. 2.
-        t_copy = np.where(p == 0, np.inf, 2.0 * params.b_copy / (p * c_copy))
-        # Eq. 5: copy pools take their share first, compute splits the rest.
-        demand = p_comp * params.s_comp + p * params.s_copy
-        leftover = params.mcdram_max - p * c_copy
-        c_comp = np.where(
-            demand <= params.mcdram_max,
-            params.s_comp,
-            np.where(
-                leftover <= 0,
-                0.0,
-                np.minimum(params.s_comp, leftover / p_comp),
-            ),
-        )
-        # Eq. 4.
-        if passes == 0:
-            t_comp = np.zeros_like(c_comp)
-        else:
-            t_comp = np.where(
-                c_comp <= 0,
-                np.inf,
-                2.0 * params.b_copy * passes / (p_comp * c_comp),
-            )
-    # Eq. 1.
-    t_total = np.maximum(t_copy, t_comp)
-    return c_copy, c_comp, t_copy, t_comp, t_total
-
-
 def _feasible_splits(
     total_threads: int, p_in_values: Sequence[int] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(p_comp, p_in)`` arrays of the feasible candidate splits."""
+) -> list[int]:
+    """The candidate ``p_in`` values that leave at least one compute
+    thread."""
     if total_threads < 3:
         raise ConfigError("need at least 3 threads (1 compute + 1 in + 1 out)")
     if p_in_values is None:
-        p_in_values = list(range(1, (total_threads - 1) // 2 + 1))
+        return list(range(1, (total_threads - 1) // 2 + 1))
     p_ins = [p_in for p_in in p_in_values if total_threads - 2 * p_in >= 1]
     if not p_ins:
         raise ConfigError("no feasible thread split")
-    p_in_arr = np.array(p_ins, dtype=np.int64)
-    return total_threads - 2 * p_in_arr, p_in_arr
-
-
-def _prediction(p_comp, p_in, passes, arrays, i: int) -> ModelPrediction:
-    """Candidate ``i``'s :class:`ModelPrediction` from the sweep arrays."""
-    c_copy, c_comp, t_copy, t_comp, t_total = arrays
-    return ModelPrediction(
-        p_comp=int(p_comp[i]),
-        p_in=int(p_in[i]),
-        p_out=int(p_in[i]),
-        passes=passes,
-        c_copy=float(c_copy[i]),
-        c_comp=float(c_comp[i]),
-        t_copy=float(t_copy[i]),
-        t_comp=float(t_comp[i]),
-        t_total=float(t_total[i]),
-    )
+    if min(p_ins) < 0:
+        raise ConfigError("copy thread counts must be non-negative")
+    return p_ins
 
 
 def sweep_copy_threads(
@@ -170,10 +93,9 @@ def sweep_copy_threads(
         Candidate copy-in counts; default is every feasible value
         ``1 .. (total_threads - 1) // 2``.
     """
-    p_comp, p_in = _feasible_splits(total_threads, p_in_values)
-    arrays = predict_sweep(params, p_comp, p_in, passes=passes)
     return [
-        _prediction(p_comp, p_in, passes, arrays, i) for i in range(len(p_in))
+        predict(params, total_threads - 2 * p_in, p_in, passes=passes)
+        for p_in in _feasible_splits(total_threads, p_in_values)
     ]
 
 
@@ -185,23 +107,65 @@ def optimal_copy_threads(
 ) -> OptimizerResult:
     """The model's predicted optimal ``p_in`` (ties go to fewer threads).
 
-    The argmin is taken on the sweep's ``t_total`` array; only the
-    winner becomes a :class:`ModelPrediction`.
+    Eq. 1 is evaluated per split in plain floats — the operations of
+    :func:`repro.model.analytic.predict`, in its order, so the same
+    ``t_total`` bit for bit — and only the winner becomes a
+    :class:`ModelPrediction`.
     """
     if p_in_values is not None:
         p_in_values = tuple(p_in_values)
-    p_comp, p_in = _feasible_splits(total_threads, p_in_values)
-    arrays = predict_sweep(params, p_comp, p_in, passes=passes)
-    t_total = arrays[-1]
+    p_ins = _feasible_splits(total_threads, p_in_values)
+    if passes < 0:
+        raise ConfigError("passes must be non-negative")
+    s_copy = params.s_copy
+    s_comp = params.s_comp
+    ddr_max = params.ddr_max
+    mcdram_max = params.mcdram_max
+    two_b = 2.0 * params.b_copy
+    two_b_passes = two_b * passes
+    inf = math.inf
+    total = float(total_threads)
+    t_total: list[float] = []
+    append = t_total.append
+    # Float operands throughout: ``float(p) * x`` is what ``p * x``
+    # computes for an int ``p``, and float arithmetic runs faster.
+    for p_in in p_ins:
+        p = p_in * 2.0
+        p_comp = total - p
+        ps = p * s_copy
+        # Eq. 3 gives ``c_copy``; ``copied = p * c_copy`` and Eq. 2.
+        if not p:  # no copy threads: nothing is copied
+            copied = 0.0
+            t_copy = inf
+        elif ps <= ddr_max:  # c_copy = s_copy
+            copied = ps
+            t_copy = two_b / ps
+        else:  # c_copy = ddr_max / p
+            copied = p * (ddr_max / p)
+            t_copy = two_b / copied
+        # Eq. 5 gives ``c_comp`` (copy pools take their share first,
+        # compute splits the rest), then Eq. 4.
+        if not passes:
+            t_comp = 0.0
+        elif p_comp * s_comp + ps <= mcdram_max:  # c_comp = s_comp
+            t_comp = two_b_passes / (p_comp * s_comp)
+        else:
+            leftover = mcdram_max - copied
+            c_comp = 0.0 if leftover <= 0 else leftover / p_comp
+            if c_comp > s_comp:
+                c_comp = s_comp
+            t_comp = two_b_passes / (p_comp * c_comp) if c_comp > 0 else inf
+        # Eq. 1.
+        append(t_comp if t_comp > t_copy else t_copy)
     # On the copy-bound plateau every saturating p_in yields the same
     # time up to floating-point division noise; prefer the fewest copy
-    # threads among near-ties (they free compute resources). argmin
-    # keeps the first of equal p_in, as a min() over the curve would.
-    t_min = t_total.min()
-    near = np.flatnonzero(t_total <= t_min + t_min * 1e-9)
-    best = int(near[np.argmin(p_in[near])])
+    # threads among near-ties (they free compute resources), the first
+    # of equal p_in, as a min() over the curve would.
+    t_min = min(t_total)
+    cutoff = t_min + t_min * 1e-9
+    best = min(compress(p_ins, map(cutoff.__ge__, t_total)))
     return OptimizerResult(
-        best=_prediction(p_comp, p_in, passes, arrays, best),
+        best=predict(params, total_threads - 2 * best, best, passes=passes),
         params=params,
         total_threads=total_threads,
         passes=passes,

@@ -5,7 +5,8 @@ discrete-event, bandwidth-contention performance simulator of a KNL
 (Xeon Phi 7250) compute node with its two-level memory system
 (DDR4 + MCDRAM), the four MCDRAM usage modes studied by the paper
 (flat, hardware cache, hybrid, implicit cache), a line-granularity
-direct-mapped model of the MCDRAM cache.
+direct-mapped model of the MCDRAM cache (``repro.simknl.cache``, a
+NumPy test oracle, imported only where it is used).
 
 The central abstraction is a *flow*: a thread pool streaming bytes
 through one or more bandwidth resources. Phase execution solves a
@@ -16,7 +17,6 @@ the paper's Equations 3 and 5.
 from repro.simknl.flows import Flow, Resource, allocate_rates
 from repro.simknl.engine import Engine, Phase, Plan, RunResult
 from repro.simknl.devices import MemoryDevice, ddr4_device, mcdram_device
-from repro.simknl.cache import DirectMappedCache, CacheStats
 from repro.simknl.cache_analytic import StreamingCacheModel, CacheTraffic
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 
@@ -31,8 +31,6 @@ __all__ = [
     "MemoryDevice",
     "ddr4_device",
     "mcdram_device",
-    "DirectMappedCache",
-    "CacheStats",
     "StreamingCacheModel",
     "CacheTraffic",
     "KNLNode",

@@ -1,43 +1,52 @@
-"""Tensor evaluation of plans: one NumPy evaluation for a whole sweep.
+"""Fast evaluation of plans: one lowered shape for a whole sweep.
 
 The paper's sweeps (Table 1, Figures 6-8) evaluate thousands of cells
 that differ only in sizes and rates over a structurally identical plan.
 A plan holds its pipeline steady state as one repeated block
-(:class:`~repro.simknl.engine.Block`); this module stacks N plans with
+(:class:`~repro.simknl.engine.Block`); this module lowers N plans with
 the same block structure and live-flow signatures (only
-``bytes_total`` and repeat counts varying) into one ``(cells x
-columns)`` tensor — live-flow byte demands plus one repeat-count
-column per block — and evaluates it with a handful of vectorized ops:
-one water-filling solve per template phase, broadcast per-cell phase
-times, cumsum time and traffic accumulation. :func:`run_batch` is the
-one place that chooses this path over the reference loop: for more
-than one plan, or for one plan with a repeated block (a one-row
-tensor).
+``bytes_total`` and repeat counts varying) to one shared
+:class:`LoweredSweep` plus one row per plan — live-flow byte demands,
+then one repeat count per block — and evaluates the rows on one of two
+paths. :func:`run_batch` is the one place that chooses:
 
-Each plan's tensor row is its :attr:`~repro.simknl.engine.Plan.row`.
-The sort builders emit lazy plans: a
-:class:`~repro.simknl.engine.PlanTemplate`, built once per process
-with its lowered shape, plus the cell's row. Lowering their sweep is
-one ``np.array`` over the rows, and :func:`evaluate_cells` groups them
-by template identity; no ``Phase``/``Flow`` object is built per cell.
+* **one plan without a repeated block**: :meth:`Engine.run`, the
+  reference loop;
+* **fewer than** :data:`TENSOR_MIN_PLANS` **plans** (every batch a
+  shipped artifact makes): :func:`run_rows`, row by row in plain
+  floats. Each template phase is evaluated once per distinct demand
+  slice and its time and traffic replayed per repetition. No NumPy is
+  imported;
+* **larger batches** (the 4,000-cell benchmark sweep's big groups):
+  :func:`run_lowered`, one ``(cells x columns)`` NumPy tensor evaluated
+  with a handful of vectorized ops — one water-filling solve per
+  template phase, broadcast per-cell phase times, cumsum time and
+  traffic accumulation. NumPy is imported inside these functions, on
+  first use.
 
-Bit-identity with the per-phase reference loop of :meth:`Engine.run`
-(the oracle) rests on three facts:
+Each plan's row is its :attr:`~repro.simknl.engine.Plan.row`. The sort
+builders emit lazy plans: a :class:`~repro.simknl.engine.PlanTemplate`,
+built once per process with its lowered shape, plus the cell's row.
+:func:`evaluate_cells` groups them by template identity; no
+``Phase``/``Flow`` object is built per cell.
+
+Bit-identity of both paths with the per-phase reference loop of
+:meth:`Engine.run` (the oracle) rests on three facts:
 
 * a memoized water-filling solve is positionally bit-identical to a
   re-solve for equal structural signatures;
-* ``max``/``min`` folds over floats are exact, and ``np.cumsum``'s
-  strict left-to-right association reproduces the reference ``+=``
-  chains bit for bit — a block repeated ``k`` times contributes ``k``
-  additions, never one ``k * t``;
-* zero-padding is bitwise neutral — ``x + 0.0 == x`` for the finite
-  non-negative totals the engine accumulates — which is what lets
-  rectangular arrays cover cells with fewer repetitions and phases
-  whose flows finish early.
+* ``max``/``min`` folds over floats are exact, and both the plain-float
+  ``reduce`` chains and ``np.cumsum`` add strictly left to right, as
+  the reference ``+=`` chains do — a block repeated ``k`` times
+  contributes ``k`` additions, never one ``k * t``;
+* in the tensor, zero-padding is bitwise neutral — ``x + 0.0 == x`` for
+  the finite non-negative totals the engine accumulates — which is
+  what lets rectangular arrays cover cells with fewer repetitions and
+  phases whose flows finish early.
 
-Anything the tensor cannot express — starved allocations, rounds where
-some phase completes no flow — falls back to the reference loop, per
-plan. Telemetry never does: every run, on either path, is recorded
+Anything the fast path cannot express — starved allocations, rounds
+where some phase completes no flow — falls back to the reference loop,
+per plan. Telemetry never does: every run, on either path, is recorded
 afterwards from its :class:`RunResult` by
 :func:`~repro.simknl.engine.observe`.
 
@@ -60,15 +69,18 @@ exception is ``faults``: ``experiments.extensions._fault_cell`` calls
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import PlanError
 from repro.simknl.engine import _EPS, Engine, Plan, RunResult, observe
 from repro.simknl.flows import Flow, Resource
 from repro.telemetry.runtime import Telemetry, telemetry_session
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PlanBatch",
@@ -81,12 +93,19 @@ __all__ = [
     "plan_group",
     "run_batch",
     "run_lowered",
+    "run_rows",
 ]
+
+#: Smallest batch :func:`run_batch` evaluates as one NumPy tensor;
+#: smaller ones run on :func:`run_rows`. Measured per batch, plain
+#: Python won every batch of up to 8 plans and the tensor every batch
+#: of 20 or more; no sweep makes a batch in between.
+TENSOR_MIN_PLANS = 16
 
 
 def _resource_columns(
     flows: Sequence[Flow],
-) -> list[tuple[str, list[int], np.ndarray]]:
+) -> list[tuple[str, list[int], list[float]]]:
     """Per-resource ``(name, flow columns, multipliers)`` triples, in
     the reference loop's first-touch order (columns ascending)."""
     seen: dict[str, list[int]] = {}
@@ -94,11 +113,7 @@ def _resource_columns(
         for name in f.resources:
             seen.setdefault(name, []).append(j)
     return [
-        (
-            name,
-            cols,
-            np.array([flows[j].resources[name] for j in cols], dtype=np.float64),
-        )
+        (name, cols, [flows[j].resources[name] for j in cols])
         for name, cols in seen.items()
     ]
 
@@ -130,6 +145,8 @@ def batched_dynamic(
     :class:`~repro.errors.SimulationError`. One live flow takes the
     loop's single round directly (:func:`_single_flow`).
     """
+    import numpy as np
+
     n, k = bytes_matrix.shape
     if k == 0:
         return np.zeros(n, dtype=np.float64), []
@@ -196,6 +213,8 @@ def _single_flow(
     """:func:`batched_dynamic` for one live flow: the lock-step loop's
     single round over its single group, done directly. Same arithmetic
     on the same operands, so bit-identical to the loop."""
+    import numpy as np
+
     (rate,) = allocate([flow])
     if rate <= 0.0:
         return None  # zero aggregate rate: reference raises
@@ -218,24 +237,25 @@ def _single_flow(
 @dataclass
 class _LoweredPhase:
     """One template phase: its live flows, the ``[lo, hi)`` column slice
-    they occupy in the bytes tensor, and the per-resource columns."""
+    they occupy in a row, and the per-resource columns."""
 
     static: bool
     flows: list[Flow]
     lo: int
     hi: int
-    resource_cols: list[tuple[str, list[int], np.ndarray]]
+    resource_cols: list[tuple[str, list[int], list[float]]]
 
 
 @dataclass
 class LoweredSweep:
-    """A sweep's shared shape: block structure plus tensor layout.
+    """A sweep's shared shape: block structure plus row layout.
 
-    Pair with a ``(cells, width)`` tensor — per cell one row: first
-    ``slots`` columns of live-flow byte demands over the block
-    templates in plan order, then one repeat-count column per block —
-    and feed both to :func:`run_lowered`. ``blocks`` holds each
-    block's ``[lo, hi)`` range into ``phases``.
+    Pair with per cell one row of ``width`` entries — first ``slots``
+    live-flow byte demands over the block templates in plan order,
+    then one repeat count per block — and feed both to
+    :func:`run_rows`, or stack the rows into a ``(cells, width)``
+    tensor for :func:`run_lowered`. ``blocks`` holds each block's
+    ``[lo, hi)`` range into ``phases``.
     """
 
     structure: tuple
@@ -272,25 +292,31 @@ def lower_template(plan: Plan) -> LoweredSweep:
 
 
 def lower_plans(plans: Sequence[Plan]) -> tuple[LoweredSweep, np.ndarray]:
-    """Stack N structurally identical plans into one tensor.
+    """Stack N structurally identical plans into one NumPy tensor.
 
-    The first plan gives the shared shape: a lazy plan's template holds
-    it ready, any other plan is lowered here. Each plan contributes its
-    :attr:`~repro.simknl.engine.Plan.row` — its block templates'
-    live-flow byte demands in plan order, then its blocks' repeat
-    counts — so plans that differ only in chunk count share one shape.
+    The first plan gives the shared shape (:func:`_lowered`). Each plan
+    contributes its :attr:`~repro.simknl.engine.Plan.row` — its block
+    templates' live-flow byte demands in plan order, then its blocks'
+    repeat counts — so plans that differ only in chunk count share one
+    shape.
     The tensor is the sweep's entire variable state — 8 bytes per live
     flow slot and per block, per cell.
     """
-    template = plans[0].template
-    if template is None:
-        lowered = lower_template(plans[0])
-    else:
-        lowered = template.lowered
-        if lowered is None:
-            lowered = template.lowered = lower_template(template.shape)
+    import numpy as np
+
     tensor = np.array([plan.row for plan in plans], dtype=np.float64)
-    return lowered, tensor
+    return _lowered(plans[0]), tensor
+
+
+def _lowered(plan: Plan) -> LoweredSweep:
+    """``plan``'s shared shape: a lazy plan's template holds it ready,
+    any other plan is lowered here."""
+    template = plan.template
+    if template is None:
+        return lower_template(plan)
+    if template.lowered is None:
+        template.lowered = lower_template(template.shape)
+    return template.lowered
 
 
 def _repeat_columns(
@@ -301,6 +327,8 @@ def _repeat_columns(
     row repeated fewer times than ``most``). The zeros are bitwise
     neutral in the running sums: ``t + 0.0 == t`` for the engine's
     finite non-negative totals."""
+    import numpy as np
+
     most = keep.shape[1]
     if most == 1:
         return x
@@ -327,6 +355,8 @@ def run_lowered(
     callers with the original plans fall back to per-cell ``run``. The
     results are not observed; that is the caller's job.
     """
+    import numpy as np
+
     if tensor.ndim != 2 or tensor.shape[1] != lowered.width:
         raise PlanError(
             f"tensor has shape {tensor.shape}, expected "
@@ -414,20 +444,150 @@ def run_lowered(
     return results
 
 
+def _phase_steps(
+    ph: _LoweredPhase,
+    demands: Sequence[float],
+    rates: list[float],
+    allocate: Callable[[list[Flow]], list[float]],
+) -> tuple[float, dict[str, list[float]]] | None:
+    """One template phase on one row's ``demands``, in plain floats:
+    its elapsed time and, per resource, the traffic additions in the
+    reference loop's order. ``rates`` is the solve for all of the
+    phase's live flows. The arithmetic is :meth:`Engine._run_phase`'s,
+    operation for operation; ``None`` wherever that loop raises."""
+    flows = ph.flows
+    if not flows:
+        return 0.0, {}
+    if ph.static:
+        if min(rates) <= 0:
+            return None  # starved static flow
+        return max(map(operator.truediv, demands, rates)), {
+            name: [demands[j] * mult for j, mult in zip(cols, mults)]
+            for name, cols, mults in ph.resource_cols
+        }
+    steps: dict[str, list[float]] = {}
+    live = flows
+    remaining = list(demands)
+    totals = remaining
+    elapsed = 0.0
+    for _ in range(len(flows) + 1):
+        if not live:
+            break
+        if live is not flows:
+            rates = allocate(live)
+        dt = math.inf
+        for rem, r in zip(remaining, rates):
+            if r > 0 and rem / r < dt:
+                dt = rem / r
+        if math.isinf(dt):
+            return None  # zero aggregate rate (starvation)
+        elapsed += dt
+        next_live = []
+        next_remaining = []
+        next_totals = []
+        for f, rem, total, r in zip(live, remaining, totals, rates):
+            moved = r * dt
+            rem = max(0.0, rem - moved)
+            for name, mult in f.resources.items():
+                steps.setdefault(name, []).append(moved * mult)
+            if rem <= _EPS * max(1.0, total):
+                continue  # drained
+            next_live.append(f)
+            next_remaining.append(rem)
+            next_totals.append(total)
+        if len(next_live) == len(live):
+            return None  # no flow completed
+        live, remaining, totals = next_live, next_remaining, next_totals
+    if live:
+        return None  # exceeded iteration bound
+    return elapsed, steps
+
+
+def _chain(terms: list[float]) -> float:
+    """``0.0 + terms[0] + terms[1] + ...``, strictly left to right: the
+    reference loop's ``+=`` chain. (``sum`` compensates on 3.12+.)"""
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+_positive = (0.0).__lt__
+
+
+def run_rows(
+    engine: Engine, lowered: LoweredSweep, rows: Sequence[Sequence[float]]
+) -> list[RunResult] | None:
+    """Evaluate a lowered sweep row by row in plain floats: one
+    :class:`RunResult` per row, as :func:`run_lowered` returns for the
+    same rows as a tensor.
+
+    Each row's template phases are evaluated once, by
+    :func:`_phase_steps`, and memoized within the call on ``(phase,
+    demands)``: sweep cells share most of their steps. A block repeated
+    ``k`` times then contributes its phase times and traffic ``k``
+    times to the left-to-right chains — never ``k * t``. Returns
+    ``None`` exactly where :func:`run_lowered` does: a non-positive row
+    entry, a starved allocation, a round that completes no flow, or the
+    iteration bound. The results are not observed.
+    """
+    slots = lowered.slots
+    phases = lowered.phases
+    allocate = engine._allocate
+    solves = [allocate(ph.flows) if ph.flows else [] for ph in phases]
+    memo: dict[tuple, tuple[float, dict[str, list[float]]]] = {}
+    results = []
+    for row in rows:
+        if not all(map(_positive, row)):
+            return None  # a zero-byte slot changes liveness
+        phase_times: list[float] = []
+        chains: dict[str, list[float]] = {name: [] for name in engine.resources}
+        for (lo, hi), repeat in zip(lowered.blocks, row[slots:]):
+            times = []
+            traffic: dict[str, list[float]] = {}
+            for pi in range(lo, hi):
+                ph = phases[pi]
+                key = (pi, tuple(row[ph.lo:ph.hi]))
+                out = memo.get(key)
+                if out is None:
+                    out = _phase_steps(ph, key[1], solves[pi], allocate)
+                    if out is None:
+                        return None
+                    memo[key] = out
+                times.append(out[0])
+                if hi - lo == 1:
+                    traffic = out[1]
+                else:
+                    for name, terms in out[1].items():
+                        traffic.setdefault(name, []).extend(terms)
+            k = int(repeat)
+            phase_times.extend(times * k)
+            for name, terms in traffic.items():
+                chains[name].extend(terms * k)
+        results.append(
+            RunResult(
+                elapsed=_chain(phase_times),
+                traffic={name: _chain(terms) for name, terms in chains.items()},
+                phase_times=phase_times,
+            )
+        )
+    return results
+
+
 def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
-    """Run N structurally identical plans, as one tensor evaluation
-    where the tensor applies.
+    """Run N structurally identical plans on the fast path where it
+    applies.
 
     Bit-identical to ``[engine.run(p) for p in plans]``, telemetry
-    included: tensor results are recorded by
+    included: fast-path results are recorded by
     :func:`~repro.simknl.engine.observe` in plan order, just as the
-    sequential runs record themselves. The tensor is used for more than
-    one plan, or for one plan with a block repeated at least twice;
-    a single plan without one runs on :meth:`Engine.run`, as does every
-    plan when the tensor evaluation declines (starved allocation,
-    no-completion round) — in which case the reference path also
-    raises the precise per-phase :class:`~repro.errors.SimulationError`
-    the serial caller would have seen.
+    sequential runs record themselves. The fast path takes more than
+    one plan, or one plan with a block repeated at least twice: a
+    batch of at least :data:`TENSOR_MIN_PLANS` plans as one NumPy
+    tensor (:func:`run_lowered`), a smaller one row by row in plain
+    floats (:func:`run_rows`). A single plan without a repeated block
+    runs on :meth:`Engine.run`, as does every plan when the fast path
+    declines (starved allocation, no-completion round) — in which case
+    the reference path also raises the precise per-phase
+    :class:`~repro.errors.SimulationError` the serial caller would
+    have seen.
 
     Raises :class:`~repro.errors.PlanError` if the plans do not share
     one block structure (use :meth:`Plan.structure` to pre-group).
@@ -448,7 +608,10 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
                     f"run_batch: plan {p.name!r} does not share the "
                     "batch's block structure"
                 )
-    results = run_lowered(engine, *lower_plans(plans))
+    if len(plans) >= TENSOR_MIN_PLANS:
+        results = run_lowered(engine, *lower_plans(plans))
+    else:
+        results = run_rows(engine, _lowered(plans[0]), [p.row for p in plans])
     if results is None:
         return [engine.run(p) for p in plans]
     for plan, result in zip(plans, results):
@@ -516,7 +679,7 @@ def evaluate_cells(
     build: Callable[[Sequence[tuple]], list[PlanBatch]],
     cells: Sequence[tuple],
 ) -> list[Any]:
-    """Evaluate sweep cells via cross-cell tensor batching.
+    """Evaluate sweep cells via cross-cell batching.
 
     Builds every cell's :class:`PlanBatch` with one ``build(cells)``
     call, groups all resulting plans by ``(resource tuple, plan

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.simknl.engine import RunResult
 
@@ -139,49 +137,5 @@ class EnergyModel:
         results: Sequence[RunResult],
         devices: Iterable[str] | None = None,
     ) -> list[EnergyReport]:
-        """Vectorized :meth:`report` across many runs.
-
-        The joules computation runs as one NumPy multiply per resource
-        (and per idle device) across the whole result list instead of
-        one Python loop iteration per run — the fast path for the
-        ``energy`` driver's per-variant sweep. Values are bit-identical
-        to calling :meth:`report` on each result (elementwise IEEE
-        multiplies on the same operands).
-        """
-        results = list(results)
-        if not results:
-            return []
-        elapsed = np.asarray([r.elapsed for r in results], dtype=np.float64)
-        names: list[str] = []
-        seen: set[str] = set()
-        for r in results:
-            for res in r.traffic:
-                if res not in seen:
-                    seen.add(res)
-                    names.append(res)
-        dyn_cols = {
-            res: np.asarray(
-                [r.traffic.get(res, 0.0) for r in results],
-                dtype=np.float64,
-            )
-            * self.energy_per_byte.get(res, 0.0)
-            for res in names
-        }
-        idle_cols = {
-            dev: watts * elapsed for dev, watts in self.idle_power.items()
-        }
-        reports = []
-        for i, r in enumerate(results):
-            dynamic = {res: float(dyn_cols[res][i]) for res in r.traffic}
-            idle = {
-                dev: float(idle_cols[dev][i])
-                for dev in self._idle_devices(r, devices)
-            }
-            reports.append(
-                EnergyReport(
-                    dynamic_joules=dynamic,
-                    idle_joules=idle,
-                    elapsed=r.elapsed,
-                )
-            )
-        return reports
+        """:meth:`report` for each run, in order."""
+        return [self.report(r, devices) for r in results]

@@ -13,7 +13,7 @@ up because bandwidth is re-shared.
 A plan stores its phases as run-length :class:`Block` entries, so the
 pipeline steady state is held once with its repeat count.
 :meth:`Engine.run` is the per-phase reference loop and nothing else;
-the tensor path (:func:`repro.simknl.batch.run_batch`) must match it
+the fast path (:func:`repro.simknl.batch.run_batch`) must match it
 bit for bit.
 
 A builder whose cells differ only in sizes (the sort builders) emits a
@@ -22,7 +22,7 @@ A builder whose cells differ only in sizes (the sort builders) emits a
 key; the plan's :class:`Phase`/:class:`Flow` objects are built only
 when :attr:`Plan.blocks` or :attr:`Plan.phases` is read — by the
 reference loop or by :func:`observe` under a telemetry session. The
-tensor path reads the template's lowered shape and the row directly.
+fast path reads the template's lowered shape and the row directly.
 
 The engine accumulates per-resource traffic counters so experiments can
 report DDR/MCDRAM traffic (used for the Bender et al. corroboration of
@@ -245,9 +245,9 @@ class Plan:
         """The plan's bytes row: every block's live-flow byte demands in
         block, phase and flow order, then every block's repeat count.
 
-        Plans with equal :meth:`structure` differ only here; it is one
-        row of :func:`repro.simknl.batch.lower_plans`' tensor. A lazy
-        plan holds it; any other plan walks its blocks.
+        Plans with equal :meth:`structure` differ only here; it is what
+        :mod:`repro.simknl.batch`'s fast path evaluates. A lazy plan
+        holds it; any other plan walks its blocks.
         """
         if self.template is not None:
             return self._row
@@ -325,9 +325,9 @@ class PlanTemplate:
     Steps count repetitions across all blocks, so names such as
     ``mega3/copy-in`` follow from ``i``; the structure must not. The
     template is built from placeholder byte demands and validated once;
-    its :attr:`structure` is computed on first use, and its tensor
-    layout :attr:`lowered` by :func:`repro.simknl.batch.lower_plans` on
-    first use, so a plan that only ever runs on the reference loop
+    its :attr:`structure` is computed on first use, and its lowered
+    shape :attr:`lowered` by :mod:`repro.simknl.batch` on first
+    fast-path use, so a plan that only ever runs on the reference loop
     never lowers its template.
     """
 
@@ -351,8 +351,8 @@ class PlanTemplate:
             self.phase_counts.append(len(block.phases))
             lo = hi
         self.slots = lo
-        #: The shared tensor layout (a ``batch.LoweredSweep``), set by
-        #: :func:`repro.simknl.batch.lower_plans` on first use.
+        #: The shared lowered shape (a ``batch.LoweredSweep``), set by
+        #: :mod:`repro.simknl.batch` on first fast-path use.
         self.lowered = None
 
     @functools.cached_property
@@ -477,7 +477,7 @@ class Engine:
 
         The result is then recorded by :func:`observe`, so an active
         telemetry session sees the same metrics and events as for a
-        tensor run of the same plan.
+        fast-path run of the same plan.
         """
         plan.validate()
         clock = 0.0
@@ -562,7 +562,7 @@ class Engine:
 def observe(plan: Plan, result: RunResult) -> None:
     """Record one finished run of ``plan`` in the active telemetry.
 
-    A pure function of the plan and its result, so the tensor path and
+    A pure function of the plan and its result, so the fast path and
     the reference loop are observed identically. Outside a session it
     returns at once. Phase timestamps replay the reference loop's own
     ``clock += t`` chain over ``result.phase_times``, offset by the

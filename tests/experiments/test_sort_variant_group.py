@@ -94,8 +94,9 @@ def fresh(monkeypatch):
 
 def test_each_distinct_plan_runs_once(monkeypatch, fresh):
     """GNU ignores the megachunk, so these six cells hold two plans on
-    one template: a two-row tensor. Each cell is still observed, so
-    the telemetry equals six direct calls'."""
+    one template: one two-row batch, which ``run_batch`` evaluates on
+    ``run_rows``. Each cell is still observed, so the telemetry equals
+    six direct calls'."""
     cells = [
         ("GNU-flat", 2_000_000_000, "random", None, mega)
         for mega in (None, 250_000_000, 500_000_000, 1_000_000_000)
@@ -104,13 +105,13 @@ def test_each_distinct_plan_runs_once(monkeypatch, fresh):
         for mega in (None, 1_000_000_000)
     ]
     rows: list[int] = []
-    real = batch.run_lowered
+    real = batch.run_rows
 
-    def counting(engine, lowered, tensor):
-        rows.append(tensor.shape[0])
-        return real(engine, lowered, tensor)
+    def counting(engine, lowered, plan_rows):
+        rows.append(len(plan_rows))
+        return real(engine, lowered, plan_rows)
 
-    monkeypatch.setattr(batch, "run_lowered", counting)
+    monkeypatch.setattr(batch, "run_rows", counting)
     with telemetry_session() as swept:
         got = sweep_map(sort_variant_seconds, cells, memo={})
     assert rows == [2]

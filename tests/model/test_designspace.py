@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.model.designspace import (
     crossover_passes,
     evaluate_point,
+    pareto_front,
     sweep_bandwidth_ratio,
     sweep_far_bandwidth,
 )
@@ -78,3 +81,66 @@ class TestCrossover:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ConfigError):
             crossover_passes(lo=2.0, hi=1.0)
+
+
+def _brute_front(points) -> list[bool]:
+    """The definition, pair by pair: a point is on the front unless
+    another is no worse everywhere and strictly better somewhere."""
+    return [
+        not any(
+            all(a <= b for a, b in zip(q, p)) and any(a < b for a, b in zip(q, p))
+            for q in points
+        )
+        for p in points
+    ]
+
+
+class TestParetoFront:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=30),
+    )
+    def test_matches_pairwise_definition(self, data, k, n):
+        """Few distinct values per objective, so ties in one objective
+        and exact duplicate points are common."""
+        value = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, float("inf")])
+        distinct = data.draw(
+            st.lists(st.tuples(*[value] * k), min_size=1, max_size=n)
+        )
+        picks = data.draw(
+            st.lists(st.sampled_from(distinct), min_size=n, max_size=n)
+        )
+        points = distinct + picks
+        mask = pareto_front(points)
+        assert type(mask) is list
+        assert mask == _brute_front(points)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, width=16),
+                st.floats(allow_nan=False, width=16),
+                st.floats(allow_nan=False, width=16),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_pairwise_definition_on_floats(self, points):
+        assert pareto_front(points) == _brute_front(points)
+
+    def test_duplicates_of_a_front_point_all_stay(self):
+        assert pareto_front([(1, 2), (2, 1), (1, 2), (2, 2)]) == [
+            True,
+            True,
+            True,
+            False,
+        ]
+
+    @pytest.mark.parametrize("points", [[], [()], [(1, 2), (3,)]])
+    def test_rejects_malformed_points(self, points):
+        with pytest.raises(ConfigError):
+            pareto_front(points)

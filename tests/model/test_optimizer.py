@@ -131,8 +131,8 @@ positive = st.floats(min_value=1e6, max_value=1e13, allow_nan=False)
     ),
 )
 def test_argmin_matches_rule_over_curve(params, budget, passes, subset):
-    """The array argmin picks, field for field, what the near-tie rule
-    picks over the full curve, and the lazy curve is that curve."""
+    """The float-loop argmin picks, field for field, what the near-tie
+    rule picks over the full curve, and the lazy curve is that curve."""
     try:
         curve = sweep_copy_threads(params, budget, passes, subset)
     except ConfigError:
@@ -145,6 +145,48 @@ def test_argmin_matches_rule_over_curve(params, budget, passes, subset):
     for name in ("p_comp", "p_in", "p_out", "passes"):
         assert type(getattr(res.best, name)) is type(getattr(want, name))
     assert res.curve == tuple(curve)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=st.builds(
+        ModelParams,
+        b_copy=positive,
+        ddr_max=positive,
+        mcdram_max=positive,
+        s_copy=positive,
+        s_comp=positive,
+    ),
+    budget=st.integers(min_value=3, max_value=272),
+    passes=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=128)),
+    others=st.lists(st.integers(min_value=0, max_value=140), max_size=8),
+)
+def test_near_tie_rule_with_zero_copy_threads(params, budget, passes, others):
+    """``p_in = 0`` copies nothing: an infinite ``t_total`` that must
+    never win unless every candidate is infinite, and then the fewest
+    threads (0) win. The float loop's ``p == 0`` branches must agree
+    with the rule over the curve."""
+    subset = [0, *others]
+    curve = sweep_copy_threads(params, budget, passes, subset)
+    res = optimal_copy_threads(params, budget, passes, subset)
+    assert res.best == _today_rule(curve)
+    if all(m.t_total == float("inf") for m in curve):
+        assert res.p_in == 0
+
+
+@pytest.mark.parametrize("passes", [0.0, 1.0])
+def test_zero_copy_threads_alone(passes):
+    res = optimal_copy_threads(P, 256, passes, [0])
+    assert (res.p_in, res.best.p_comp, res.t_total) == (0, 256, float("inf"))
+    assert res.best == sweep_copy_threads(P, 256, passes, [0])[0]
+
+
+def test_negative_copy_threads_rejected():
+    for fn in (optimal_copy_threads, sweep_copy_threads):
+        with pytest.raises(ConfigError, match="non-negative"):
+            fn(P, 256, 1.0, [4, -1])
+    with pytest.raises(ConfigError, match="passes"):
+        optimal_copy_threads(P, 256, -1.0)
 
 
 def test_curve_is_built_only_when_read(monkeypatch):

@@ -1,5 +1,6 @@
-"""Fixtures that observe which evaluation path a plan took, and the
-reference engine the fast path is checked against."""
+"""Fixtures that observe which evaluation path a plan took, run both
+fast evaluators directly, and make the reference engine the fast path
+is checked against."""
 
 from __future__ import annotations
 
@@ -12,32 +13,63 @@ from repro.simknl.engine import Engine
 from repro.simknl.flows import Resource, allocate_rates
 
 
+#: The two fast evaluators ``run_batch`` picks between by batch size.
+FAST_PATHS = ("run_rows", "run_lowered")
+
+# Bound at import, before any test patches them, so ``fast_paths``
+# calls the real evaluators and the path spies never see its calls.
+run_rows, run_lowered = batch.run_rows, batch.run_lowered
+
+
 @pytest.fixture
-def tensor_rows(monkeypatch) -> list[int]:
-    """Rows evaluated per :func:`batch.run_lowered` call that returned
-    results — the tensor path, which only ``run_batch`` takes."""
+def fast_rows(monkeypatch) -> list[int]:
+    """Rows evaluated per fast-path call that returned results — a
+    :func:`batch.run_rows` or :func:`batch.run_lowered` call, which
+    only ``run_batch`` makes."""
     rows: list[int] = []
-    real = batch.run_lowered
 
-    def counting(engine, lowered, tensor):
-        results = real(engine, lowered, tensor)
-        if results is not None:
-            rows.append(len(results))
-        return results
+    def counting(real):
+        def spy(engine, lowered, rows_or_tensor):
+            results = real(engine, lowered, rows_or_tensor)
+            if results is not None:
+                rows.append(len(results))
+            return results
 
-    monkeypatch.setattr(batch, "run_lowered", counting)
+        return spy
+
+    for name in FAST_PATHS:
+        monkeypatch.setattr(batch, name, counting(getattr(batch, name)))
     return rows
 
 
 @pytest.fixture
-def no_tensor(monkeypatch) -> None:
-    """Fail the test if the tensor path is entered: the run must stay on
-    the per-phase reference loop."""
+def no_fast_path(monkeypatch) -> None:
+    """Fail the test if either fast evaluator is entered: the run must
+    stay on the per-phase reference loop."""
 
-    def refuse(engine, lowered, tensor):
-        raise AssertionError("run_lowered called on a reference-loop run")
+    def refuse(engine, lowered, rows_or_tensor):
+        raise AssertionError("fast path called on a reference-loop run")
 
-    monkeypatch.setattr(batch, "run_lowered", refuse)
+    for name in FAST_PATHS:
+        monkeypatch.setattr(batch, name, refuse)
+
+
+@pytest.fixture(scope="session")
+def fast_paths() -> Callable[[Engine, list], dict[str, list | None]]:
+    """Evaluate one structurally identical batch of plans on both fast
+    evaluators directly, whatever its size: ``{"run_rows": ...,
+    "run_lowered": ...}``, each a result list or ``None`` (declined).
+    ``run_batch`` alone would give small test batches to ``run_rows``
+    only. Session-scoped, so Hypothesis tests may use it."""
+
+    def evaluate(engine: Engine, plans: list) -> dict[str, list | None]:
+        lowered, tensor = batch.lower_plans(plans)
+        return {
+            "run_rows": run_rows(engine, lowered, [p.row for p in plans]),
+            "run_lowered": run_lowered(engine, lowered, tensor),
+        }
+
+    return evaluate
 
 
 @pytest.fixture(scope="session")

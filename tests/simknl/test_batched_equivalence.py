@@ -1,16 +1,17 @@
-"""Tests pinning single-plan tensor evaluation to the per-phase
+"""Tests pinning single-plan fast-path evaluation to the per-phase
 reference loop.
 
 Plan builders emit the pipeline steady state as one repeated block;
 :func:`~repro.simknl.batch.run_batch` evaluates one plan with a
-repeated block as a one-row :func:`~repro.simknl.batch.run_lowered`.
+repeated block as a one-row :func:`~repro.simknl.batch.run_rows`.
 ``Engine.run`` is the per-phase reference loop, and these tests hold
-the two bit-identical — ``elapsed``, ``phase_times``, and ``traffic``
-— across strategies, odd-sized final chunks and random plans with
-repeated blocks (``test_fast_path_oracle.py`` adds random cells and the
-real plan builders), assert the documented fallback (starved
-allocations) really does run the reference loop, and that a telemetry
-session does not.
+both fast evaluators bit-identical to it — ``elapsed``,
+``phase_times``, and ``traffic`` — across strategies, odd-sized final
+chunks and random plans with repeated blocks, the random ones also on
+a one-row :func:`~repro.simknl.batch.run_lowered`
+(``test_fast_path_oracle.py`` adds random cells and the real plan
+builders), assert the documented fallback (starved allocations) really
+does run the reference loop, and that a telemetry session does not.
 """
 
 from __future__ import annotations
@@ -37,10 +38,16 @@ RESOURCES = [
 ]
 
 
-def run_both(plan: Plan) -> tuple:
-    """``plan``'s ``run_batch`` result and its reference-loop result."""
+def run_both(plan: Plan, fast_paths) -> tuple:
+    """``plan``'s ``run_batch`` result and its reference-loop result,
+    after checking that both fast evaluators, called directly, give the
+    reference result too."""
     fast = batch.run_batch(Engine(RESOURCES), [plan])[0]
-    return fast, Engine(RESOURCES).run(plan)
+    ref = Engine(RESOURCES).run(plan)
+    for path, outs in fast_paths(Engine(RESOURCES), [plan]).items():
+        assert outs is not None, f"{path} declined"
+        assert_identical(outs[0], ref)
+    return fast, ref
 
 
 def assert_identical(a, b) -> None:
@@ -64,19 +71,26 @@ def pipeline(data_bytes: int, passes: float = 3) -> ThreeLevelPipeline:
     "data_bytes",
     [int(20 * GiB), int(20 * GiB) + 8, int(50 * GiB) - 8],
 )
-def test_pipeline_strategies_bit_identical(strategy, data_bytes, tensor_rows):
+def test_pipeline_strategies_bit_identical(
+    strategy, data_bytes, fast_rows, fast_paths
+):
     ref_pipe = pipeline(data_bytes)
     ref = ref_pipe._engine.run(ref_pipe.build_plan(strategy))
-    assert tensor_rows == []
+    assert fast_rows == []
     fast = pipeline(data_bytes).run(strategy)
     assert_identical(fast, ref)
+    pipe = pipeline(data_bytes)
+    plans = [pipe.build_plan(strategy)]
+    for path, outs in fast_paths(pipe._engine, plans).items():
+        assert outs is not None, f"{path} declined"
+        assert_identical(outs[0], ref)
     if strategy == "single":
-        assert tensor_rows == [1]  # the triple-buffered steady state
+        assert fast_rows == [1]  # the triple-buffered steady state
 
 
-def test_single_strategy_uses_batched_path(tensor_rows):
+def test_single_strategy_uses_batched_path(fast_rows):
     pipeline(30 * GiB, passes=2).run("single")
-    assert tensor_rows == [1]
+    assert fast_rows == [1]
 
 
 def test_compare_shares_one_engine(monkeypatch):
@@ -140,18 +154,18 @@ def build_plan(phases, repeats: int) -> Plan:
     phases=st.lists(phase_strategy, min_size=1, max_size=4),
     repeats=st.integers(min_value=1, max_value=6),
 )
-def test_random_plans_bit_identical(phases, repeats):
+def test_random_plans_bit_identical(phases, repeats, fast_paths):
     plan = build_plan(phases, repeats)
-    fast_res, ref_res = run_both(plan)
+    fast_res, ref_res = run_both(plan, fast_paths)
     assert_identical(fast_res, ref_res)
 
 
 # ---- structure --------------------------------------------------------
 
 
-def test_zero_byte_flows_drop_out_of_structure(tensor_rows):
+def test_zero_byte_flows_drop_out_of_structure(fast_rows, fast_paths):
     """A zero-byte flow is dead weight in the reference loop; the
-    lowered tensor must skip it identically."""
+    lowered shape must skip it identically."""
     phase = Phase(
         "s",
         [
@@ -161,9 +175,9 @@ def test_zero_byte_flows_drop_out_of_structure(tensor_rows):
         static_rates=True,
     )
     plan = Plan("zeros", [phase] * 4)
-    fast_res, ref_res = run_both(plan)
+    fast_res, ref_res = run_both(plan, fast_paths)
     assert_identical(fast_res, ref_res)
-    assert tensor_rows == [1]
+    assert fast_rows == [1]
     assert fast_res.traffic["mcdram"] == 0.0
 
 
@@ -188,14 +202,14 @@ def steady_plan(n: int = 8) -> Plan:
     return Plan("steady").add_block(step, 0, n)
 
 
-def test_telemetry_session_keeps_tensor_path(tensor_rows):
+def test_telemetry_session_keeps_tensor_path(fast_rows):
     plan = steady_plan()
     with _tm.telemetry_session() as tel_fast:
         res_fast = batch.run_batch(Engine(RESOURCES), [plan])[0]
-    assert tensor_rows == [1]
+    assert fast_rows == [1]
     with _tm.telemetry_session() as tel_ref:
         res_ref = Engine(RESOURCES).run(plan)
-    assert tensor_rows == [1]  # the reference engine ran the loop
+    assert fast_rows == [1]  # the reference engine ran the loop
     assert_identical(res_fast, res_ref)
     assert tel_fast.snapshot() == tel_ref.snapshot()
     assert [(e.name, e.time, e.attrs) for e in tel_fast.events] == [
@@ -203,9 +217,9 @@ def test_telemetry_session_keeps_tensor_path(tensor_rows):
     ]
 
 
-def test_engine_run_is_only_the_reference_loop(no_tensor, reference_engine):
-    """``Engine.run`` never enters the tensor path: with ``run_lowered``
-    refusing, plans whose steady state repeats at least three times
+def test_engine_run_is_only_the_reference_loop(no_fast_path, reference_engine):
+    """``Engine.run`` never enters the fast path: with ``run_rows`` and
+    ``run_lowered`` refusing, plans whose steady state repeats at least three times
     still return the reference result — on the engine a pipeline holds
     and on a bare one."""
     pipe = pipeline(30 * GiB, passes=2)
@@ -219,13 +233,15 @@ def test_engine_run_is_only_the_reference_loop(no_tensor, reference_engine):
         assert_identical(eng.run(plan), want)
 
 
-def test_starved_group_raises_like_reference():
+def test_starved_group_raises_like_reference(fast_paths):
     """A zero-rate allocation (defensive; unreachable through the real
-    max-min allocator) must make the tensor path decline, so the
+    max-min allocator) must make both fast evaluators decline, so the
     reference loop raises its per-phase starvation error."""
     plan = steady_plan(3)
     eng = Engine(RESOURCES)
     eng._allocate = lambda live: [0.0] * len(live)
+    declined = {"run_rows": None, "run_lowered": None}
+    assert fast_paths(eng, [plan]) == declined
     for run in (lambda: batch.run_batch(eng, [plan]), lambda: eng.run(plan)):
         with pytest.raises(SimulationError, match="phase 's0'.*starved"):
             run()
@@ -249,7 +265,7 @@ def test_inner_chunk_variation_only_in_bytes():
     assert repeats == [1, 1, plan.num_phases - 5, 1, 1, 1]
 
 
-def test_nvm_and_mixed_dynamic_static_interleaving(tensor_rows):
+def test_nvm_and_mixed_dynamic_static_interleaving(fast_rows, fast_paths):
     def round_(i: int) -> list[Phase]:
         return [
             Phase(
@@ -272,7 +288,7 @@ def test_nvm_and_mixed_dynamic_static_interleaving(tensor_rows):
         ]
 
     plan = Plan("mix").add_block(round_, 0, 3)
-    fast_res, ref_res = run_both(plan)
+    fast_res, ref_res = run_both(plan, fast_paths)
     assert_identical(fast_res, ref_res)
-    assert tensor_rows == [1]
+    assert fast_rows == [1]
     assert [p.name for p in plan.phases][3:6] == ["dyn1", "st1.0", "st1.1"]

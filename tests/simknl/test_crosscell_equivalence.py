@@ -1,15 +1,19 @@
-"""Tests pinning cross-cell tensor batching to per-cell runs.
+"""Tests pinning cross-cell batching to per-cell runs.
 
-``batch.run_batch`` stacks N structurally identical plans into one
-bytes tensor and evaluates the whole sweep with vectorized NumPy ops.
-These tests hold it bit-identical — ``elapsed``, ``phase_times``,
-``traffic`` — to ``[engine.run(p) for p in plans]``, the per-phase
-reference loop, across the three-level pipeline strategies (static ``single``
-and dynamic ``double``), odd cell counts and random mixed
-static/dynamic structures (``test_fast_path_oracle.py`` adds repeated
-blocks and the real plan builders), assert the documented fallbacks
-(starved allocations, zero-byte cells) really do bypass the tensor
-path, and that a telemetry session does not.
+``batch.run_batch`` evaluates N structurally identical plans on one
+lowered shape: below ``TENSOR_MIN_PLANS`` plans row by row in plain
+floats (``run_rows``), from there on as one bytes tensor with
+vectorized NumPy ops (``run_lowered``). These tests hold
+``run_batch`` and both evaluators, called directly on the same lowered
+batch, bit-identical — ``elapsed``, ``phase_times``, ``traffic`` — to
+``[engine.run(p) for p in plans]``, the per-phase reference loop,
+across the three-level pipeline strategies (static ``single`` and
+dynamic ``double``), odd cell counts and random mixed static/dynamic
+structures (``test_fast_path_oracle.py`` adds repeated blocks and the
+real plan builders). They pin which evaluator a batch size takes,
+assert the documented fallbacks (starved allocations, zero-byte cells,
+non-positive row entries) really do bypass the fast path, and that a
+telemetry session does not.
 """
 
 from __future__ import annotations
@@ -82,14 +86,14 @@ def pipeline_plans(strategy: str, data_sizes) -> tuple[Engine, list[Plan]]:
 @pytest.mark.parametrize("strategy", ["single", "double"])
 @pytest.mark.parametrize("cells", [2, 3, 5])
 def test_pipeline_strategies_bit_identical_across_cells(
-    strategy, cells, tensor_rows
+    strategy, cells, fast_rows, fast_paths
 ):
     # Shrink by whole elements: the final chunk goes ragged but chunk
     # counts — and hence plan structure — stay identical across cells.
     sizes = [int(20 * GiB) - 8 * (i + 1) for i in range(cells)]
     engine, plans = pipeline_plans(strategy, sizes)
     results = run_batch(engine, plans)
-    assert tensor_rows == [cells]
+    assert fast_rows == [cells]
     refs = []
     for nbytes, plan in zip(sizes, plans):
         node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
@@ -99,9 +103,13 @@ def test_pipeline_strategies_bit_identical_across_cells(
         refs.append(pipe._engine.run(pipe.build_plan(strategy)))
     for got, ref in zip(results, refs):
         assert_identical(got, ref)
+    for path, outs in fast_paths(engine, plans).items():
+        assert outs is not None, f"{path} declined"
+        for got, ref in zip(outs, refs):
+            assert_identical(got, ref)
 
 
-def test_single_plan_takes_sequential_path(monkeypatch, tensor_rows):
+def test_single_plan_takes_sequential_path(monkeypatch, fast_rows):
     """One plan runs on ``Engine.run`` unless a block repeats: the
     ``single`` strategy's steady state is a one-row tensor instead."""
     for strategy, rows in (("direct", []), ("double", []), ("single", [1])):
@@ -109,9 +117,9 @@ def test_single_plan_takes_sequential_path(monkeypatch, tensor_rows):
         runs = []
         real_run = engine.run
         monkeypatch.setattr(engine, "run", lambda p: runs.append(p) or real_run(p))
-        tensor_rows.clear()
+        fast_rows.clear()
         results = run_batch(engine, plans)
-        assert tensor_rows == rows
+        assert fast_rows == rows
         assert runs == ([] if rows else plans)
         ref_engine, ref_plans = pipeline_plans(strategy, [int(20 * GiB)])
         assert_identical(results[0], ref_engine.run(ref_plans[0]))
@@ -155,25 +163,68 @@ def build_cell_plan(structure, cell: int) -> Plan:
     structure=st.lists(phase_strategy, min_size=1, max_size=5),
     cells=st.integers(min_value=2, max_value=5),
 )
-def test_random_structures_bit_identical(structure, cells):
+def test_random_structures_bit_identical(structure, cells, fast_paths):
+    """``run_batch`` and each fast evaluator, called directly on the
+    same lowered batch, equal the per-cell reference runs."""
     plans = [build_cell_plan(structure, c) for c in range(cells)]
-    rows: list[int] = []
-    real = batch.run_lowered
+    refs = reference_runs(plans)
+    results = run_batch(fresh_engine(), plans)
+    for got, ref in zip(results, refs):
+        assert_identical(got, ref)
+    for path, outs in fast_paths(fresh_engine(), plans).items():
+        assert outs is not None, f"{path} declined"
+        for got, ref in zip(outs, refs):
+            assert_identical(got, ref)
 
-    def counting(engine, lowered, tensor):
-        results = real(engine, lowered, tensor)
-        if results is not None:
-            rows.append(len(results))
-        return results
 
-    with mock.patch.object(batch, "run_lowered", counting):
-        results = run_batch(fresh_engine(), plans)
+def refuse(*args):
+    raise AssertionError("the other fast evaluator was entered")
+
+
+@pytest.mark.parametrize("cells", [2, batch.TENSOR_MIN_PLANS - 1])
+def test_small_batches_run_in_plain_floats(cells, monkeypatch):
+    """Below ``TENSOR_MIN_PLANS`` plans, ``run_batch`` evaluates on
+    ``run_rows`` and never enters the tensor."""
+    structure = [(True, [(8, 1.0, "ddr", 4)])]
+    plans = [build_cell_plan(structure, c) for c in range(cells)]
+    rows = []
+    real = batch.run_rows
+
+    def spy(engine, lowered, plan_rows):
+        rows.append(len(plan_rows))
+        return real(engine, lowered, plan_rows)
+
+    monkeypatch.setattr(batch, "run_rows", spy)
+    monkeypatch.setattr(batch, "run_lowered", refuse)
+    results = run_batch(fresh_engine(), plans)
     assert rows == [cells]
     for got, ref in zip(results, reference_runs(plans)):
         assert_identical(got, ref)
 
 
-def test_mixed_static_dynamic_segments(tensor_rows):
+@pytest.mark.parametrize("extra", [0, 5])
+def test_large_batches_run_on_the_tensor(extra, monkeypatch):
+    """From ``TENSOR_MIN_PLANS`` plans on, ``run_batch`` evaluates one
+    tensor and never enters ``run_rows``."""
+    cells = batch.TENSOR_MIN_PLANS + extra
+    structure = [(False, [(8, 1.0, "ddr", 4), (4, 4.8, "mcdram", 2)])]
+    plans = [build_cell_plan(structure, c) for c in range(cells)]
+    rows = []
+    real = batch.run_lowered
+
+    def spy(engine, lowered, tensor):
+        rows.append(tensor.shape[0])
+        return real(engine, lowered, tensor)
+
+    monkeypatch.setattr(batch, "run_lowered", spy)
+    monkeypatch.setattr(batch, "run_rows", refuse)
+    results = run_batch(fresh_engine(), plans)
+    assert rows == [cells]
+    for got, ref in zip(results, reference_runs(plans)):
+        assert_identical(got, ref)
+
+
+def test_mixed_static_dynamic_segments(fast_rows, fast_paths):
     def cell_plan(c: int) -> Plan:
         plan = Plan(f"mix{c}")
         for i in range(3):
@@ -206,9 +257,14 @@ def test_mixed_static_dynamic_segments(tensor_rows):
     plans = [cell_plan(c) for c in range(5)]
     engine = fresh_engine()
     results = run_batch(engine, plans)
-    assert tensor_rows == [5]
-    for got, ref in zip(results, reference_runs(plans)):
+    assert fast_rows == [5]
+    refs = reference_runs(plans)
+    for got, ref in zip(results, refs):
         assert_identical(got, ref)
+    for path, outs in fast_paths(engine, plans).items():
+        assert outs is not None, f"{path} declined"
+        for got, ref in zip(outs, refs):
+            assert_identical(got, ref)
 
 
 def test_structure_mismatch_raises():
@@ -245,11 +301,11 @@ def simple_plans(cells: int = 3, nbytes=None) -> list[Plan]:
     return plans
 
 
-def test_telemetry_session_keeps_tensor_path(tensor_rows):
+def test_telemetry_session_keeps_tensor_path(fast_rows):
     plans = simple_plans()
     with _tm.telemetry_session() as tel_fast:
         res_fast = run_batch(fresh_engine(), plans)
-    assert tensor_rows == [3]
+    assert fast_rows == [3]
     with _tm.telemetry_session() as tel_ref:
         res_ref = reference_runs(plans)
     for a, b in zip(res_fast, res_ref):
@@ -260,10 +316,12 @@ def test_telemetry_session_keeps_tensor_path(tensor_rows):
     ]
 
 
-def test_starved_allocation_raises_like_reference():
+def test_starved_allocation_raises_like_reference(fast_paths):
     plans = simple_plans()
     engine = fresh_engine()
     engine._allocate = lambda live: [0.0] * len(live)
+    declined = {"run_rows": None, "run_lowered": None}
+    assert fast_paths(engine, plans) == declined
     # Only the reference loop raises, naming the phase.
     with pytest.raises(SimulationError, match="phase 'p0'.*starved"):
         run_batch(engine, plans)
@@ -286,6 +344,22 @@ def test_zero_byte_cell_changes_structure():
         engine = fresh_engine()
         for got, ref in zip(run_batch(engine, group), reference_runs(group)):
             assert_identical(got, ref)
+
+
+@pytest.mark.parametrize("column", [0, -1])  # a byte demand, a repeat count
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_non_positive_entry_declines_on_both_paths(column, value):
+    """A zero, negative or NaN row entry would change liveness or
+    repetition: both fast evaluators decline, so ``run_batch`` would
+    hand the plans to the reference loop."""
+    plans = simple_plans()
+    lowered, tensor = lower_plans(plans)
+    rows = [list(p.row) for p in plans]
+    rows[1][column] = value
+    tensor[1, column] = value
+    engine = fresh_engine()
+    assert batch.run_rows(engine, lowered, rows) is None
+    assert run_lowered(engine, lowered, tensor) is None
 
 
 def test_run_lowered_rejects_shape_mismatch():

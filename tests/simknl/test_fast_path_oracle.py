@@ -3,9 +3,12 @@
 Every plan evaluation through :func:`batch.run_batch` — one plan, as
 ``KNLNode.run`` does, or a cross-cell group — must be bit for bit equal
 to ``Engine.run`` on the ``reference_engine`` fixture: the per-phase
-reference loop with a fresh water-filling solve per phase.
-``elapsed``, ``phase_times`` and per-resource traffic are compared with
-``==``.
+reference loop with a fresh water-filling solve per phase. So must
+both fast evaluators, called directly on every group (the
+``fast_paths`` fixture): ``run_batch`` sends batches this small to the
+plain-float ``batch.run_rows`` only, and the NumPy tensor
+(``batch.run_lowered``) would otherwise go unchecked. ``elapsed``,
+``phase_times`` and per-resource traffic are compared with ``==``.
 
 Plans come from two sources: random static/dynamic phase lists whose
 phases repeat a random number of times per cell, and the real plan
@@ -16,7 +19,7 @@ builders' plans are lazy (a shared template plus a bytes row), so the
 reference loop runs their phases built from the template while the
 fast path reads the row; a mixed sweep of MLM cells also goes through
 ``evaluate_cells``. Dynamic phases with exactly one live flow take
-a direct one-round path (``batch._single_flow``) and get their own
+the tensor's direct one-round path (``batch._single_flow``) and get their own
 cases: one row and many, a resource-free overhead flow, idle flows
 beside the live one, and a starved flow that must raise the reference
 error. Steps that overflow to inf, in static and dynamic phases, must
@@ -63,10 +66,11 @@ def assert_identical(got, want) -> None:
 
 
 def check_against_reference(
-    reference_engine, resources, plans: list[Plan]
+    reference_engine, fast_paths, resources, plans: list[Plan]
 ) -> None:
-    """Single-plan runs and structure-grouped cross-cell batches both
-    match the reference loop."""
+    """Single-plan runs and structure-grouped cross-cell batches match
+    the reference loop: through ``run_batch``, and on each fast
+    evaluator called directly on the same lowered batch."""
     wants = [reference_engine(resources).run(p) for p in plans]
     engine = Engine(resources)
     for plan, want in zip(plans, wants):
@@ -76,9 +80,14 @@ def check_against_reference(
         groups.setdefault(plan.structure(), []).append(i)
     batch_engine = Engine(resources)
     for members in groups.values():
-        outs = batch.run_batch(batch_engine, [plans[i] for i in members])
+        group = [plans[i] for i in members]
+        outs = batch.run_batch(batch_engine, group)
         for i, got in zip(members, outs):
             assert_identical(got, wants[i])
+        for path, outs in fast_paths(batch_engine, group).items():
+            assert outs is not None, f"{path} declined"
+            for i, got in zip(members, outs):
+                assert_identical(got, wants[i])
 
 
 # ---- random plans with repeated phases -------------------------------------
@@ -126,7 +135,9 @@ def random_plan(phases, repeats: list[int], cell: int) -> Plan:
     phases=st.lists(phase_strategy, min_size=1, max_size=4),
     data=st.data(),
 )
-def test_random_plans_match_reference(phases, data, reference_engine):
+def test_random_plans_match_reference(
+    phases, data, reference_engine, fast_paths
+):
     cells = data.draw(st.integers(min_value=1, max_value=4), label="cells")
     repeat = st.integers(min_value=1, max_value=6)
     plans = [
@@ -140,7 +151,7 @@ def test_random_plans_match_reference(phases, data, reference_engine):
         )
         for c in range(cells)
     ]
-    check_against_reference(reference_engine, RESOURCES, plans)
+    check_against_reference(reference_engine, fast_paths, RESOURCES, plans)
 
 
 # ---- the real plan builders at random chunk counts -------------------------
@@ -236,11 +247,13 @@ BUILDERS = {
         max_size=4,
     ),
 )
-def test_builder_plans_match_reference(builder, cells, reference_engine):
+def test_builder_plans_match_reference(
+    builder, cells, reference_engine, fast_paths
+):
     built = [BUILDERS[builder](chunks, ragged) for chunks, ragged in cells]
     resources = built[0][0]
     check_against_reference(
-        reference_engine, resources, [plan for _, plan in built]
+        reference_engine, fast_paths, resources, [plan for _, plan in built]
     )
 
 
@@ -331,25 +344,25 @@ def single_flow_calls(monkeypatch):
 
 @pytest.mark.parametrize("cells", [1, 7])
 def test_single_live_flow_matches_reference(
-    cells, single_flow_calls, reference_engine
+    cells, single_flow_calls, reference_engine, fast_paths
 ):
     flows = [
         (8, 4.8 * GB, {"ddr": 1.0, "mcdram": 1.0}, 3 * GiB),
         (4, 6.78 * GB, {"mcdram": 1.0}, 0.0),  # idle: not live
     ]
     check_against_reference(
-        reference_engine, RESOURCES, single_flow_plans(flows, cells)
+        reference_engine, fast_paths, RESOURCES, single_flow_plans(flows, cells)
     )
     assert single_flow_calls and max(single_flow_calls) == cells
 
 
 @pytest.mark.parametrize("cells", [1, 5])
 def test_resource_free_overhead_flow_matches_reference(
-    cells, single_flow_calls, reference_engine
+    cells, single_flow_calls, reference_engine, fast_paths
 ):
     flows = [(1, 1.0, {}, 0.25)]  # a fixed overhead: seconds at rate 1
     check_against_reference(
-        reference_engine, RESOURCES, single_flow_plans(flows, cells)
+        reference_engine, fast_paths, RESOURCES, single_flow_plans(flows, cells)
     )
     assert single_flow_calls
 
@@ -366,23 +379,30 @@ def test_resource_free_overhead_flow_matches_reference(
     idle=st.integers(min_value=0, max_value=2),
 )
 def test_random_single_live_flows_match_reference(
-    threads, rate, res, nbytes, cells, idle, reference_engine
+    threads, rate, res, nbytes, cells, idle, reference_engine, fast_paths
 ):
     flows = [(threads, rate * GB, res, nbytes)]
     flows += [(2, 1.0 * GB, {"ddr": 1.0}, 0.0)] * idle
     check_against_reference(
-        reference_engine, RESOURCES, single_flow_plans(flows, cells)
+        reference_engine, fast_paths, RESOURCES, single_flow_plans(flows, cells)
     )
 
 
 @pytest.mark.parametrize("cells", [1, 3])
-def test_starved_single_flow_raises_reference_error(cells, reference_engine):
+def test_starved_single_flow_raises_reference_error(
+    cells, reference_engine, fast_paths
+):
     """A step too long to be a finite float is starvation to the
-    reference loop; the tensor path must decline and let it raise."""
+    reference loop; both fast evaluators must decline and let it
+    raise."""
     plans = single_flow_plans([(1, 1e-300, {"ddr": 1.0}, 1e10)], cells)
     with pytest.raises(SimulationError) as want:
         reference_engine(RESOURCES).run(plans[0])
     engine = Engine(RESOURCES)
+    assert fast_paths(engine, plans) == {
+        "run_rows": None,
+        "run_lowered": None,
+    }
     with pytest.raises(SimulationError) as got:
         batch.run_batch(engine, plans[:1])
     assert str(got.value) == str(want.value)
@@ -393,7 +413,7 @@ def test_starved_single_flow_raises_reference_error(cells, reference_engine):
 @pytest.mark.parametrize("live", [1, 2])
 @pytest.mark.parametrize("static", [False, True])
 def test_overflowing_step_matches_reference_without_warning(
-    static, live, reference_engine
+    static, live, reference_engine, fast_paths
 ):
     """A 1-thread flow at 1e-300 B/s over 1e10 B needs a step that
     overflows to inf. The reference loop raises the starvation error
@@ -409,12 +429,18 @@ def test_overflowing_step_matches_reference_without_warning(
         warnings.simplefilter("error")
         reference = reference_engine(RESOURCES)
         if static:
-            check_against_reference(reference_engine, RESOURCES, plans)
+            check_against_reference(
+                reference_engine, fast_paths, RESOURCES, plans
+            )
             assert reference.run(plans[0]).elapsed == float("inf")
             return
         with pytest.raises(SimulationError) as want:
             reference.run(plans[0])
         engine = Engine(RESOURCES)
+        assert fast_paths(engine, plans) == {
+            "run_rows": None,
+            "run_lowered": None,
+        }
         with pytest.raises(SimulationError) as got:
             batch.run_batch(engine, plans[:1])
         assert str(got.value) == str(want.value)

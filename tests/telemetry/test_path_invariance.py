@@ -3,7 +3,7 @@
 The engine records every run after the fact, from its plan and
 :class:`~repro.simknl.engine.RunResult`, and sweeps observe batched
 cells in cell order. So for every driver an active session takes the
-same tensor path as a plain run, and its metrics snapshot and event log
+same fast path as a plain run, and its metrics snapshot and event log
 are the same as when every run is forced onto the per-phase reference
 loop. The CLI's ``--metrics`` and ``--events`` bytes of five sweep
 drivers are pinned as literal digests.
@@ -25,18 +25,21 @@ from repro.telemetry import telemetry_session
 
 def _run(name: str, monkeypatch, session: bool) -> tuple:
     """Run driver ``name`` on a fresh memo; return the rows evaluated
-    on the tensor path and, under a session, the snapshot and events."""
+    on the fast path and, under a session, the snapshot and events."""
     monkeypatch.setattr(runner, "_SWEEP_MEMO", {})
     rows: list[int] = []
-    real = batch.run_lowered
 
-    def counting(engine, lowered, tensor):
-        results = real(engine, lowered, tensor)
-        if results is not None:
-            rows.append(len(results))
-        return results
+    def counting(real):
+        def spy(engine, lowered, rows_or_tensor):
+            results = real(engine, lowered, rows_or_tensor)
+            if results is not None:
+                rows.append(len(results))
+            return results
 
-    monkeypatch.setattr(batch, "run_lowered", counting)
+        return spy
+
+    for path in ("run_rows", "run_lowered"):
+        monkeypatch.setattr(batch, path, counting(getattr(batch, path)))
     if not session:
         ALL_EXPERIMENTS[name]()
         return sum(rows), None, None
@@ -61,7 +64,8 @@ def test_session_takes_plain_path_and_sees_reference_telemetry(
     rows, snapshot, events = _run(name, monkeypatch, session=True)
     assert rows == plain_rows  # the session did not change the path
     with monkeypatch.context() as m:
-        # A declined tensor leaves every plan to Engine.run.
+        # A declined fast path leaves every plan to Engine.run.
+        m.setattr(batch, "run_rows", lambda *args: None)
         m.setattr(batch, "run_lowered", lambda *args: None)
         m.setattr(batch, "evaluate_cells", _direct_every_cell)
         ref_rows, ref_snapshot, ref_events = _run(name, m, session=True)

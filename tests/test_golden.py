@@ -50,13 +50,13 @@ def test_golden_is_benchmark_digest(artifact):
 @pytest.mark.parametrize("artifact", sorted(EXPECTED))
 def test_reference_loop_matches_golden(artifact, capsys, monkeypatch):
     """Every ``run_batch`` binding runs its plans one by one through
-    ``Engine.run``; the tensor evaluation must never be reached."""
+    ``Engine.run``; neither fast evaluator may be reached."""
 
     def reference(engine, plans):
         return [engine.run(p) for p in plans]
 
-    def no_tensor(*args):
-        raise AssertionError("tensor path reached")
+    def no_fast_path(*args):
+        raise AssertionError("fast path reached")
 
     tensor = batch.run_batch
     bound = [
@@ -68,7 +68,8 @@ def test_reference_loop_matches_golden(artifact, capsys, monkeypatch):
     assert len(bound) >= 3  # batch itself, the node and the NVM pipeline
     for module in bound:
         monkeypatch.setattr(module, "run_batch", reference)
-    monkeypatch.setattr(batch, "run_lowered", no_tensor)
+    monkeypatch.setattr(batch, "run_lowered", no_fast_path)
+    monkeypatch.setattr(batch, "run_rows", no_fast_path)
     monkeypatch.setattr(runner, "_SWEEP_MEMO", {})
     monkeypatch.delenv("REPRO_STORE", raising=False)
     golden = (GOLDEN / f"{artifact}.out").read_bytes()
