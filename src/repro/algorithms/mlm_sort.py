@@ -36,7 +36,6 @@ from repro.core.modes import UsageMode, validate_node_mode
 from repro.simknl.engine import Phase, Plan, PlanTemplate, plan_template
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode, KNLNodeConfig
-from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.threads.pool import PoolSet
 from repro.units import INT64
@@ -259,6 +258,7 @@ def mlm_sort_planner(
         n_mega = chunker.num_chunks
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             tel.metrics.counter(_tn.SORT_MEGACHUNKS_TOTAL).inc(n_mega)
         # Equal full megachunks are one repeated block. Buffered, the
         # first megachunk (blocking copy-in) and the ones whose

@@ -19,7 +19,8 @@ re-renders a figure/table purely from such a store — zero engine
 invocations, byte-identical output (see ``docs/EXPERIMENTS_STORE.md``).
 
 Each subcommand regenerates one paper artifact (Tables 1-3, Figures
-6-8) or one extension driver.
+6-8) or one extension driver. The exporters and the result store are
+imported by the branches that use them, so a plain run loads neither.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from repro.errors import StoreError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.report import render_series, render_table, to_csv
 from repro.experiments.runner import replay_session
-from repro.experiments.store import require_store
-from repro.telemetry import telemetry_session, write_events, write_metrics
+from repro.telemetry import telemetry_session
 
 #: Artifacts whose drivers resolve entirely through the result store,
 #: hence can be re-rendered by ``repro-knl replay``.
@@ -158,6 +158,8 @@ def _run_replay(args) -> None:
             f"cannot replay {args.target!r}: only store-backed drivers "
             f"support replay ({', '.join(REPLAYABLE)})"
         )
+    from repro.experiments.store import require_store
+
     store = require_store(args.store)
     with replay_session(store):
         _emit(ALL_EXPERIMENTS[args.target](), args)
@@ -195,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.metrics or args.events:
+            from repro.telemetry.export import write_events, write_metrics
+
             with telemetry_session() as tel:
                 _run_all(args)
             if args.metrics:

@@ -38,7 +38,6 @@ from repro.model.params import ModelParams
 from repro.simknl.engine import Phase, Plan, RunResult, plan_template
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
-from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.threads.pool import PoolSet
 
@@ -257,6 +256,7 @@ class BufferedPipeline:
             )
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             m = tel.metrics
             m.counter(_tn.ALLOC_REQUESTS_TOTAL).inc(count, device="mcdram")
             m.counter(_tn.ALLOC_BYTES_TOTAL).inc(nbytes, device="mcdram")

@@ -22,7 +22,6 @@ from repro.experiments.runner import (
     replay_session,
     sort_variant_seconds,
 )
-from repro.experiments.store import ResultStore, get_store
 from repro.experiments.table1 import run_table1
 from repro.experiments.figure6 import run_figure6
 from repro.experiments.figure7 import run_figure7
@@ -71,6 +70,16 @@ EXTENSION_EXPERIMENTS = {
 }
 
 ALL_EXPERIMENTS = {**PAPER_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+
+
+def __getattr__(name: str):
+    # The store's re-exports load on first use, like the store itself.
+    if name in ("ResultStore", "get_store"):
+        from repro.experiments import store
+
+        return getattr(store, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ExperimentResult",

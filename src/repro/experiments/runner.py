@@ -5,9 +5,9 @@
 node configuration and timed plan; :class:`ExperimentResult` is the
 uniform record every driver returns; :func:`sweep_map` evaluates a
 sweep's independent cells in order, in-process, with two-tier
-config-hash memoization (in-memory dict first, then the on-disk
-:mod:`~repro.experiments.store` result store) and the cross-cell batched
-fast path;
+memoization (an in-memory dict keyed on each cell's exact form first,
+then the on-disk :mod:`~repro.experiments.store` result store keyed on
+its config hash) and the cross-cell batched fast path;
 :func:`replay_session` switches :func:`sweep_map` into pure-lookup
 replay, the engine-free re-render mode behind ``repro-knl replay``.
 
@@ -19,24 +19,25 @@ driver already ran in the process comes from the memo.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
+import functools
 import os
 import re
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from marshal import dumps as _marshal
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError, StoreMissError
 from repro.algorithms.costs import DEFAULT_COST, SortCostModel
 from repro.algorithms.mlm_sort import mlm_sort_planner
 from repro.algorithms.parallel_sort import gnu_sort_planner
 from repro.core.modes import UsageMode
-from repro.experiments.store import ResultStore, default_store, get_store
 from repro.simknl.batch import PlanBatch, plan_group
 from repro.simknl.engine import Plan
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
+
+if TYPE_CHECKING:
+    from repro.experiments.store import ResultStore
 
 #: Paper algorithm labels in Table 1 order.
 VARIANTS = ("GNU-flat", "GNU-cache", "MLM-ddr", "MLM-sort", "MLM-implicit")
@@ -112,12 +113,18 @@ def _canonical_repr(obj: Any) -> str:
     return text
 
 
-#: The one encoder :func:`config_hash` canonicalizes through. It is the
-#: encoder ``json.dumps`` would build per call for these arguments, so
-#: keys stay byte-identical and stores written earlier still hit.
-_CANONICAL_ENCODER = json.JSONEncoder(
-    sort_keys=True, default=_canonical_repr, separators=(",", ":")
-)
+@functools.cache
+def _hasher() -> tuple[Callable[[Any], str], Callable[[bytes], Any]]:
+    """:func:`config_hash`'s encoder and digest, built on first use (a
+    plain run hashes nothing). The encoder is the one ``json.dumps``
+    would build per call, so keys stay byte-identical."""
+    import hashlib
+    import json
+
+    encoder = json.JSONEncoder(
+        sort_keys=True, default=_canonical_repr, separators=(",", ":")
+    )
+    return encoder.encode, hashlib.sha256
 
 
 def config_hash(payload: Any) -> str:
@@ -127,29 +134,31 @@ def config_hash(payload: Any) -> str:
     non-JSON types — dataclass reprs are stable and carry every field)
     and returns a short SHA-256 hex digest. Two calls with equal
     configurations hash identically across processes and sessions,
-    which is what makes :func:`sweep_map`'s memo safe to share.
+    which is what makes it the result store's key.
 
     Payload objects whose repr embeds a memory address (the default
     ``object.__repr__``) are rejected with
     :class:`~repro.errors.ConfigError`: such a hash would be unique per
     process and the result store would silently never hit across runs.
     """
-    canonical = _CANONICAL_ENCODER.encode(payload)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    encode, sha256 = _hasher()
+    return sha256(encode(payload).encode()).hexdigest()[:16]
 
 
 def cost_key(fn: Callable[..., Any]) -> str:
     """Stable per-cell-function identity for memo and store keys.
 
-    :func:`sweep_map` hashes ``(cost_key(fn), cell)`` into each cell's
-    ``config_hash``, and tags store entries with it, so a function's
-    cached results survive across processes under the same name.
+    :func:`sweep_map` keys each cell's memo entry on it, hashes
+    ``(cost_key(fn), cell)`` into the cell's store key, and tags store
+    entries with it, so a function's cached results survive across
+    processes under the same name.
     """
     return getattr(fn, "__qualname__", None) or repr(fn)
 
 
-#: Process-wide memo for :func:`sweep_map` (config hash -> result).
-_SWEEP_MEMO: dict[str, Any] = {}
+#: Process-wide memo for :func:`sweep_map` (memo key -> result; see
+#: :func:`_dedup`).
+_SWEEP_MEMO: dict[tuple, Any] = {}
 
 #: The store :func:`replay_session` is replaying from (None = normal).
 _REPLAY: ContextVar[ResultStore | None] = ContextVar(
@@ -173,6 +182,8 @@ def replay_session(
     replayed artifact is byte-identical to a fresh run over the same
     configuration.
     """
+    from repro.experiments.store import get_store
+
     resolved = get_store(store)
     token = _REPLAY.set(resolved)
     try:
@@ -181,43 +192,48 @@ def replay_session(
         _REPLAY.reset(token)
 
 
-def _cell_keys(
+def _dedup(
     name: str, cells: Sequence[tuple]
-) -> tuple[list[str], dict[str, int]]:
-    """Per-cell ``config_hash((name, cell))``, hashed once per unique cell.
+) -> tuple[list[int], dict[bytes | str, int]]:
+    """Each cell's first-occurrence index, and each distinct cell's
+    exact form mapped to that index, in first-occurrence order. A
+    cell's memo key is ``(name, exact form)``.
 
     Sweeps legitimately repeat cells (e.g. a baseline column present in
-    every row) and the hash's JSON canonicalization — which also runs
-    the address-bearing-repr validation on every payload field — is the
-    expensive part, so duplicates reuse the first occurrence's digest.
-
-    Duplicates are found on a type-exact form of the cell, not on tuple
-    equality: ``(1,)``, ``(1.0,)`` and ``(True,)`` are equal tuples but
-    different configurations, with different digests and results. The
-    form is the cell's ``marshal`` bytes, which encode each value with
-    its exact type (and ``-0.0`` apart from ``0.0``) at C speed; a cell
-    holding a type marshal refuses (a dataclass, an enum) uses its
-    ``repr``, the same text the hash canonicalizes such fields through.
-
-    Also returns each digest's first cell index, in first-occurrence
-    order.
+    every row); duplicates compute once. They are found on a type-exact
+    form of the cell, not on tuple equality: ``(1,)``, ``(1.0,)`` and
+    ``(True,)`` are equal tuples but different configurations, with
+    different results. The form is the cell's ``marshal`` bytes, which
+    encode each value with its exact type (and ``-0.0`` apart from
+    ``0.0``) at C speed; a cell holding a type marshal refuses (a
+    dataclass, an enum) uses its ``repr``. A repr embedding a memory
+    address would differ per object, so :func:`config_hash` rejects it
+    as it rejects such a field.
     """
-    digests: dict[bytes | str, str] = {}
-    keys: list[str] = []
-    firsts: dict[str, int] = {}
+    firsts: dict[bytes | str, int] = {}
+    slots: list[int] = []
     # Bound once: the loop body runs per cell, duplicates included.
-    lookup, append = digests.get, keys.append
+    first, append = firsts.setdefault, slots.append
     for cell in cells:
         try:
             exact: bytes | str = _marshal(cell, 2)
         except ValueError:
             exact = repr(cell)
-        key = lookup(exact)
-        if key is None:
-            key = digests[exact] = config_hash((name, cell))
-            firsts.setdefault(key, len(keys))
-        append(key)
-    return keys, firsts
+            if _ADDRESS_REPR.search(exact):
+                config_hash((name, cell))
+        append(first(exact, len(slots)))
+    return slots, firsts
+
+
+def _cell_keys(
+    name: str, cells: Sequence[tuple]
+) -> tuple[list[str], dict[int, str]]:
+    """Per-cell ``config_hash((name, cell))`` (the store's keys, which
+    only a store or a replay needs), hashed once per distinct cell;
+    also returns the digest by first-occurrence index."""
+    slots, firsts = _dedup(name, cells)
+    digests = {i: config_hash((name, cells[i])) for i in firsts.values()}
+    return [digests[i] for i in slots], digests
 
 
 def _replay_lookup(
@@ -248,7 +264,7 @@ def _replay_lookup(
 def sweep_map(
     fn: Callable[..., Any],
     cells: Sequence[tuple],
-    memo: dict[str, Any] | None = None,
+    memo: dict[tuple, Any] | None = None,
     store: ResultStore | str | os.PathLike | None = None,
 ) -> list[Any]:
     """Map ``fn`` over independent sweep cells, in cell order.
@@ -261,8 +277,8 @@ def sweep_map(
         The argument tuples, one per cell. Results come back in cell
         order.
     memo:
-        Optional explicit memo dict (config hash -> result). Defaults
-        to a process-wide cache, so re-running a sweep with overlapping
+        Optional explicit memo dict (memo key -> result). Defaults to
+        a process-wide cache, so re-running a sweep with overlapping
         cells (e.g. ``repro-knl all``) skips finished work.
     store:
         On-disk second memo tier: a
@@ -270,9 +286,11 @@ def sweep_map(
         path. ``None`` uses the process default from the
         ``REPRO_STORE`` environment variable (no store when unset).
 
-    Cells are memoized on ``config_hash((qualname, cell))`` through a
-    **two-tier lookup**: the in-memory memo first, then the on-disk
-    result store; a cell missing from both is computed, returned, and
+    Cells are memoized through a **two-tier lookup**: the in-memory
+    memo first, keyed on the cell's exact form (:func:`_dedup`),
+    then the on-disk result store, keyed on
+    ``config_hash((qualname, cell))``, which is computed only when a
+    store is set. A cell missing from both is computed, returned, and
     written through to both tiers, and a memo hit the store lacks is
     backfilled to disk — so any sweep run with a store leaves that
     store replay-complete, even for cells an earlier store-less call
@@ -299,41 +317,46 @@ def sweep_map(
     replay = _REPLAY.get()
     if replay is not None:
         return _replay_lookup(replay, name, cells)
-    tier2 = get_store(store) if store is not None else default_store()
+    if store is None:  # ``default_store()``, without importing the store
+        store = os.environ.get("REPRO_STORE") or None
+    tier2 = None
+    if store is not None:
+        from repro.experiments.store import get_store
+
+        tier2 = get_store(store)
     if memo is None:
         memo = _SWEEP_MEMO
-    keys, firsts = _cell_keys(name, cells)
-    # Values by key: memo hits now, then store hits and computed cells.
-    # ``pending`` maps each missing key to the first cell index that
-    # needs it, so two identical cells in one call compute once.
-    values: dict[str, Any] = {}
-    pending: dict[str, int] = {}
-    for k, i in firsts.items():
-        if k in memo:
-            values[k] = memo[k]
+    slots, firsts = _dedup(name, cells)
+    # Values by first cell index: memo hits now, then store hits and
+    # computed cells. ``pending`` maps each missing cell's first index
+    # to its memo key, so two identical cells in one call compute once.
+    values: dict[int, Any] = {}
+    pending: dict[int, tuple] = {}
+    for exact, i in firsts.items():
+        key = (name, exact)
+        if key in memo:
+            values[i] = memo[key]
         else:
-            pending[k] = i
+            pending[i] = key
     if tier2 is not None:
+        digests = {i: config_hash((name, cells[i])) for i in firsts.values()}
         # Backfill: a cell this process already memoized may predate
         # the store (e.g. an earlier driver in `repro-knl all --store`
         # computed it store-less). A memo hit must still leave the
         # store replay-complete. The probe validates the entry, not
         # just its path: a corrupt or foreign-function file behind a
         # memo hit must be rewritten, or replay fails on a warm store.
-        for k, value in values.items():
-            if not tier2.probe(k, fn=name):
-                tier2.put(k, value, fn=name)
+        for i, value in values.items():
+            if not tier2.probe(digests[i], fn=name):
+                tier2.put(digests[i], value, fn=name)
         # Second tier: resolve what the in-memory memo lacks from the
         # on-disk store, warming the memo for the rest of the process.
-        for k in list(pending):
-            found, value = tier2.get(k, fn=name)
+        for i in list(pending):
+            found, value = tier2.get(digests[i], fn=name)
             if found:
-                del pending[k]
-                memo[k] = value
-                values[k] = value
+                memo[pending.pop(i)] = values[i] = value
     if pending:
-        pending_keys = list(pending)
-        indices = list(pending.values())
+        indices = list(pending)
         build = getattr(fn, "plan_batch", None)
         if build is not None:
             # Cross-cell fast path: one call of a plan cell's builder
@@ -347,12 +370,11 @@ def sweep_map(
         else:
             computed = [fn(*cells[i]) for i in indices]
         # Warm both tiers.
-        for k, value in zip(pending_keys, computed):
-            values[k] = value
-            memo[k] = value
+        for i, value in zip(indices, computed):
+            values[i] = memo[pending[i]] = value
             if tier2 is not None:
-                tier2.put(k, value, fn=name)
-    return [values[k] for k in keys]
+                tier2.put(digests[i], value, fn=name)
+    return [values[i] for i in slots]
 
 
 #: The two node configurations the variants boot. Configs are frozen,

@@ -1,11 +1,11 @@
 """On-disk experiment result store: the sweep memo's second tier.
 
-:func:`~repro.experiments.runner.sweep_map` memoizes cell results on
-:func:`~repro.experiments.runner.config_hash`, but the in-memory memo
-dies with the process — every new CI run, figure re-render, and
-analysis session pays the full simulation cost again. This module
-persists the same ``config_hash -> result`` mapping on disk so warm
-results survive across processes bit-identically, the cache-and-replay
+:func:`~repro.experiments.runner.sweep_map` memoizes cell results in
+memory, but that memo dies with the process — every new CI run, figure
+re-render, and analysis session pays the full simulation cost again.
+This module persists them on disk, keyed on
+:func:`~repro.experiments.runner.config_hash`, so warm results survive
+across processes bit-identically, the cache-and-replay
 experiment workflow of delphyne's experiments README (SNIPPETS.md §1):
 run once against a store, then re-render any artifact purely from the
 cached results.
@@ -70,7 +70,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import StoreError
-from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 
 #: Per-entry schema stamp; bump when the entry dict shape changes.
@@ -173,6 +172,7 @@ class ResultStore:
         self.stats.corrupt += 1
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             tel.metrics.counter(_tn.STORE_CORRUPT_TOTAL).inc()
         if not self._warned_corrupt:
             self._warned_corrupt = True
@@ -259,6 +259,7 @@ class ResultStore:
         self.stats.hits += 1
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             tel.metrics.counter(_tn.STORE_HITS_TOTAL).inc()
         return True, value
 
@@ -281,6 +282,7 @@ class ResultStore:
         self.stats.misses += 1
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             tel.metrics.counter(_tn.STORE_MISSES_TOTAL).inc()
 
     # ---- write -------------------------------------------------------------
@@ -331,6 +333,7 @@ class ResultStore:
         self.stats.writes += 1
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             tel.metrics.counter(_tn.STORE_WRITES_TOTAL).inc()
         return True
 

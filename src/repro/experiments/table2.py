@@ -4,7 +4,7 @@ The paper obtained DDR/MCDRAM ceilings from STREAM and the per-thread
 rates from micro-measurements; we run the same procedure against the
 simulator and report both alongside the published values. The
 measurement runs as a single :func:`~repro.experiments.runner.sweep_map`
-cell so its result lands in the config-hash memo and the on-disk
+cell so its result lands in the sweep memo and the on-disk
 result store like every other experiment cell — `repro-knl replay
 table2` re-renders the table with zero measurement runs.
 """

@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.errors import PlanError
 from repro.simknl.engine import _EPS, Engine, Plan, RunResult, observe
 from repro.simknl.flows import Flow, Resource
-from repro.telemetry.runtime import Telemetry, telemetry_session
+from repro.telemetry.runtime import DISABLED, telemetry_session
 
 if TYPE_CHECKING:
     import numpy as np
@@ -692,10 +692,10 @@ def evaluate_cells(
     identity, so a lazy plan's nested structure is never hashed; a plan
     without one groups by its :meth:`~repro.simknl.engine.Plan.structure`.
 
-    The grouped evaluation runs with telemetry off; every cell's runs
-    are then observed in cell order, as serial cell calls would record
-    them. Observing in group order would reorder the events and change
-    the float sums of the traffic counters.
+    The grouped evaluation runs under the shared disabled telemetry;
+    every cell's runs are then observed in cell order, as serial cell
+    calls would record them. Observing in group order would reorder the
+    events and change the float sums of the traffic counters.
     """
     built = build(cells)
     engines: dict[tuple, Engine] = {}
@@ -723,7 +723,7 @@ def evaluate_cells(
                 rows[row] = (plan, [])
             rows[row][1].append((bi, slot))
 
-    with telemetry_session(Telemetry(enabled=False)):
+    with telemetry_session(DISABLED):
         for (engine, _), rows in groups.items():
             outs = run_batch(engine, [plan for plan, _ in rows.values()])
             for (_, slots), out in zip(rows.values(), outs):

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 from repro.units import CACHE_LINE
 
@@ -136,6 +135,8 @@ class DirectMappedCache:
 
     def _hoist_handles(self, tel: _tm.Telemetry) -> tuple:
         """(Re)bind counter handles to ``tel`` and return them."""
+        from repro.telemetry import names as _tn
+
         m = tel.metrics
         self._handles = (
             m.counter(_tn.CACHE_HITS_TOTAL),
@@ -370,6 +371,7 @@ class DirectMappedCache:
         self._dirty.fill(False)
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             tel.metrics.counter(_tn.CACHE_FLUSHES_TOTAL).inc()
             if dirty:
                 tel.metrics.counter(_tn.CACHE_WRITEBACKS_TOTAL).inc(dirty)

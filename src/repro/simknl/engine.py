@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Sequence
 
 from repro.errors import PlanError, SimulationError
 from repro.simknl.flows import Flow, Resource, allocate_rates
-from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 
 _EPS = 1e-12
@@ -573,6 +572,8 @@ def observe(plan: Plan, result: RunResult) -> None:
     tel = _tm.current()
     if not tel.enabled:
         return
+    from repro.telemetry import names as _tn
+
     emit = tel.events.emit
     m = tel.metrics
     t0 = tel.events.now

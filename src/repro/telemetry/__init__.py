@@ -18,6 +18,8 @@ first-class way to report them:
   default telemetry object is *disabled*: instrumented code checks one
   attribute and skips all work, so an un-instrumented run costs
   essentially nothing and no global mutable state leaks between tests.
+  Only this module loads with the package; the others load with the
+  first enabled session (or the first access of their names here).
 * :mod:`repro.telemetry.export` — JSON snapshot, Prometheus-style
   text, CSV, and Perfetto/Chrome-trace exporters.
 
@@ -31,23 +33,19 @@ Typical use::
         print(telemetry.events_to_perfetto(tel.events))
 """
 
-from repro.telemetry.events import Event, EventLog
-from repro.telemetry.export import (
-    events_to_json,
-    events_to_perfetto,
-    metrics_to_csv,
-    metrics_to_json,
-    metrics_to_prometheus,
-    write_events,
-    write_metrics,
-)
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-)
 from repro.telemetry.runtime import Telemetry, current, telemetry_session
+
+
+def __getattr__(name: str):
+    # The other submodules' exports load on first use.
+    if name in __all__:
+        from repro.telemetry import events, export, registry
+
+        for module in (events, registry, export):
+            if hasattr(module, name):
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Counter",

@@ -10,7 +10,8 @@ instrumented code does::
         tel.metrics.counter(...).inc()
 
 so a run without a session pays one context-variable read per
-instrumentation site and nothing else. Sessions nest and are
+instrumentation site and nothing else; it never even imports the
+name catalog, the registry or the event log. Sessions nest and are
 context-local — parallel tests each see their own registry, and no
 global mutable state leaks between them.
 
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.telemetry.events import EventLog
-from repro.telemetry.registry import MetricRegistry
+if TYPE_CHECKING:
+    from repro.telemetry.events import EventLog
+    from repro.telemetry.registry import MetricRegistry
 
 
 class Telemetry:
@@ -38,15 +40,30 @@ class Telemetry:
         False only on the shared default instance; instrumented code
         checks this one attribute on the hot path.
     metrics, events:
-        The session's registry and event log.
+        The session's registry and event log, each created (and its
+        module imported) on first access.
     """
 
-    __slots__ = ("enabled", "metrics", "events")
+    __slots__ = ("enabled", "_metrics", "_events")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.metrics = MetricRegistry()
-        self.events = EventLog()
+        self._metrics: MetricRegistry | None = None
+        self._events: EventLog | None = None
+
+    @property
+    def metrics(self) -> MetricRegistry:
+        if self._metrics is None:
+            from repro.telemetry.registry import MetricRegistry
+            self._metrics = MetricRegistry()
+        return self._metrics
+
+    @property
+    def events(self) -> EventLog:
+        if self._events is None:
+            from repro.telemetry.events import EventLog
+            self._events = EventLog()
+        return self._events
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready snapshot of all touched metrics."""
@@ -56,12 +73,12 @@ class Telemetry:
         }
 
 
-#: The shared disabled instance used outside any session. Its registry
-#: and event log exist but instrumented code never writes to them.
-_DISABLED = Telemetry(enabled=False)
+#: The shared disabled instance used outside any session. Instrumented
+#: code never reads its registry or event log, so neither is created.
+DISABLED = Telemetry(enabled=False)
 
 _ACTIVE: ContextVar[Telemetry] = ContextVar(
-    "repro_telemetry", default=_DISABLED
+    "repro_telemetry", default=DISABLED
 )
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.simknl.node import KNLNode
-from repro.telemetry import names as _tn
 from repro.telemetry import runtime as _tm
 
 
@@ -27,6 +26,7 @@ class PoolSet:
     def __post_init__(self) -> None:
         tel = _tm.current()
         if tel.enabled:
+            from repro.telemetry import names as _tn
             gauge = tel.metrics.gauge(_tn.POOL_THREADS)
             gauge.set(self.compute, role="compute")
             gauge.set(self.copy_in, role="copy-in")

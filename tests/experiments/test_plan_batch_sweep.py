@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.modes import UsageMode
 from repro.cli import main
+from repro.errors import ConfigError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import runner
 from repro.experiments.bender import _bender_cell
@@ -271,8 +272,13 @@ class TestSharedMergeBenchCells:
         assert replayed == (GOLDEN / "table3.out").read_bytes()
 
 
+class _Opaque:
+    """Default ``object.__repr__``: embeds the object's address."""
+
+
 class TestCellKeyDedup:
-    def test_config_hash_once_per_unique_cell(self, monkeypatch):
+    @staticmethod
+    def _count_hashes(monkeypatch) -> list:
         counted: list = []
         real = runner.config_hash
 
@@ -281,10 +287,38 @@ class TestCellKeyDedup:
             return real(payload)
 
         monkeypatch.setattr(runner, "config_hash", counting)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        return counted
+
+    def test_config_hash_once_per_unique_cell(self, monkeypatch, tmp_path):
+        """With a store, each unique cell is hashed once for its key."""
+        counted = self._count_hashes(monkeypatch)
+        cells = [(1, 1), (2, 2), (1, 1), (2, 2), (1, 1)]
+        out = sweep_map(
+            lambda a, b: a + b, cells, memo={}, store=tmp_path / "s"
+        )
+        assert out == [2, 4, 2, 4, 2]
+        assert len(counted) == 2
+
+    def test_no_store_hashes_nothing(self, monkeypatch):
+        counted = self._count_hashes(monkeypatch)
         cells = [(1, 1), (2, 2), (1, 1), (2, 2), (1, 1)]
         out = sweep_map(lambda a, b: a + b, cells, memo={})
         assert out == [2, 4, 2, 4, 2]
-        assert len(counted) == 2
+        assert counted == []
+
+    def test_address_repr_rejected_without_store(self, monkeypatch):
+        """The memo key validates a repr as the store key does: a cell
+        holding a default-repr object raises, store or no store."""
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        with pytest.raises(ConfigError, match="'_Opaque' has an address"):
+            sweep_map(lambda x: 1, [(_Opaque(),)], memo={})
+
+    def test_equal_cells_of_other_types_are_separate_entries(self):
+        memo: dict = {}
+        out = sweep_map(repr, [(1,), (1.0,), (True,)], memo=memo)
+        assert out == ["1", "1.0", "True"]
+        assert len(memo) == 3
 
     def test_unhashable_cells_still_work(self):
         out = sweep_map(
