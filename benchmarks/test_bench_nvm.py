@@ -3,11 +3,10 @@
 The ``single`` strategy emits the triple-buffered steady state — one
 ``static_rates`` step per inner chunk, identical but for names — as
 one repeated block. ``run_batch`` evaluates a plan with a repeated
-block as one row on ``run_rows`` (a batch this small stays off the
-NumPy tensor), so each phase is solved once per *block* rather than
-once per *chunk*. These benchmarks time an identical plan through
-``run_batch`` and the ``Engine.run`` reference loop and gate the
-speedup the fast path exists to provide.
+block as one row on ``run_rows``, so each phase is solved once per
+*block* rather than once per *chunk*. These benchmarks time an
+identical plan through ``run_batch`` and the ``Engine.run`` reference
+loop and gate the speedup the fast path exists to provide.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ A builder whose cells differ only in sizes (the sort builders) emits a
 key; the plan's :class:`Phase`/:class:`Flow` objects are built only
 when :attr:`Plan.blocks` or :attr:`Plan.phases` is read — by the
 reference loop or by :func:`observe` under a telemetry session. The
-fast path reads the template's lowered shape and the row directly.
+fast path, :func:`repro.simknl.batch.run_rows`, reads the template's
+lowered shape and the row in plain floats instead.
 
 The engine accumulates per-resource traffic counters so experiments can
 report DDR/MCDRAM traffic (used for the Bender et al. corroboration of
@@ -350,8 +351,9 @@ class PlanTemplate:
             self.phase_counts.append(len(block.phases))
             lo = hi
         self.slots = lo
-        #: The shared lowered shape (a ``batch.LoweredSweep``), set by
-        #: :mod:`repro.simknl.batch` on first fast-path use.
+        #: The per-phase row layout that ``batch.run_rows`` reads (a
+        #: ``batch.LoweredSweep``), set by :mod:`repro.simknl.batch` on
+        #: first fast-path use.
         self.lowered = None
 
     @functools.cached_property

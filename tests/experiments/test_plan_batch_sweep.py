@@ -3,7 +3,7 @@
 A :func:`~repro.simknl.batch.plan_cell` is a :class:`PlanBatch` builder
 that is also the cell function: called directly it runs its plans one
 by one through ``Engine.run``, while ``sweep_map`` sends all pending
-cells through one tensor evaluation instead. These tests pin that
+cells through one cross-cell batch evaluation instead. These tests pin that
 wiring: builder used and the direct path never run, memo and store
 warmed, the same path under a telemetry session, the
 hash-once-per-unique-cell dedup, for every driver's plan cell a direct
@@ -89,7 +89,7 @@ def _clear_calls():
 @pytest.fixture
 def engine_runs(monkeypatch):
     """Plans run one by one through ``Engine.run``: the direct path.
-    The tensor path of a multi-cell sweep makes none of these calls."""
+    The fast path of a multi-cell sweep makes none of these calls."""
     runs: list[Plan] = []
     real = Engine.run
 
@@ -142,7 +142,7 @@ class TestPlanBatchFastPath:
         with _tm.telemetry_session() as tel:
             out = sweep_map(_cell, cells, memo={})
         assert len(BUILD_CALLS) == 2
-        assert engine_runs == []  # the tensor path, as without a session
+        assert engine_runs == []  # the fast path, as without a session
         # The batched runs are still counted, one per cell.
         assert tel.metrics.counter(_tn.ENGINE_RUNS_TOTAL).value() == 2
         assert out == [_cell(*c) for c in cells]

@@ -1,5 +1,5 @@
-"""Fixtures that observe which evaluation path a plan took, run both
-fast evaluators directly, and make the reference engine the fast path
+"""Fixtures that observe which evaluation path a plan took, run the
+fast evaluator directly, and make the reference engine the fast path
 is checked against."""
 
 from __future__ import annotations
@@ -13,61 +13,52 @@ from repro.simknl.engine import Engine
 from repro.simknl.flows import Resource, allocate_rates
 
 
-#: The two fast evaluators ``run_batch`` picks between by batch size.
-FAST_PATHS = ("run_rows", "run_lowered")
-
-# Bound at import, before any test patches them, so ``fast_paths``
-# calls the real evaluators and the path spies never see its calls.
-run_rows, run_lowered = batch.run_rows, batch.run_lowered
+# Bound at import, before any test patches it, so ``fast_path`` calls
+# the real evaluator and the path spies never see its calls.
+run_rows = batch.run_rows
 
 
 @pytest.fixture
 def fast_rows(monkeypatch) -> list[int]:
     """Rows evaluated per fast-path call that returned results — a
-    :func:`batch.run_rows` or :func:`batch.run_lowered` call, which
-    only ``run_batch`` makes."""
+    :func:`batch.run_rows` call, which only ``run_batch`` makes."""
     rows: list[int] = []
 
     def counting(real):
-        def spy(engine, lowered, rows_or_tensor):
-            results = real(engine, lowered, rows_or_tensor)
+        def spy(engine, lowered, plan_rows):
+            results = real(engine, lowered, plan_rows)
             if results is not None:
                 rows.append(len(results))
             return results
 
         return spy
 
-    for name in FAST_PATHS:
-        monkeypatch.setattr(batch, name, counting(getattr(batch, name)))
+    monkeypatch.setattr(batch, "run_rows", counting(batch.run_rows))
     return rows
 
 
 @pytest.fixture
 def no_fast_path(monkeypatch) -> None:
-    """Fail the test if either fast evaluator is entered: the run must
+    """Fail the test if the fast evaluator is entered: the run must
     stay on the per-phase reference loop."""
 
-    def refuse(engine, lowered, rows_or_tensor):
+    def refuse(engine, lowered, plan_rows):
         raise AssertionError("fast path called on a reference-loop run")
 
-    for name in FAST_PATHS:
-        monkeypatch.setattr(batch, name, refuse)
+    monkeypatch.setattr(batch, "run_rows", refuse)
 
 
 @pytest.fixture(scope="session")
-def fast_paths() -> Callable[[Engine, list], dict[str, list | None]]:
-    """Evaluate one structurally identical batch of plans on both fast
-    evaluators directly, whatever its size: ``{"run_rows": ...,
-    "run_lowered": ...}``, each a result list or ``None`` (declined).
-    ``run_batch`` alone would give small test batches to ``run_rows``
-    only. Session-scoped, so Hypothesis tests may use it."""
+def fast_path() -> Callable[[Engine, list], list | None]:
+    """Evaluate one structurally identical batch of plans on the fast
+    evaluator directly, whatever its size: ``run_rows``'s result list,
+    or ``None`` where it declines. ``run_batch`` alone would hand a
+    single plan without a repeated block to ``Engine.run``.
+    Session-scoped, so Hypothesis tests may use it."""
 
-    def evaluate(engine: Engine, plans: list) -> dict[str, list | None]:
-        lowered, tensor = batch.lower_plans(plans)
-        return {
-            "run_rows": run_rows(engine, lowered, [p.row for p in plans]),
-            "run_lowered": run_lowered(engine, lowered, tensor),
-        }
+    def evaluate(engine: Engine, plans: list) -> list | None:
+        lowered = batch._lowered(plans[0])  # run_batch's shape
+        return run_rows(engine, lowered, [p.row for p in plans])
 
     return evaluate
 

@@ -5,10 +5,10 @@ Plan builders emit the pipeline steady state as one repeated block;
 :func:`~repro.simknl.batch.run_batch` evaluates one plan with a
 repeated block as a one-row :func:`~repro.simknl.batch.run_rows`.
 ``Engine.run`` is the per-phase reference loop, and these tests hold
-both fast evaluators bit-identical to it — ``elapsed``,
-``phase_times``, and ``traffic`` — across strategies, odd-sized final
-chunks and random plans with repeated blocks, the random ones also on
-a one-row :func:`~repro.simknl.batch.run_lowered`
+the fast path bit-identical to it — ``elapsed``, ``phase_times``, and
+``traffic`` — across strategies, odd-sized final chunks and random
+plans with repeated blocks, also with ``run_rows`` called directly on
+plans ``run_batch`` would give to ``Engine.run``
 (``test_fast_path_oracle.py`` adds random cells and the real plan
 builders), assert the documented fallback (starved allocations) really
 does run the reference loop, and that a telemetry session does not.
@@ -38,15 +38,15 @@ RESOURCES = [
 ]
 
 
-def run_both(plan: Plan, fast_paths) -> tuple:
+def run_both(plan: Plan, fast_path) -> tuple:
     """``plan``'s ``run_batch`` result and its reference-loop result,
-    after checking that both fast evaluators, called directly, give the
+    after checking that ``run_rows``, called directly, gives the
     reference result too."""
     fast = batch.run_batch(Engine(RESOURCES), [plan])[0]
     ref = Engine(RESOURCES).run(plan)
-    for path, outs in fast_paths(Engine(RESOURCES), [plan]).items():
-        assert outs is not None, f"{path} declined"
-        assert_identical(outs[0], ref)
+    outs = fast_path(Engine(RESOURCES), [plan])
+    assert outs is not None, "run_rows declined"
+    assert_identical(outs[0], ref)
     return fast, ref
 
 
@@ -72,7 +72,7 @@ def pipeline(data_bytes: int, passes: float = 3) -> ThreeLevelPipeline:
     [int(20 * GiB), int(20 * GiB) + 8, int(50 * GiB) - 8],
 )
 def test_pipeline_strategies_bit_identical(
-    strategy, data_bytes, fast_rows, fast_paths
+    strategy, data_bytes, fast_rows, fast_path
 ):
     ref_pipe = pipeline(data_bytes)
     ref = ref_pipe._engine.run(ref_pipe.build_plan(strategy))
@@ -81,9 +81,9 @@ def test_pipeline_strategies_bit_identical(
     assert_identical(fast, ref)
     pipe = pipeline(data_bytes)
     plans = [pipe.build_plan(strategy)]
-    for path, outs in fast_paths(pipe._engine, plans).items():
-        assert outs is not None, f"{path} declined"
-        assert_identical(outs[0], ref)
+    outs = fast_path(pipe._engine, plans)
+    assert outs is not None, "run_rows declined"
+    assert_identical(outs[0], ref)
     if strategy == "single":
         assert fast_rows == [1]  # the triple-buffered steady state
 
@@ -154,16 +154,16 @@ def build_plan(phases, repeats: int) -> Plan:
     phases=st.lists(phase_strategy, min_size=1, max_size=4),
     repeats=st.integers(min_value=1, max_value=6),
 )
-def test_random_plans_bit_identical(phases, repeats, fast_paths):
+def test_random_plans_bit_identical(phases, repeats, fast_path):
     plan = build_plan(phases, repeats)
-    fast_res, ref_res = run_both(plan, fast_paths)
+    fast_res, ref_res = run_both(plan, fast_path)
     assert_identical(fast_res, ref_res)
 
 
 # ---- structure --------------------------------------------------------
 
 
-def test_zero_byte_flows_drop_out_of_structure(fast_rows, fast_paths):
+def test_zero_byte_flows_drop_out_of_structure(fast_rows, fast_path):
     """A zero-byte flow is dead weight in the reference loop; the
     lowered shape must skip it identically."""
     phase = Phase(
@@ -175,7 +175,7 @@ def test_zero_byte_flows_drop_out_of_structure(fast_rows, fast_paths):
         static_rates=True,
     )
     plan = Plan("zeros", [phase] * 4)
-    fast_res, ref_res = run_both(plan, fast_paths)
+    fast_res, ref_res = run_both(plan, fast_path)
     assert_identical(fast_res, ref_res)
     assert fast_rows == [1]
     assert fast_res.traffic["mcdram"] == 0.0
@@ -203,6 +203,8 @@ def steady_plan(n: int = 8) -> Plan:
 
 
 def test_telemetry_session_keeps_tensor_path(fast_rows):
+    """A telemetry session leaves the plan on ``run_rows`` and records
+    what the reference loop records."""
     plan = steady_plan()
     with _tm.telemetry_session() as tel_fast:
         res_fast = batch.run_batch(Engine(RESOURCES), [plan])[0]
@@ -218,8 +220,8 @@ def test_telemetry_session_keeps_tensor_path(fast_rows):
 
 
 def test_engine_run_is_only_the_reference_loop(no_fast_path, reference_engine):
-    """``Engine.run`` never enters the fast path: with ``run_rows`` and
-    ``run_lowered`` refusing, plans whose steady state repeats at least three times
+    """``Engine.run`` never enters the fast path: with ``run_rows``
+    refusing, plans whose steady state repeats at least three times
     still return the reference result — on the engine a pipeline holds
     and on a bare one."""
     pipe = pipeline(30 * GiB, passes=2)
@@ -233,15 +235,14 @@ def test_engine_run_is_only_the_reference_loop(no_fast_path, reference_engine):
         assert_identical(eng.run(plan), want)
 
 
-def test_starved_group_raises_like_reference(fast_paths):
+def test_starved_group_raises_like_reference(fast_path):
     """A zero-rate allocation (defensive; unreachable through the real
-    max-min allocator) must make both fast evaluators decline, so the
+    max-min allocator) must make ``run_rows`` decline, so the
     reference loop raises its per-phase starvation error."""
     plan = steady_plan(3)
     eng = Engine(RESOURCES)
     eng._allocate = lambda live: [0.0] * len(live)
-    declined = {"run_rows": None, "run_lowered": None}
-    assert fast_paths(eng, [plan]) == declined
+    assert fast_path(eng, [plan]) is None
     for run in (lambda: batch.run_batch(eng, [plan]), lambda: eng.run(plan)):
         with pytest.raises(SimulationError, match="phase 's0'.*starved"):
             run()
@@ -265,7 +266,7 @@ def test_inner_chunk_variation_only_in_bytes():
     assert repeats == [1, 1, plan.num_phases - 5, 1, 1, 1]
 
 
-def test_nvm_and_mixed_dynamic_static_interleaving(fast_rows, fast_paths):
+def test_nvm_and_mixed_dynamic_static_interleaving(fast_rows, fast_path):
     def round_(i: int) -> list[Phase]:
         return [
             Phase(
@@ -288,7 +289,7 @@ def test_nvm_and_mixed_dynamic_static_interleaving(fast_rows, fast_paths):
         ]
 
     plan = Plan("mix").add_block(round_, 0, 3)
-    fast_res, ref_res = run_both(plan, fast_paths)
+    fast_res, ref_res = run_both(plan, fast_path)
     assert_identical(fast_res, ref_res)
     assert fast_rows == [1]
     assert [p.name for p in plan.phases][3:6] == ["dyn1", "st1.0", "st1.1"]

@@ -3,12 +3,11 @@
 Every plan evaluation through :func:`batch.run_batch` — one plan, as
 ``KNLNode.run`` does, or a cross-cell group — must be bit for bit equal
 to ``Engine.run`` on the ``reference_engine`` fixture: the per-phase
-reference loop with a fresh water-filling solve per phase. So must
-both fast evaluators, called directly on every group (the
-``fast_paths`` fixture): ``run_batch`` sends batches this small to the
-plain-float ``batch.run_rows`` only, and the NumPy tensor
-(``batch.run_lowered``) would otherwise go unchecked. ``elapsed``,
-``phase_times`` and per-resource traffic are compared with ``==``.
+reference loop with a fresh water-filling solve per phase. So must the
+fast evaluator, ``batch.run_rows``, called directly on every group
+(the ``fast_path`` fixture), which also covers single plans that
+``run_batch`` hands to ``Engine.run``. ``elapsed``, ``phase_times``
+and per-resource traffic are compared with ``==``.
 
 Plans come from two sources: random static/dynamic phase lists whose
 phases repeat a random number of times per cell, and the real plan
@@ -17,13 +16,15 @@ three-level NVM pipeline, MLM-sort and the GNU sort) at random chunk
 counts, ragged final chunks included. The chunk-pipeline and sort
 builders' plans are lazy (a shared template plus a bytes row), so the
 reference loop runs their phases built from the template while the
-fast path reads the row; a mixed sweep of MLM cells also goes through
-``evaluate_cells``. Dynamic phases with exactly one live flow take
-the tensor's direct one-round path (``batch._single_flow``) and get their own
-cases: one row and many, a resource-free overhead flow, idle flows
-beside the live one, and a starved flow that must raise the reference
-error. Steps that overflow to inf, in static and dynamic phases, must
-match the loop with warnings raised as errors. This is the
+fast path reads the row. Two mixed sweeps also go through
+``evaluate_cells``: MLM cells, and three-level pipeline cells whose
+final chunks are full in one cell and ragged in the rest, so one call
+splits them into two groups. Dynamic phases with exactly one live flow
+finish in one round and get their own cases: one row and many, a
+resource-free overhead flow, idle flows beside the live one, and a
+starved flow that must raise the reference error. Steps that overflow
+to inf, in static and dynamic phases, must match the loop with
+warnings raised as errors. This is the
 check-against-a-reference pattern: the fast path is trusted only as
 far as it agrees with the loop.
 """
@@ -66,10 +67,10 @@ def assert_identical(got, want) -> None:
 
 
 def check_against_reference(
-    reference_engine, fast_paths, resources, plans: list[Plan]
+    reference_engine, fast_path, resources, plans: list[Plan]
 ) -> None:
     """Single-plan runs and structure-grouped cross-cell batches match
-    the reference loop: through ``run_batch``, and on each fast
+    the reference loop: through ``run_batch``, and on the fast
     evaluator called directly on the same lowered batch."""
     wants = [reference_engine(resources).run(p) for p in plans]
     engine = Engine(resources)
@@ -84,10 +85,10 @@ def check_against_reference(
         outs = batch.run_batch(batch_engine, group)
         for i, got in zip(members, outs):
             assert_identical(got, wants[i])
-        for path, outs in fast_paths(batch_engine, group).items():
-            assert outs is not None, f"{path} declined"
-            for i, got in zip(members, outs):
-                assert_identical(got, wants[i])
+        outs = fast_path(batch_engine, group)
+        assert outs is not None, "run_rows declined"
+        for i, got in zip(members, outs):
+            assert_identical(got, wants[i])
 
 
 # ---- random plans with repeated phases -------------------------------------
@@ -136,7 +137,7 @@ def random_plan(phases, repeats: list[int], cell: int) -> Plan:
     data=st.data(),
 )
 def test_random_plans_match_reference(
-    phases, data, reference_engine, fast_paths
+    phases, data, reference_engine, fast_path
 ):
     cells = data.draw(st.integers(min_value=1, max_value=4), label="cells")
     repeat = st.integers(min_value=1, max_value=6)
@@ -151,7 +152,7 @@ def test_random_plans_match_reference(
         )
         for c in range(cells)
     ]
-    check_against_reference(reference_engine, fast_paths, RESOURCES, plans)
+    check_against_reference(reference_engine, fast_path, RESOURCES, plans)
 
 
 # ---- the real plan builders at random chunk counts -------------------------
@@ -248,12 +249,12 @@ BUILDERS = {
     ),
 )
 def test_builder_plans_match_reference(
-    builder, cells, reference_engine, fast_paths
+    builder, cells, reference_engine, fast_path
 ):
     built = [BUILDERS[builder](chunks, ragged) for chunks, ragged in cells]
     resources = built[0][0]
     check_against_reference(
-        reference_engine, fast_paths, resources, [plan for _, plan in built]
+        reference_engine, fast_path, resources, [plan for _, plan in built]
     )
 
 
@@ -303,6 +304,39 @@ def test_mixed_mlm_sweep_matches_reference(monkeypatch, reference_engine):
         assert_identical(result, reference.run(build(*cell).plans[0]))
 
 
+@pytest.mark.parametrize("strategy", ["single", "double"])
+def test_mixed_full_and_ragged_pipeline_cells_match_reference(
+    strategy, monkeypatch, reference_engine
+):
+    """Three-level pipeline cells of ``20 GiB - 8*i`` bytes in one
+    ``evaluate_cells`` call: the final chunk is full for ``i = 0`` and
+    ragged for every other ``i``. A full and a ragged final chunk give
+    different block structures, so the sweep splits into a full group
+    and a ragged group, one ``run_batch`` each. Every cell's run must
+    equal the reference loop over its own plan, bit for bit."""
+
+    def build(ragged):
+        resources, plan = three_level_plan(strategy, 20, ragged)
+        return batch.PlanBatch(
+            resources=resources, plans=(plan,), finish=lambda runs: runs[0]
+        )
+
+    cells = [(i,) for i in range(5)]
+    groups = []
+    run_batch = batch.run_batch
+
+    def spy(engine, plans):
+        groups.append(len(plans))
+        return run_batch(engine, plans)
+
+    monkeypatch.setattr(batch, "run_batch", spy)
+    got = batch.evaluate_cells(batch.plan_cell(build).plan_batch, cells)
+    assert groups == [1, len(cells) - 1]
+    for (ragged,), result in zip(cells, got):
+        resources, plan = three_level_plan(strategy, 20, ragged)
+        assert_identical(result, reference_engine(resources).run(plan))
+
+
 # ---- dynamic phases with one live flow --------------------------------------
 
 
@@ -327,44 +361,27 @@ def single_flow_plans(flows, cells: int, repeat: int = 3) -> list[Plan]:
     return plans
 
 
-@pytest.fixture
-def single_flow_calls(monkeypatch):
-    """Count calls of the one-live-flow round, so each case below is
-    known to take it."""
-    calls = []
-    original = batch._single_flow
-
-    def spy(*args):
-        calls.append(args[1].shape[0])
-        return original(*args)
-
-    monkeypatch.setattr(batch, "_single_flow", spy)
-    return calls
-
-
 @pytest.mark.parametrize("cells", [1, 7])
 def test_single_live_flow_matches_reference(
-    cells, single_flow_calls, reference_engine, fast_paths
+    cells, reference_engine, fast_path
 ):
     flows = [
         (8, 4.8 * GB, {"ddr": 1.0, "mcdram": 1.0}, 3 * GiB),
         (4, 6.78 * GB, {"mcdram": 1.0}, 0.0),  # idle: not live
     ]
     check_against_reference(
-        reference_engine, fast_paths, RESOURCES, single_flow_plans(flows, cells)
+        reference_engine, fast_path, RESOURCES, single_flow_plans(flows, cells)
     )
-    assert single_flow_calls and max(single_flow_calls) == cells
 
 
 @pytest.mark.parametrize("cells", [1, 5])
 def test_resource_free_overhead_flow_matches_reference(
-    cells, single_flow_calls, reference_engine, fast_paths
+    cells, reference_engine, fast_path
 ):
     flows = [(1, 1.0, {}, 0.25)]  # a fixed overhead: seconds at rate 1
     check_against_reference(
-        reference_engine, fast_paths, RESOURCES, single_flow_plans(flows, cells)
+        reference_engine, fast_path, RESOURCES, single_flow_plans(flows, cells)
     )
-    assert single_flow_calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -379,30 +396,27 @@ def test_resource_free_overhead_flow_matches_reference(
     idle=st.integers(min_value=0, max_value=2),
 )
 def test_random_single_live_flows_match_reference(
-    threads, rate, res, nbytes, cells, idle, reference_engine, fast_paths
+    threads, rate, res, nbytes, cells, idle, reference_engine, fast_path
 ):
     flows = [(threads, rate * GB, res, nbytes)]
     flows += [(2, 1.0 * GB, {"ddr": 1.0}, 0.0)] * idle
     check_against_reference(
-        reference_engine, fast_paths, RESOURCES, single_flow_plans(flows, cells)
+        reference_engine, fast_path, RESOURCES, single_flow_plans(flows, cells)
     )
 
 
 @pytest.mark.parametrize("cells", [1, 3])
 def test_starved_single_flow_raises_reference_error(
-    cells, reference_engine, fast_paths
+    cells, reference_engine, fast_path
 ):
     """A step too long to be a finite float is starvation to the
-    reference loop; both fast evaluators must decline and let it
+    reference loop; the fast evaluator must decline and let it
     raise."""
     plans = single_flow_plans([(1, 1e-300, {"ddr": 1.0}, 1e10)], cells)
     with pytest.raises(SimulationError) as want:
         reference_engine(RESOURCES).run(plans[0])
     engine = Engine(RESOURCES)
-    assert fast_paths(engine, plans) == {
-        "run_rows": None,
-        "run_lowered": None,
-    }
+    assert fast_path(engine, plans) is None
     with pytest.raises(SimulationError) as got:
         batch.run_batch(engine, plans[:1])
     assert str(got.value) == str(want.value)
@@ -413,13 +427,13 @@ def test_starved_single_flow_raises_reference_error(
 @pytest.mark.parametrize("live", [1, 2])
 @pytest.mark.parametrize("static", [False, True])
 def test_overflowing_step_matches_reference_without_warning(
-    static, live, reference_engine, fast_paths
+    static, live, reference_engine, fast_path
 ):
     """A 1-thread flow at 1e-300 B/s over 1e10 B needs a step that
     overflows to inf. The reference loop raises the starvation error
     for a dynamic phase and returns ``elapsed=inf`` for a static one;
-    the fast path must do the same, and no NumPy overflow warning may
-    escape on the way."""
+    the fast path must do the same, and no overflow warning may escape
+    on the way."""
     flows = [
         Flow(f"f{i}", 1, 1e-300, {"ddr": 1.0}, 1e10 + i) for i in range(live)
     ]
@@ -430,17 +444,14 @@ def test_overflowing_step_matches_reference_without_warning(
         reference = reference_engine(RESOURCES)
         if static:
             check_against_reference(
-                reference_engine, fast_paths, RESOURCES, plans
+                reference_engine, fast_path, RESOURCES, plans
             )
             assert reference.run(plans[0]).elapsed == float("inf")
             return
         with pytest.raises(SimulationError) as want:
             reference.run(plans[0])
         engine = Engine(RESOURCES)
-        assert fast_paths(engine, plans) == {
-            "run_rows": None,
-            "run_lowered": None,
-        }
+        assert fast_path(engine, plans) is None
         with pytest.raises(SimulationError) as got:
             batch.run_batch(engine, plans[:1])
         assert str(got.value) == str(want.value)

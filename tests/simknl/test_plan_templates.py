@@ -176,7 +176,7 @@ def test_seed1_grid_has_one_template_per_structure_group(memo, seed1_grid):
 
 
 def test_lazy_plan_builds_phases_only_when_read(memo):
-    """A 6.5-megachunk MLM-sort run: the tensor path leaves the phases
+    """A 6.5-megachunk MLM-sort run: the fast path leaves the phases
     unbuilt; reading them gives every repetition its own names and
     bytes, as the ``--events`` stream shows them."""
     node = flat_node()

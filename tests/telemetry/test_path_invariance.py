@@ -29,17 +29,15 @@ def _run(name: str, monkeypatch, session: bool) -> tuple:
     monkeypatch.setattr(runner, "_SWEEP_MEMO", {})
     rows: list[int] = []
 
-    def counting(real):
-        def spy(engine, lowered, rows_or_tensor):
-            results = real(engine, lowered, rows_or_tensor)
-            if results is not None:
-                rows.append(len(results))
-            return results
+    real = batch.run_rows
 
-        return spy
+    def counting(engine, lowered, plan_rows):
+        results = real(engine, lowered, plan_rows)
+        if results is not None:
+            rows.append(len(results))
+        return results
 
-    for path in ("run_rows", "run_lowered"):
-        monkeypatch.setattr(batch, path, counting(getattr(batch, path)))
+    monkeypatch.setattr(batch, "run_rows", counting)
     if not session:
         ALL_EXPERIMENTS[name]()
         return sum(rows), None, None
@@ -66,7 +64,6 @@ def test_session_takes_plain_path_and_sees_reference_telemetry(
     with monkeypatch.context() as m:
         # A declined fast path leaves every plan to Engine.run.
         m.setattr(batch, "run_rows", lambda *args: None)
-        m.setattr(batch, "run_lowered", lambda *args: None)
         m.setattr(batch, "evaluate_cells", _direct_every_cell)
         ref_rows, ref_snapshot, ref_events = _run(name, m, session=True)
     assert ref_rows == 0

@@ -7,7 +7,7 @@ any digit of any table or figure fails here. A second check ties each
 golden file to the digest the repo benchmark verifies
 (``bench/expected.json``), so the goldens and the benchmark agree on
 what the correct bytes are. A third renders every artifact with the
-tensor path switched off, so the per-phase reference loop
+fast path switched off, so the per-phase reference loop
 (``Engine.run``) alone must reproduce the same bytes. See
 ``tests/golden/README.md`` for how to regenerate them.
 """
@@ -50,7 +50,8 @@ def test_golden_is_benchmark_digest(artifact):
 @pytest.mark.parametrize("artifact", sorted(EXPECTED))
 def test_reference_loop_matches_golden(artifact, capsys, monkeypatch):
     """Every ``run_batch`` binding runs its plans one by one through
-    ``Engine.run``; neither fast evaluator may be reached."""
+    ``Engine.run``; the fast evaluator, ``run_rows``, is never
+    reached."""
 
     def reference(engine, plans):
         return [engine.run(p) for p in plans]
@@ -58,17 +59,16 @@ def test_reference_loop_matches_golden(artifact, capsys, monkeypatch):
     def no_fast_path(*args):
         raise AssertionError("fast path reached")
 
-    tensor = batch.run_batch
+    fast = batch.run_batch
     bound = [
         module
         for name, module in sys.modules.items()
         if name.startswith("repro.")
-        and getattr(module, "run_batch", None) is tensor
+        and getattr(module, "run_batch", None) is fast
     ]
     assert len(bound) >= 3  # batch itself, the node and the NVM pipeline
     for module in bound:
         monkeypatch.setattr(module, "run_batch", reference)
-    monkeypatch.setattr(batch, "run_lowered", no_fast_path)
     monkeypatch.setattr(batch, "run_rows", no_fast_path)
     monkeypatch.setattr(runner, "_SWEEP_MEMO", {})
     monkeypatch.delenv("REPRO_STORE", raising=False)

@@ -3,11 +3,12 @@
 A plain ``repro-knl <artifact>`` run must not load the parallel sweep
 machinery or dependencies the simulator does not use: their import
 cost dominated cold-start wall time before they were taken off the
-path. NumPy is one of them: every artifact's batches are small enough
-for the plain-float evaluator, and its import was ~40 % of a cold
-run. So are telemetry, the result store and cell hashing: a plain
-run (no ``--metrics``, ``--events``, ``--store`` or ``replay``) never
-reaches them, and they load on first use. The checks inspect
+path. NumPy is one of them: the simulator evaluates every plan in
+plain floats, and only the line-level cache oracle imports NumPy,
+whose import was ~40 % of a cold run. So are telemetry, the result
+store and cell hashing: a plain run (no ``--metrics``, ``--events``,
+``--store`` or ``replay``) never reaches them, and they load on first
+use. The checks inspect
 ``sys.modules`` in a fresh interpreter, so they are deterministic (no
 wall-clock threshold).
 """
@@ -115,6 +116,26 @@ def test_no_artifact_imports_numpy():
     assert len(report) == 18
     assert [name for name, status, _ in report if status not in (None, 0)] == []
     assert [name for name, _, numpy in report if numpy] == []
+
+
+def test_only_the_cache_oracle_imports_numpy():
+    """Every module under ``src/repro``, with module-level and
+    function-local imports alike: only the line-level cache oracle
+    ``simknl/cache.py`` may import NumPy."""
+    package = Path(__file__).resolve().parents[1] / "src" / "repro"
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                importers.append(path.relative_to(package).as_posix())
+                break
+    assert importers == ["simknl/cache.py"]
 
 
 def test_plain_run_loads_nothing_on_first_use():
