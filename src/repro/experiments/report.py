@@ -77,9 +77,9 @@ def render_series(
 
 def to_csv(result: ExperimentResult) -> str:
     """Serialize the rows to CSV text."""
+    cols = result.columns
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=result.columns)
-    writer.writeheader()
-    for row in result.rows:
-        writer.writerow({c: row.get(c, "") for c in result.columns})
+    writer = csv.writer(buf)
+    writer.writerow(cols)
+    writer.writerows([row.get(c, "") for c in cols] for row in result.rows)
     return buf.getvalue()

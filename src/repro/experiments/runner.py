@@ -35,6 +35,7 @@ from repro.core.modes import UsageMode
 from repro.simknl.batch import PlanBatch, plan_group
 from repro.simknl.engine import Plan
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode, boot
+from repro.telemetry import runtime as _tm
 
 if TYPE_CHECKING:
     from repro.experiments.store import ResultStore
@@ -399,9 +400,16 @@ def paper_megachunk(n: int) -> int:
 
 def _variant_planner(
     variant: str, order: str, cost: SortCostModel | None, threads: int = 256
-) -> tuple[KNLNode, Callable[[int, int | None], Plan]]:
-    """The node and the ``plan(n, megachunk)`` group builder behind one
-    Table-1 variant, input order and cost model."""
+) -> tuple[KNLNode, Callable[..., Plan], Callable[[int, int | None], tuple]]:
+    """The node, the plan builder and the plan's inputs behind one
+    Table-1 variant, input order and cost model: a cell ``(n,
+    megachunk)`` plans as ``plan(*inputs(n, megachunk))``.
+
+    The inputs are only what the plan reads. GNU-flat, GNU-cache and
+    MLM-implicit ignore the megachunk; MLM-sort and MLM-ddr read the
+    effective one: ``paper_megachunk(n)`` when it is None, and ``n``
+    when it exceeds ``n`` (the planner chunks by ``min(megachunk, n)``).
+    """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; one of {VARIANTS}")
     cost = cost or DEFAULT_COST
@@ -409,13 +417,19 @@ def _variant_planner(
     if variant in ("GNU-flat", "GNU-cache"):
         mode = UsageMode.DDR if variant == "GNU-flat" else UsageMode.CACHE
         gnu = gnu_sort_planner(node, order, mode, threads, cost)
-        return node, lambda n, megachunk: gnu(n)
+        return node, gnu, lambda n, megachunk: (n,)
     if variant == "MLM-implicit":
         mlm = mlm_sort_planner(node, UsageMode.IMPLICIT, order, threads, cost)
-        return node, lambda n, megachunk: mlm(n, n)
+        return node, mlm, lambda n, megachunk: (n, n)
     mode = UsageMode.FLAT if variant == "MLM-sort" else UsageMode.DDR
     mlm = mlm_sort_planner(node, mode, order, threads, cost)
-    return node, lambda n, megachunk: mlm(n, megachunk or paper_megachunk(n))
+
+    def inputs(n: int, megachunk: int | None) -> tuple:
+        if megachunk is None:
+            megachunk = paper_megachunk(n)
+        return n, min(megachunk, n)
+
+    return node, mlm, inputs
 
 
 def _sort_variant_plan(
@@ -427,8 +441,8 @@ def _sort_variant_plan(
     threads: int = 256,
 ) -> tuple[KNLNode, Plan]:
     """The ``(node, plan)`` pair behind one Table-1 variant cell."""
-    node, plan = _variant_planner(variant, order, cost, threads)
-    return node, plan(n, megachunk)
+    node, plan, inputs = _variant_planner(variant, order, cost, threads)
+    return node, plan(*inputs(n, megachunk))
 
 
 def _variant_cell(
@@ -448,16 +462,42 @@ def sort_variant_seconds(cells: Sequence[tuple]) -> list[PlanBatch]:
     table1 sweep this shared key space), per cell ``(variant, n,
     order, cost=None, megachunk=None)``. Cells of one variant, order
     and cost model (by identity, not hashed) share a planner.
+
+    Cells that denote one plan share one :class:`PlanBatch` object:
+    those of one planner whose inputs (:func:`_variant_planner`) are
+    equal in their exact ``marshal`` form, as :func:`_dedup` compares
+    cells, so ``1e9`` never shares with ``1_000_000_000``. Only a
+    plan that built is shared, so a cell that raises alone raises here
+    too. Under an enabled telemetry session a sharing cell still calls
+    its planner, so what the planner records per plan
+    (``sort.megachunks_total``) is recorded per cell. Nothing is shared
+    beyond one call.
     """
     planners: dict[tuple, tuple] = {}
+    tel = _tm.current()
     batches = []
     for cell in cells:
         variant, n, order, cost, megachunk = _variant_cell(*cell)
         key = (variant, order, id(cost))
-        if key not in planners:
-            node, plan = _variant_planner(variant, order, cost)
-            planners[key] = (node.resources(), plan)
-        resources, plan = planners[key]
-        plans = (plan(n, megachunk),)
-        batches.append(PlanBatch(resources, plans, lambda r: r[0].elapsed))
+        planner = planners.get(key)
+        if planner is None:
+            node, plan, inputs = _variant_planner(variant, order, cost)
+            planner = planners[key] = (node.resources(), plan, inputs, {})
+        resources, plan, inputs, shared = planner
+        args = inputs(n, megachunk)
+        try:
+            exact: bytes | None = _marshal(args, 2)
+        except ValueError:  # a type marshal refuses: built alone
+            exact = None
+        batch = shared.get(exact)
+        if batch is None:
+            plans = (plan(*args),)
+            batch = PlanBatch(resources, plans, lambda r: r[0].elapsed)
+            if exact is not None:
+                shared[exact] = batch
+        elif tel.enabled:
+            # A planner records each plan it builds (the MLM planner's
+            # sort.megachunks_total); this cell's record is its own.
+            plan(*args)
+        batches.append(batch)
     return batches

@@ -47,7 +47,11 @@ of one whose plans run one by one through :func:`run_batch`;
 to one :func:`evaluate_cells` call instead, which runs each distinct
 plan once. A group builder may share work between the cells of one
 call (the sort-variant builder computes each megachunk size's scalars
-and looks up each template once) but keeps nothing across calls. The
+and looks up each template once) but keeps nothing across calls. It
+may also return one :class:`PlanBatch` object for several cells that
+denote one plan (the sort-variant builder does, for cells whose plan
+inputs are equal in their exact form): :func:`evaluate_cells` groups
+and finishes that object once and observes its runs once per cell. The
 builder is each cell's only definition, and plan cells in
 ``sweep_map`` are how the experiment drivers reach the engine. The one
 exception is ``faults``: ``experiments.extensions._fault_cell`` calls
@@ -386,21 +390,28 @@ def evaluate_cells(
     identity, so a lazy plan's nested structure is never hashed; a plan
     without one groups by its :meth:`~repro.simknl.engine.Plan.structure`.
 
-    The grouped evaluation runs under the shared disabled telemetry;
-    every cell's runs are then observed in cell order, as serial cell
-    calls would record them. Observing in group order would reorder the
+    A batch object the builder returns for several cells (cells that
+    denote one plan) is grouped and finished once; each of those cells
+    gets its ``finish`` value. The grouped evaluation runs under the
+    shared disabled telemetry; every cell's runs, a shared batch's
+    included, are then observed in cell order, as serial cell calls
+    would record them. Observing in group order would reorder the
     events and change the float sums of the traffic counters.
     """
     built = build(cells)
     engines: dict[tuple, Engine] = {}
     # Cells on one booted node share its resource tuple, so each
-    # distinct tuple object is keyed once, not once per cell. ``built``
-    # keeps every tuple alive, so no id is reused during the loop.
+    # distinct tuple object is keyed once, not once per cell. A builder
+    # may return one batch object for several cells; it is grouped and
+    # finished once. ``built`` keeps every tuple and batch alive, so no
+    # id is reused during the loop.
     by_tuple: dict[int, Engine] = {}
-    # (engine, template) -> row -> (plan, the (cell, slot)s that run it)
+    # (engine, template) -> row -> (plan, the (runs, slot)s that run it)
     groups: dict[tuple, dict[tuple, tuple[Plan, list]]] = {}
-    cell_runs: list[list[RunResult | None]] = []
-    for bi, item in enumerate(built):
+    batch_runs: dict[int, list[RunResult | None]] = {}
+    for item in built:
+        if id(item) in batch_runs:
+            continue
         engine = by_tuple.get(id(item.resources))
         if engine is None:
             engine_key = tuple((r.name, r.capacity) for r in item.resources)
@@ -408,25 +419,29 @@ def evaluate_cells(
             if engine is None:
                 engine = engines[engine_key] = Engine(item.resources)
             by_tuple[id(item.resources)] = engine
-        cell_runs.append([None] * len(item.plans))
+        runs = batch_runs[id(item)] = [None] * len(item.plans)
         for slot, plan in enumerate(item.plans):
             key = (engine, plan.template or plan.structure())
             rows = groups.setdefault(key, {})
             row = tuple(plan.row)
             if row not in rows:
                 rows[row] = (plan, [])
-            rows[row][1].append((bi, slot))
+            rows[row][1].append((runs, slot))
 
     with telemetry_session(DISABLED):
         for (engine, _), rows in groups.items():
             outs = run_batch(engine, [plan for plan, _ in rows.values()])
             for (_, slots), out in zip(rows.values(), outs):
-                for bi, slot in slots:
-                    cell_runs[bi][slot] = out
+                for runs, slot in slots:
+                    runs[slot] = out
 
+    finished: dict[int, Any] = {}
     results = []
-    for item, runs in zip(built, cell_runs):
+    for item in built:
+        runs = batch_runs[id(item)]
         for plan, run in zip(item.plans, runs):
             observe(plan, run)
-        results.append(item.finish(runs))
+        if id(item) not in finished:
+            finished[id(item)] = item.finish(runs)
+        results.append(finished[id(item)])
     return results
